@@ -24,7 +24,7 @@ race:
 # fault runs the fault-injection suite and the CLI exit-code contracts
 # under the race detector: injected deadlocks, watchdog-aborted stalls,
 # panics, flaky retries and corrupted configs must all surface as typed
-# job records while every engine drains its goroutines cleanly. The
+# job records while every engine stops its task coroutines cleanly. The
 # disk-fault wrappers (torn writes, bit flips, short reads, ENOSPC
 # against the result store) and the SIGKILL crash-recovery re-exec test
 # live in the same packages and run here too.
@@ -38,11 +38,11 @@ bench:
 	go test -bench BenchmarkRunner -run xxx -benchtime 3x ./internal/bench/
 
 # bench-engine regenerates the event-engine numbers tracked in
-# BENCH_engine.json (Sync fast path, scheduler dispatch, server
-# calendar, the cycle-ledger charge path, the histogram record path,
-# plus the end-to-end runner grid).
+# BENCH_engine.json (Sync fast path, scheduler dispatch and its channel
+# switch control, server calendar, the cycle-ledger charge path, the
+# histogram record path, plus the end-to-end runner grid).
 bench-engine:
-	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/
+	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/
 	go test -bench BenchmarkHistogramRecord -run xxx ./internal/stats/
 	go test -bench BenchmarkTxnTrace -run xxx ./internal/txntrace/
@@ -53,7 +53,7 @@ bench-engine:
 # intentional engine change, regenerate the record with bench-engine and
 # update the file.
 bench-check:
-	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/ > /tmp/bench-engine-check.txt
+	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/ > /tmp/bench-engine-check.txt
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/ >> /tmp/bench-engine-check.txt
 	go test -bench BenchmarkHistogramRecord -run xxx ./internal/stats/ >> /tmp/bench-engine-check.txt
 	go test -bench BenchmarkTxnTrace -run xxx ./internal/txntrace/ >> /tmp/bench-engine-check.txt

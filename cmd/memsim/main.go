@@ -192,7 +192,7 @@ func writeBreakdownText(w io.Writer, rep *memsys.Report) {
 }
 
 // writeFlightTail prints the flight recorder's last scheduler events
-// from a typed failure's EngineState: the concrete dispatch/handoff/
+// from a typed failure's EngineState: the concrete dispatch/inline-step/
 // block sequence that led into a deadlock or watchdog abort.
 func writeFlightTail(w io.Writer, st memsys.EngineState) {
 	if len(st.Recent) == 0 {
@@ -551,9 +551,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "Energy: core=%.3g i$=%.3g d$=%.3g lmem=%.3g net=%.3g l2=%.3g dram=%.3g J\n",
 			rep.Energy.Core, rep.Energy.ICache, rep.Energy.DCache, rep.Energy.LMem,
 			rep.Energy.Network, rep.Energy.L2, rep.Energy.DRAM)
-		fmt.Fprintf(stdout, "Engine: dispatches=%d fastpath=%.1f%% handoff=%.1f%% inline=%.1f%% heap<=%d srv pruned=%d\n",
-			rep.Engine.Dispatches+rep.Engine.Handoffs+rep.Engine.InlineSteps, 100*rep.Engine.FastPathRate(),
-			100*rep.Engine.HandoffRate(), 100*rep.Engine.InlineRate(), rep.Engine.HeapMax, rep.Servers.Pruned)
+		fmt.Fprintf(stdout, "Engine: dispatches=%d fastpath=%.1f%% inline=%.1f%% heap<=%d srv pruned=%d\n",
+			rep.Engine.Dispatches+rep.Engine.InlineSteps, 100*rep.Engine.FastPathRate(),
+			100*rep.Engine.InlineRate(), rep.Engine.HeapMax, rep.Servers.Pruned)
 	}
 	return finish(0)
 }

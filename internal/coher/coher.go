@@ -69,16 +69,11 @@ type Stats struct {
 	// service times (diagnostics and the EXPERIMENTS.md tables).
 	ReadMissLatency  sim.Time
 	WriteMissLatency sim.Time
-
-	// DebugStage accumulates per-stage latency of the write-miss path
-	// (bus control, remote snoop, L2/DRAM fetch, final bus data).
-	DebugStage [4]sim.Time
 }
 
 // Snapshot emits the headline protocol counters in a fixed order (probe
 // layer); the per-epoch C2C deltas are the communication-phase series.
-// Latency accumulators and DebugStage stay out: they are diagnostics,
-// not time series.
+// Latency accumulators stay out: they are diagnostics, not time series.
 func (s Stats) Snapshot(put func(name string, value float64)) {
 	put("read_misses", float64(s.ReadMisses))
 	put("write_misses", float64(s.WriteMisses))
@@ -495,16 +490,11 @@ func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 		d.tag("src=l2")
 		d.tag("mesi=I->M")
 	}
-	d.stats.DebugStage[0] += t - at
-	d.stats.DebugStage[1] += tSnoop - t
 	done, _ := d.unc.ReadLine(t, cl, a)
-	d.stats.DebugStage[2] += done - t
 	if done < tSnoop {
 		done = tSnoop
 	}
-	d2 := d.net.BusData(done, cl, mem.LineSize)
-	d.stats.DebugStage[3] += d2 - done
-	done = d2
+	done = d.net.BusData(done, cl, mem.LineSize)
 	ln := d.insertL1(done, i, a, cache.Modified, done)
 	ln.Dirty = true
 	return done

@@ -18,7 +18,7 @@ import (
 // core's own L1 tags, which peers mutate through snoops and so count as
 // shared. None can convert to SetTime/Advance. They stay because they
 // are needed, not because they are cheap — though with the engine fast
-// path a Sync by the globally minimal core no longer pays a handshake.
+// path a Sync by the globally minimal core does not yield.
 type Mem struct {
 	d    *Domain
 	core int

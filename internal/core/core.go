@@ -160,43 +160,17 @@ type Workload interface {
 	Verify() error
 }
 
-// InlineWorkload is an optional Workload extension: a workload that can
-// express a core's body as a resumable state machine (sim.Runnable)
-// returns it from InlineBody, and the system runs that core as an
-// inline task — its events dispatch as plain function calls, with no
-// goroutine. The machine must yield exactly where the goroutine body
-// would sync or block, which keeps the schedule identical. Returning
-// nil falls back to the goroutine path for that core (the memory model
-// is already bound when InlineBody is called, so the workload can
-// decide per model).
+// InlineWorkload is the former opt-in for running a core's body as a
+// sim.Runnable state machine. System no longer consults it: every core
+// runs its Workload.Run body as a coroutine task. It stays declared for
+// code built against the older API.
 type InlineWorkload interface {
 	InlineBody(p *cpu.Proc) sim.Runnable
 }
 
-// inlineCore chains a workload's body machine with the model's finish
-// sequence — the inline twin of the spawned closure `w.Run(p);
-// p.Finish()`. The transition happens inside one Step, so no yield
-// separates the body's last event from the finish drain, exactly as in
-// the goroutine body.
-type inlineCore struct {
-	body sim.Runnable
-	fin  sim.Runnable
-}
-
-func (c *inlineCore) Step(t *sim.Task) sim.Status {
-	if c.body != nil {
-		s := c.body.Step(t)
-		if s != sim.StatusDone {
-			return s
-		}
-		c.body = nil
-	}
-	return c.fin.Step(t)
-}
-
 // New assembles a machine. It panics when the configuration is invalid;
 // callers that need a typed error instead call cfg.Validate first (the
-// run layer does, so a bad config fails before any goroutine spawns).
+// run layer does, so a bad config fails before any task spawns).
 func New(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -354,9 +328,9 @@ func (s *System) SetICacheProfile(instrPerMiss uint64) {
 //
 // Run is the recovery boundary of a simulation: a panic anywhere in
 // Setup, model or workload code — including the engine's typed failures
-// (deadlock, livelock past MaxSimTime, Abort, a task-goroutine panic;
+// (deadlock, livelock past MaxSimTime, Abort, a task-body panic;
 // see sim/abort.go) — is caught here and returned as the error, with
-// the parked task goroutines drained so a failed run leaks nothing.
+// the unfinished task coroutines stopped so a failed run leaks nothing.
 // sim.RunError values come back unwrapped, so callers can errors.As
 // them for the engine-state snapshot. Calling Run twice still panics:
 // that is a caller bug, not a simulation failure.
@@ -380,32 +354,19 @@ func (s *System) Run(w Workload) (rep *Report, err error) {
 	}()
 	w.Setup(s)
 	for i := 0; i < s.cfg.Cores; i++ {
-		name := fmt.Sprintf("core%d", i)
 		p := s.procs[i]
 		p.SetTracer(s.cfg.Trace)
+		var m cpu.ProcMem
 		switch s.cfg.Model {
 		case CC:
-			p.BindMem(s.dom.Mem(i))
+			m = s.dom.Mem(i)
 		case STR:
-			p.BindMem(s.strs[i])
+			m = s.strs[i]
 		case INC:
-			p.BindMem(s.inc.Mem(i))
+			m = s.inc.Mem(i)
 		}
-		// A workload that can run this core as a state machine gets an
-		// inline task (zero goroutine switches per event); currently only
-		// the streaming model has an inline finish sequence, so other
-		// models stay goroutine-backed even if a body is offered.
-		var body sim.Runnable
-		if iw, ok := w.(InlineWorkload); ok && s.cfg.Model == STR {
-			body = iw.InlineBody(p)
-		}
-		if body != nil {
-			p.BindTask(s.eng.SpawnInline(name, 0,
-				&inlineCore{body: body, fin: s.strs[i].NewFinish(p)}))
-			continue
-		}
-		s.eng.Spawn(name, 0, func(task *sim.Task) {
-			p.BindTask(task)
+		s.eng.Spawn(fmt.Sprintf("core%d", i), 0, func(task *sim.Task) {
+			p.Bind(task, m)
 			w.Run(p)
 			p.Finish()
 		})

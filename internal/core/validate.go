@@ -37,13 +37,13 @@ func FieldErrors(err error) []*FieldError {
 
 // RunPanicError wraps a panic recovered by System.Run whose value was
 // not already an error — a Setup or Verify bug on the driving goroutine.
-// (Task-goroutine panics arrive as *sim.TaskPanicError instead.)
+// (Task-body panics arrive as *sim.TaskPanicError instead.)
 type RunPanicError struct{ Value any }
 
 func (e *RunPanicError) Error() string { return fmt.Sprintf("core: run panicked: %v", e.Value) }
 
 // Validate checks the configuration before any machine is assembled —
-// and therefore before any goroutine spawns: a config error must be a
+// and therefore before any task spawns: a config error must be a
 // typed, synchronous result, never a panic out of a half-built engine.
 // It returns nil or an errors.Join of *FieldError values covering every
 // invalid field.

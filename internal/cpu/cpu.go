@@ -7,7 +7,7 @@
 // includes fetch and non-memory pipeline stalls, as in Figure 2), Sync,
 // load stalls and store-buffer stalls.
 //
-// A Proc is driven by workload code running on a sim.Task goroutine; the
+// A Proc is driven by workload code running as a sim.Task coroutine; the
 // attached ProcMem (the coherent-cache model in internal/coher or the
 // streaming model in internal/stream) supplies data-access timing.
 package cpu
@@ -173,17 +173,9 @@ func New(id, cluster int, cfg Config) *Proc {
 
 // Bind attaches the core to its simulation task and memory model.
 func (p *Proc) Bind(task *sim.Task, m ProcMem) {
-	p.BindTask(task)
-	p.BindMem(m)
+	p.task = task
+	p.memory = m
 }
-
-// BindMem attaches the memory model alone. The inline-core path binds
-// memory before the task exists, so the workload can inspect p.Mem()
-// while deciding whether to supply a state-machine body.
-func (p *Proc) BindMem(m ProcMem) { p.memory = m }
-
-// BindTask attaches the simulation task alone.
-func (p *Proc) BindTask(task *sim.Task) { p.task = task }
 
 // SetTracer attaches a span collector (nil disables tracing).
 func (p *Proc) SetTracer(t Tracer) { p.tracer = t }
@@ -325,8 +317,8 @@ func (p *Proc) Work(n uint64) { p.chargeUseful(n) }
 // earlier events execute first, which keeps protocol state transitions
 // at phase boundaries in timestamp order. (Sync audit, PR 2: callers
 // read shared primitive or DMA state right after WaitUntil returns, so
-// the yield must stay; the engine elides the handshake itself whenever
-// this core is already globally minimal.)
+// the yield must stay; the engine elides the yield itself whenever this
+// core is already globally minimal.)
 func (p *Proc) WaitUntil(t sim.Time) { p.waitUntil(t, ledger.SyncWait) }
 
 // WaitUntilDMA is WaitUntil with the wait classified as ledger.DMAWait
@@ -335,25 +327,14 @@ func (p *Proc) WaitUntil(t sim.Time) { p.waitUntil(t, ledger.SyncWait) }
 func (p *Proc) WaitUntilDMA(t sim.Time) { p.waitUntil(t, ledger.DMAWait) }
 
 func (p *Proc) waitUntil(t sim.Time, c ledger.Class) {
-	p.chargeWait(t, c)
-	p.task.Sync()
-}
-
-// chargeWait is waitUntil's accounting without the yield: advance the
-// core to t and charge the gap to the Sync bucket under class c.
-func (p *Proc) chargeWait(t sim.Time, c ledger.Class) {
 	if now := p.task.Time(); t > now {
 		p.bd.Sync += t - now
 		p.charge(c, t-now)
 		p.span("sync-wait", now, t-now)
 		p.task.SetTime(t)
 	}
+	p.task.Sync()
 }
-
-// ChargeDMAWait is WaitUntilDMA without the trailing yield — the
-// pre-yield half for inline (state machine) core bodies, which must
-// return StatusRunning where the goroutine body's WaitUntilDMA synced.
-func (p *Proc) ChargeDMAWait(t sim.Time) { p.chargeWait(t, ledger.DMAWait) }
 
 // AddSync charges d of synchronization time without advancing the clock
 // (used when a primitive has already moved the task's clock, e.g. after
@@ -517,16 +498,10 @@ func elemsIn(lo, hi, base mem.Addr, elemSize uint64) uint64 {
 }
 
 // Finish drains the store buffer and the memory model and records the
-// core's completion time. Call it at the end of the workload body.
+// core's completion time. Call it at the end of the workload body. The
+// memory model's drain time is charged to the Sync bucket under the
+// model's FlushClasser class.
 func (p *Proc) Finish() {
-	p.DrainStores()
-	p.CompleteFinish(p.memory.Flush(p))
-}
-
-// DrainStores empties the store buffer, charging store stalls. It never
-// yields (pure SetTime), so inline core bodies call it directly before
-// their model's flush machine.
-func (p *Proc) DrainStores() {
 	now := p.task.Time()
 	for p.sbLen > 0 {
 		done := p.storeBuf[p.sbHead]
@@ -539,14 +514,7 @@ func (p *Proc) DrainStores() {
 			now = done
 		}
 	}
-}
-
-// CompleteFinish applies the memory-model drain time d (what Flush
-// returned, or what an inline flush machine computed), charging the gap
-// to the Sync bucket under the model's FlushClasser class, and records
-// the core's completion.
-func (p *Proc) CompleteFinish(d sim.Time) {
-	if d > p.task.Time() {
+	if d := p.memory.Flush(p); d > p.task.Time() {
 		wait := d - p.task.Time()
 		p.bd.Sync += wait
 		c := ledger.SyncWait

@@ -90,8 +90,8 @@ func (s Stats) AvgPutLatency() sim.Time {
 	return s.PutLatency / sim.Time(s.PutCommands)
 }
 
-// dmaState is the engine state machine's resume point (where the
-// goroutine body would be parked).
+// dmaState is the engine state machine's resume point (where a
+// coroutine body would be suspended).
 type dmaState uint8
 
 const (
@@ -134,7 +134,7 @@ type Engine struct {
 	waitingFor Tag
 
 	// State-machine registers: the engine body runs as an inline task
-	// (sim.Runnable), so the locals the goroutine version kept on its
+	// (sim.Runnable), so the locals a coroutine body would keep on its
 	// stack live here between steps.
 	pc       dmaState
 	cur      command
@@ -145,7 +145,7 @@ type Engine struct {
 	ring     []sim.Time // completion times of the window's accesses
 	// Beat-iterator cursor: element index, and the line walk within the
 	// current element for sequential/wide-strided shapes.
-	ei             uint64
+	ei              uint64
 	la, lbase, lend mem.Addr
 
 	stats Stats
@@ -180,8 +180,8 @@ func NewWithWindow(name string, cluster int, unc *uncore.Uncore, ls *lstore.Stor
 
 // Spawn starts the engine's simulation task. The body is a state
 // machine (Step), so the task is inline: the engine's beats dispatch as
-// plain function calls on whatever goroutine is scheduling, with no
-// goroutine of their own — the hot "kernel loop" of every streaming
+// plain function calls in the engine's Run loop, with no coroutine
+// switch — the hot "kernel loop" of every streaming
 // figure.
 func (e *Engine) Spawn(eng *sim.Engine, start sim.Time) {
 	e.task = eng.SpawnInline(e.name, start, e)
@@ -303,50 +303,25 @@ func (e *Engine) Done(tag Tag) (sim.Time, bool) {
 // Wait blocks the calling task until tag completes, returning the
 // completion time. The caller charges the wait to its own sync bucket.
 func (e *Engine) Wait(caller *sim.Task, tag Tag) sim.Time {
-	if t, ok := e.WaitStart(caller, tag); ok {
-		return t
-	}
-	caller.BlockOn(e.WaitLabel(tag))
-	return e.WaitCollect(tag)
-}
-
-// WaitStart is the non-blocking half of Wait: if tag has already
-// completed it returns (completion time, true); otherwise it registers
-// caller as the engine's waiter and returns (0, false), after which the
-// caller must suspend itself — BlockOn(WaitLabel(tag)) for a
-// goroutine-backed task, or StatusBlocked with WillBlockOn for an
-// inline one — and call WaitCollect once woken.
-func (e *Engine) WaitStart(caller *sim.Task, tag Tag) (sim.Time, bool) {
 	if tag > e.nextTag {
 		panic(fmt.Sprintf("dma: wait for unissued tag %d", tag))
 	}
 	if t, ok := e.done[tag]; ok {
 		delete(e.done, tag)
-		return t, true
+		return t
 	}
 	if tag <= e.lastDone {
-		return caller.Time(), true // completed and already collected
+		return caller.Time() // completed and already collected
 	}
 	if e.waiter != nil {
 		panic("dma: engine " + e.name + " already has a waiter")
 	}
 	e.waiter = caller
 	e.waitingFor = tag
-	return 0, false
-}
-
-// WaitCollect retrieves tag's completion time after a WaitStart that
-// registered the caller (the engine has unblocked it).
-func (e *Engine) WaitCollect(tag Tag) sim.Time {
+	caller.BlockOn(fmt.Sprintf("dma %s tag %d", e.name, tag))
 	t := e.done[tag]
 	delete(e.done, tag)
 	return t
-}
-
-// WaitLabel names the resource a waiter on tag blocks on, for deadlock
-// diagnostics.
-func (e *Engine) WaitLabel(tag Tag) string {
-	return fmt.Sprintf("dma %s tag %d", e.name, tag)
 }
 
 // Stop tells the engine to exit once its queue drains. Must be called
@@ -363,12 +338,11 @@ func (e *Engine) Stop() {
 }
 
 // Step is the engine task body as a resumable state machine
-// (sim.Runnable): the goroutine version's nested loops — pop a command,
-// issue its beats with up to Outstanding in flight, catch up to the
-// last completion — flattened so every yield point (the per-beat Sync,
-// the idle BlockOn, the final AdvanceTo) becomes a return. The yield
-// placement matches the goroutine body exactly, which is what keeps the
-// schedule — and the full paperbench output — byte-identical.
+// (sim.Runnable): the nested loops — pop a command, issue its beats with
+// up to Outstanding in flight, catch up to the last completion —
+// flattened so every yield point (the per-beat Sync, the idle BlockOn,
+// the final AdvanceTo) becomes a return. The yield placement is fixed:
+// moving one would change the schedule and the paperbench output.
 func (e *Engine) Step(t *sim.Task) sim.Status {
 	for {
 		switch e.pc {
@@ -421,9 +395,8 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 // issueNext advances the beat iterator: it either issues the next beat
 // (advance one network cycle, clamp to the outstanding window, yield
 // for the beat's sync) or ends the command (yielding once more if the
-// engine must catch up to the last outstanding completion, as the
-// goroutine body's final AdvanceTo did). The bool result reports
-// whether Step must return s now.
+// engine must catch up to the last outstanding completion). The bool
+// result reports whether Step must return s now.
 func (e *Engine) issueNext(t *sim.Task) (sim.Status, bool) {
 	b, ok := e.nextBeat()
 	if !ok {
@@ -477,8 +450,7 @@ func (e *Engine) startIter() {
 }
 
 // nextBeat yields the current command's next access and bumps the
-// traffic counters for it, exactly as the goroutine body did just
-// before each issue.
+// traffic counters for it just before its issue.
 func (e *Engine) nextBeat() (beat, bool) {
 	c := &e.cur
 	switch {

@@ -131,7 +131,7 @@ func (badVerifyWorkload) Verify() error {
 // CorruptedConfigs returns configurations corrupted one field at a time,
 // keyed by the Config field that Validate must report. The run layer's
 // tests prove each fails typed, synchronously, and before any simulation
-// goroutine spawns.
+// task spawns.
 func CorruptedConfigs() map[string]core.Config {
 	out := map[string]core.Config{}
 	mk := func(field string, mutate func(*core.Config)) {

@@ -121,15 +121,14 @@ func TestWatchdogAbortsStall(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbortMidHandoff is the handoff-dispatch regression at the
-// run layer: with 8 cores advancing in lockstep, every slow-path yield
-// is a direct task-to-task handoff and the engine goroutine stays
-// parked, so the watchdog's Abort necessarily lands while a task
-// goroutine holds the scheduler. It must still surface as a typed
-// timeout record whose EngineState snapshot is coherent — all stalled
-// cores accounted for, none stuck "running" — and whose engine metrics
-// prove the run was dispatching by handoff when it died.
-func TestWatchdogAbortMidHandoff(t *testing.T) {
+// TestWatchdogAbortMidDispatch is the dispatch regression at the run
+// layer: with 8 cores advancing in lockstep, every Sync yields and Run
+// resumes the next core's coroutine, so the watchdog's Abort lands
+// between resumes. It must surface as a typed timeout record whose
+// EngineState snapshot is coherent — all stalled cores accounted for,
+// none stuck "running" — and whose engine metrics and flight-recorder
+// tail prove the run was dispatching coroutines when it died.
+func TestWatchdogAbortMidDispatch(t *testing.T) {
 	rec := &recorder{}
 	r := newRunner(rec)
 	defer r.Close()
@@ -149,13 +148,13 @@ func TestWatchdogAbortMidHandoff(t *testing.T) {
 		t.Fatalf("underlying err = %#v, want *sim.AbortError", jerr.Err)
 	}
 	st := ae.EngineState()
-	if st.Metrics.Handoffs == 0 {
-		t.Fatalf("stall aborted without a single handoff dispatch: %+v", st.Metrics)
+	if st.Metrics.Dispatches == 0 {
+		t.Fatalf("stall aborted without a single coroutine dispatch: %+v", st.Metrics)
 	}
 	cores := 0
 	for _, ts := range st.Tasks {
 		if ts.State == "running" {
-			t.Fatalf("task %q snapshotted as running after abort: the scheduler owner was lost mid-handoff (%+v)", ts.Name, st.Tasks)
+			t.Fatalf("task %q snapshotted as running after abort: a dispatch was left half done (%+v)", ts.Name, st.Tasks)
 		}
 		if strings.HasPrefix(ts.Name, "core") {
 			cores++
@@ -167,17 +166,16 @@ func TestWatchdogAbortMidHandoff(t *testing.T) {
 	if len(rec.recs) != 1 || rec.recs[0].ErrKind != "timeout" || rec.recs[0].EngineState == nil {
 		t.Fatalf("manifest record = %+v, want one timeout record with engine state", rec.recs)
 	}
-	// The run was dispatching by handoff when it died, so the recorded
-	// tail must say so: flight events ride the same channel edges as the
-	// scheduler state, making this snapshot coherent without locks.
-	handoffs := 0
+	// The run was dispatching coroutines when it died, so the recorded
+	// tail must say so.
+	dispatches := 0
 	for _, ev := range rec.recs[0].EngineState.Recent {
-		if ev.Kind == "handoff" {
-			handoffs++
+		if ev.Kind == "dispatch" {
+			dispatches++
 		}
 	}
-	if handoffs == 0 {
-		t.Fatalf("handoff-dispatched stall recorded no handoff events: %+v", rec.recs[0].EngineState.Recent)
+	if dispatches == 0 {
+		t.Fatalf("stall recorded no dispatch events: %+v", rec.recs[0].EngineState.Recent)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // a typed panic value carrying an EngineState snapshot, so the run layer
 // (internal/bench) can recover it into a structured job record instead
 // of losing the process. The types panic out of Run on the driving
-// goroutine only — task-goroutine panics are forwarded there first by
-// the Spawn wrapper — which is what makes recovery in one place sound.
+// goroutine only — a task body's panic is recovered in its coroutine
+// and re-raised by Run — which is what makes recovery in one place sound.
 
 // TaskState is one task's entry in a diagnostic snapshot.
 type TaskState struct {
@@ -48,8 +48,8 @@ type EngineState struct {
 	EventsRecorded uint64        `json:"events_recorded,omitempty"`
 }
 
-// snapshotState captures the domain. Engine-goroutine only (it reads
-// scheduling state without locks).
+// snapshotState captures the domain. Domain-only (it reads scheduling
+// state without locks).
 func (e *Engine) snapshotState() EngineState {
 	st := EngineState{Now: e.now, HeapDepth: e.queue.len(), Live: e.live, Metrics: e.met}
 	if e.fr != nil {
@@ -136,10 +136,10 @@ func (a *AbortError) Error() string {
 }
 func (a *AbortError) EngineState() EngineState { return a.State }
 
-// TaskPanicError wraps a panic raised by model or workload code on a
-// task goroutine. The Spawn wrapper catches it and forwards it to the
-// engine goroutine, which re-panics with this value out of Run — so a
-// panic anywhere in a simulation surfaces at exactly one place.
+// TaskPanicError wraps a panic raised by model or workload code in a
+// task body. The Spawn wrapper (or, for an inline task, the step call)
+// catches it, and Run re-panics with this value — so a panic anywhere in
+// a simulation surfaces at exactly one place.
 type TaskPanicError struct {
 	TaskName string
 	Value    any
@@ -171,7 +171,7 @@ func (e *Engine) Abort(reason string) {
 	e.abortFlag.Store(true)
 }
 
-// abortError builds the typed abort panic value. Engine goroutine only.
+// abortError builds the typed abort panic value. Run only.
 func (e *Engine) abortError() *AbortError {
 	e.abortMu.Lock()
 	reason := e.abortReason
@@ -179,36 +179,25 @@ func (e *Engine) abortError() *AbortError {
 	return &AbortError{Reason: reason, State: e.snapshotState()}
 }
 
-// taskAbortSignal is the sentinel panicked through a parked task during
-// Shutdown so its goroutine unwinds without running model code.
+// taskAbortSignal is the sentinel panicked through a stopped task's
+// body (Shutdown) so its coroutine unwinds without running model code.
 type taskAbortSignal struct{}
 
-// Shutdown drains the task goroutines left parked after Run panicked:
-// each is resumed once, immediately unwinds via a sentinel panic caught
-// in its Spawn wrapper, and acknowledges before the next is woken. Call
-// it exactly once, from the goroutine that recovered Run's panic, before
-// dropping the Engine — without it every failed simulation would leak
-// one parked goroutine per unfinished task. Safe to call when Run
-// completed normally (every task done) or never started; both are
-// no-ops for the respective tasks.
+// Shutdown stops the coroutines left suspended after Run panicked: each
+// one's pending yield returns false and its body unwinds via the
+// sentinel panic. Call it exactly once, from the goroutine that
+// recovered Run's panic, before dropping the Engine — without it every
+// failed simulation would leak one suspended coroutine per unfinished
+// task. Safe to call again, when Run completed normally (every task
+// done) or never started.
 func (e *Engine) Shutdown() {
-	if e.drained {
-		return
-	}
-	e.drained = true
-	e.draining = true
 	for _, t := range e.tasks {
 		if t.done {
 			continue
 		}
-		if t.inline != nil {
-			// Inline tasks have no goroutine to unwind; just retire them.
-			t.done = true
-			e.live--
-			continue
+		if t.stop != nil {
+			t.stop()
 		}
-		t.resume <- struct{}{} // parked in pause(); unwinds via taskAbortSignal
-		<-e.sched              // its wrapper's acknowledgement
 		t.done = true
 		e.live--
 	}

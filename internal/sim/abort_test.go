@@ -97,66 +97,6 @@ func TestAbortCancelsFastPathLoop(t *testing.T) {
 	}
 }
 
-// TestAbortLandsMidHandoff is the handoff-dispatch regression: a
-// watchdog Abort that arrives while tasks are resuming each other
-// directly — the engine goroutine parked the whole time — must still
-// cancel the run with a typed *AbortError and a coherent EngineState
-// snapshot, because every handoff polls the abort flag and routes the
-// yield back through the engine handshake when it is set. The tasks
-// run in lockstep so every Sync is a slow-path dispatch (all handoffs
-// until the abort lands).
-func TestAbortLandsMidHandoff(t *testing.T) {
-	e := NewEngine()
-	started := make(chan struct{})
-	var once bool
-	const tasks = 4
-	for i := 0; i < tasks; i++ {
-		e.Spawn("core", 0, func(tk *Task) {
-			for {
-				if !once {
-					once = true
-					close(started)
-				}
-				tk.Advance(3)
-				tk.Sync()
-			}
-		})
-	}
-	done := make(chan error, 1)
-	go func() { done <- recoverRunError(e) }()
-	<-started
-	e.Abort("watchdog: handoff loop stalled")
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("abort did not cancel the handoff loop")
-	}
-	ae, ok := err.(*AbortError)
-	if !ok {
-		t.Fatalf("Run error = %#v, want *AbortError", err)
-	}
-	if ae.Reason != "watchdog: handoff loop stalled" {
-		t.Fatalf("abort reason = %q", ae.Reason)
-	}
-	st := ae.EngineState()
-	if st.Live != tasks || len(st.Tasks) != tasks {
-		t.Fatalf("snapshot = %+v, want %d live tasks", st, tasks)
-	}
-	// The snapshot must be internally consistent even though the abort
-	// interrupted a task-to-task dispatch chain: every task is accounted
-	// for as runnable (parked mid-yield) — none can be "running" or
-	// "done" — and the handoff counter proves the chain was active.
-	for _, ts := range st.Tasks {
-		if ts.State != "runnable" {
-			t.Fatalf("task %s state = %q after abort, want runnable (%+v)", ts.Name, ts.State, st.Tasks)
-		}
-	}
-	if st.Metrics.Handoffs == 0 {
-		t.Fatalf("abort landed but no handoffs were counted: %+v", st.Metrics)
-	}
-}
-
 // TestAbortFirstReasonWins pins the Abort contract: concurrent or
 // repeated Aborts keep the first reason.
 func TestAbortFirstReasonWins(t *testing.T) {
@@ -185,9 +125,9 @@ func TestAbortAfterRunIsNoOp(t *testing.T) {
 	}
 }
 
-// TestTaskPanicForwarded proves a panic in model code on a task
-// goroutine surfaces as a typed *TaskPanicError out of Run — on the
-// driving goroutine — naming the task and carrying its stack.
+// TestTaskPanicForwarded proves a panic in model code in a coroutine
+// task surfaces as a typed *TaskPanicError out of Run — on the driving
+// goroutine — naming the task and carrying its stack.
 func TestTaskPanicForwarded(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("victim", 0, func(tk *Task) {
@@ -246,9 +186,9 @@ func TestLivelockTypedError(t *testing.T) {
 }
 
 // TestShutdownDrainsParkedGoroutines proves a failed run leaks no task
-// goroutines once Shutdown has drained them — channel-parked goroutines
-// are never garbage collected, so without the drain every failed job in
-// a long campaign would pin its tasks forever.
+// coroutines once Shutdown has stopped them — a suspended coroutine is
+// never garbage collected, so without the stop every failed job in a
+// long campaign would pin its tasks forever.
 func TestShutdownDrainsParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -264,7 +204,7 @@ func TestShutdownDrainsParkedGoroutines(t *testing.T) {
 			t.Fatal("expected deadlock")
 		}
 	}
-	// Give the drained goroutines a moment to exit.
+	// Give the stopped coroutines a moment to exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()

@@ -47,10 +47,10 @@ func BenchmarkSyncFastPathWatchdog(b *testing.B) {
 
 // BenchmarkDispatch measures the contended dispatch path: 8 tasks in
 // lockstep, so every Sync finds a peer at an earlier timestamp and must
-// yield. With the direct handoff this is one heap sift, one channel
-// send and one goroutine switch per event — the yielding task resumes
-// its successor itself while the engine goroutine stays parked (the old
-// engine round trip cost two channel operations and two switches).
+// yield. Each event is one coroutine round trip (the task's yield back
+// to Run, Run's next() into the successor) plus one replaceMin sift.
+// bench-check pins it below BenchmarkChanSwitchFloor as a same-run
+// ratio: dispatch must stay cheaper than one bare channel handoff.
 func BenchmarkDispatch(b *testing.B) {
 	e := NewEngine()
 	const tasks = 8
@@ -67,33 +67,43 @@ func BenchmarkDispatch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkDispatchNoHandoff is BenchmarkDispatch with the handoff
-// escape hatch thrown: every slow-path yield bounces through the engine
-// goroutine. The gap between this and BenchmarkDispatch is the measured
-// value of the task-to-task handoff.
-func BenchmarkDispatchNoHandoff(b *testing.B) {
-	e := NewEngine()
-	e.noHandoff = true
+// BenchmarkChanSwitchFloor is the floor of any goroutine-per-task
+// design: 8 goroutines passing a token around a ring of unbuffered
+// channels, one channel handoff and one goroutine switch per op. It is
+// BenchmarkDispatch's same-run control.
+func BenchmarkChanSwitchFloor(b *testing.B) {
 	const tasks = 8
-	per := b.N/tasks + 1
+	var ring [tasks]chan int
+	for i := range ring {
+		ring[i] = make(chan int)
+	}
+	done := make(chan struct{})
 	for i := 0; i < tasks; i++ {
-		e.Spawn("w", 0, func(t *Task) {
-			for j := 0; j < per; j++ {
-				t.Advance(10 * Nanosecond)
-				t.Sync()
+		in, out := ring[i], ring[(i+1)%tasks]
+		go func() {
+			for n := range in {
+				if n == 0 {
+					close(done)
+					continue
+				}
+				out <- n - 1
 			}
-		})
+		}()
 	}
 	b.ResetTimer()
-	e.Run()
+	ring[0] <- b.N
+	<-done
+	b.StopTimer()
+	for _, c := range ring {
+		close(c)
+	}
 }
 
-// BenchmarkDispatchLockstep is the batched-wake case the handoff was
-// built for: 64 tasks all at the same timestamp, every dispatch an
-// equal-time id tiebreak, so the whole run queue is walked task-to-task
-// on one OS thread each round — the N-cores-in-lockstep pattern of a
-// barrier-synchronized multicore simulation, with a deeper heap behind
-// every sift.
+// BenchmarkDispatchLockstep is the batched-wake case: 64 tasks all at
+// the same timestamp, every dispatch an equal-time id tiebreak, so the
+// whole run queue is walked each round — the N-cores-in-lockstep pattern
+// of a barrier-synchronized multicore simulation, with a deeper heap
+// behind every sift.
 func BenchmarkDispatchLockstep(b *testing.B) {
 	e := NewEngine()
 	const tasks = 64
@@ -125,29 +135,11 @@ func (s *benchStepper) Step(t *Task) Status {
 
 // BenchmarkDispatchInline is BenchmarkDispatch with the 8 lockstep
 // workers as inline state machines: every dispatch is a heap sift plus a
-// plain function call on the engine goroutine — zero channel operations,
-// zero goroutine switches. The gap between this and BenchmarkDispatch is
-// the measured value of the inline representation, and bench-check pins
-// the pair as a same-run ratio so host drift cannot fake a result.
+// plain Step call in Run's loop, with no coroutine switch. bench-check
+// pins it below half the same-run BenchmarkDispatch, the margin that
+// keeps the DMA engines inline.
 func BenchmarkDispatchInline(b *testing.B) {
 	e := NewEngine()
-	const tasks = 8
-	per := b.N/tasks + 1
-	for i := 0; i < tasks; i++ {
-		e.SpawnInline("w", 0, &benchStepper{per: per})
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkDispatchInlineGoroutine is BenchmarkDispatchInline with the
-// identical Runnables forced onto goroutines (the noInline escape
-// hatch): the same-day A/B control measuring exactly what the inline
-// representation removes — the dispatch-path difference with zero
-// workload-code difference.
-func BenchmarkDispatchInlineGoroutine(b *testing.B) {
-	e := NewEngine()
-	e.noInline = true
 	const tasks = 8
 	per := b.N/tasks + 1
 	for i := 0; i < tasks; i++ {

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -138,152 +141,160 @@ func TestFastSlowPathInterleave(t *testing.T) {
 	}
 }
 
-// dispatchMode is one corner of the {fastpath, handoff} on/off matrix.
-type dispatchMode struct {
-	name                  string
-	noFastPath, noHandoff bool
+// scheduleDigest folds a step sequence into a short hex digest, so a
+// recorded schedule can be pinned as a golden string.
+func scheduleDigest(order []step) string {
+	h := sha256.New()
+	var b [16]byte
+	for _, s := range order {
+		binary.LittleEndian.PutUint64(b[:8], uint64(s.id))
+		binary.LittleEndian.PutUint64(b[8:], uint64(s.tm))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// dispatchModes enumerates all four dispatch configurations. The first
-// entry is the production default; every other corner must produce the
-// same simulated timestamps.
-var dispatchModes = []dispatchMode{
-	{"fastpath+handoff", false, false},
-	{"fastpath only", false, true},
-	{"handoff only", true, false},
-	{"engine only", true, true},
+// checkScheduleGoldens runs schedule for every seed with the fast path on
+// and off: both must reproduce the seed's golden digest. The goldens were
+// recorded from the earlier channel-handoff engine (with its fast-path,
+// handoff and inline on/off corners all agreeing), so they pin the
+// coroutine engine to the schedule that engine produced.
+func checkScheduleGoldens(t *testing.T, goldens []string, schedule func(seed int64, noFastPath bool) []step) {
+	t.Helper()
+	for seed, want := range goldens {
+		for _, noFastPath := range []bool{false, true} {
+			if got := scheduleDigest(schedule(int64(seed), noFastPath)); got != want {
+				t.Errorf("seed %d (noFastPath=%v): schedule digest %s, golden %s", seed, noFastPath, got, want)
+			}
+		}
+	}
+}
+
+// syncSchedule is a random task set (random start times, random
+// per-step advances including zero, so equal timestamps are common)
+// whose tasks only Sync.
+func syncSchedule(seed int64, noFastPath bool) []step {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	e.noFastPath = noFastPath
+	var order []step
+	nTasks := 2 + rng.Intn(6)
+	for i := 0; i < nTasks; i++ {
+		id := i
+		steps := 20 + rng.Intn(80)
+		deltas := make([]Time, steps)
+		for j := range deltas {
+			deltas[j] = Time(rng.Intn(5)) // zeros exercise the tiebreak
+		}
+		e.Spawn(fmt.Sprintf("t%d", i), Time(rng.Intn(3)), func(tk *Task) {
+			for _, d := range deltas {
+				tk.Advance(d)
+				tk.Sync()
+				order = append(order, step{id, tk.Time()})
+			}
+		})
+	}
+	e.Run()
+	return order
+}
+
+// syncScheduleGoldens holds syncSchedule's digest for seeds 0..49.
+var syncScheduleGoldens = []string{
+	"c875cf9d0b96c9bb", "ef755d4d7f5f1479", "e08d337645d3313c", "021a15094a849e32", "78a5a79e513a9d95",
+	"355c08299f84f853", "6fc0cac527b38b66", "7a6990d08afd9652", "5893e2a0e2222604", "f0712c7b3111fd69",
+	"d26d7e012ea8914f", "80f82eb577316251", "f1a46bb576a9d0fa", "8967c1b0e9807d25", "35422191ba7b7b0a",
+	"30e7f93cecabd9ac", "29cb0461b33920c8", "dbbcab85463f02b6", "a1dcf20da732d37c", "51685f5681f6158e",
+	"be1ce2dcde881c45", "8865a0875ba3bdbc", "058a337e984c4539", "399f91b7382dd801", "894a6a4560fe3fbc",
+	"ad0b541b748536a6", "8b6b869ecd2ffa90", "00d1b35b3dcfd005", "670da373202a3f1d", "de98e752971d1836",
+	"fba341600c7bb6e2", "3e4e782e7fecd3f8", "7be8bbbb32393582", "9ca9a36cec6d597c", "1ba6dae8c03057b4",
+	"41caeeb271dde734", "08f21f23913f662f", "110280bbadb97268", "8716f6a8cde2d837", "5ef7ec7a500aac19",
+	"9d30042e4e91172a", "8cc700f190d8af36", "26db6b0b984373fe", "2ef7f5b5c08b83d7", "d66724712d57ba9d",
+	"9b6cdbe4adbef347", "65e1e61269d1a900", "8bebdf0a28d3e34f", "79475fc5ab6e4df7", "9a23b1d350615189",
 }
 
 // TestFastPathScheduleEquivalence is the randomized-schedule oracle: for
-// many random task sets (random start times, random per-step advances
-// including zero, so equal timestamps are common), the observable event
-// order must be byte-for-byte identical across the full 2×2
-// {fastpath, handoff} on/off matrix. This is the determinism proof
-// obligation of both the Sync fast path and the direct task-to-task
-// handoff (see the Engine doc comment).
+// many random task sets the observable event order must match the
+// recorded golden with the Sync fast path on and off. This is the
+// determinism proof obligation of the fast path (see the Engine doc
+// comment) and of the coroutine dispatch that replaced the handoff.
 func TestFastPathScheduleEquivalence(t *testing.T) {
-	runSchedule := func(seed int64, mode dispatchMode) []step {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		e.noFastPath = mode.noFastPath
-		e.noHandoff = mode.noHandoff
-		var order []step
-		nTasks := 2 + rng.Intn(6)
-		for i := 0; i < nTasks; i++ {
-			id := i
-			steps := 20 + rng.Intn(80)
-			deltas := make([]Time, steps)
-			for j := range deltas {
-				deltas[j] = Time(rng.Intn(5)) // zeros exercise the tiebreak
-			}
-			e.Spawn(fmt.Sprintf("t%d", i), Time(rng.Intn(3)), func(tk *Task) {
-				for _, d := range deltas {
-					tk.Advance(d)
-					tk.Sync()
-					order = append(order, step{id, tk.Time()})
-				}
-			})
-		}
-		e.Run()
-		return order
-	}
-	for seed := int64(0); seed < 50; seed++ {
-		ref := runSchedule(seed, dispatchModes[0])
-		for _, mode := range dispatchModes[1:] {
-			got := runSchedule(seed, mode)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %d steps in %s, %d in %s",
-					seed, len(ref), dispatchModes[0].name, len(got), mode.name)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: step %d diverges: %s %v, %s %v",
-						seed, i, dispatchModes[0].name, ref[i], mode.name, got[i])
-				}
-			}
-		}
-	}
+	checkScheduleGoldens(t, syncScheduleGoldens, syncSchedule)
 }
 
-// TestHandoffBlockScheduleEquivalence extends the matrix oracle to the
-// Block/Unblock edges the handoff also takes over: tasks randomly block
-// themselves on a FIFO wait list that the next runner drains, so
-// blocked-with-peers (handoff-eligible) and wake ordering interleave
-// with plain Syncs. Every corner of the 2×2 matrix must produce the
-// identical step sequence, including each task's wake times.
-func TestHandoffBlockScheduleEquivalence(t *testing.T) {
-	runSchedule := func(seed int64, mode dispatchMode) []step {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		e.noFastPath = mode.noFastPath
-		e.noHandoff = mode.noHandoff
-		var order []step
-		var waiting []*Task // FIFO of blocked tasks; engine is single-threaded
-		liveWorkers := 0
-		nTasks := 3 + rng.Intn(5)
-		for i := 0; i < nTasks; i++ {
-			id := i
-			steps := 30 + rng.Intn(50)
-			choices := make([]int, steps)
-			for j := range choices {
-				choices[j] = rng.Intn(10)
-			}
-			liveWorkers++
-			e.Spawn(fmt.Sprintf("t%d", i), Time(rng.Intn(3)), func(tk *Task) {
-				for _, c := range choices {
-					tk.Advance(Time(c % 5))
-					tk.Sync()
-					// Wake every current waiter now and then so blocked
-					// tasks drain from inside the schedule too.
-					for len(waiting) > 0 && c%3 == 0 {
-						w := waiting[0]
-						waiting = waiting[1:]
-						w.Unblock(tk.Time() + Time(c%4))
-					}
-					// Task 0 never blocks, so the wait list always has a
-					// potential drainer among the workers.
-					if id != 0 && c%4 == 1 {
-						waiting = append(waiting, tk)
-						tk.BlockOn("test wait list")
-					}
-					order = append(order, step{id, tk.Time()})
-				}
-				liveWorkers--
-			})
+// blockSchedule extends syncSchedule with Block/Unblock edges: tasks
+// randomly block themselves on a FIFO wait list that the next runner
+// drains, so blocks, wakes and plain Syncs interleave.
+func blockSchedule(seed int64, noFastPath bool) []step {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	e.noFastPath = noFastPath
+	var order []step
+	var waiting []*Task // FIFO of blocked tasks; engine is single-threaded
+	liveWorkers := 0
+	nTasks := 3 + rng.Intn(5)
+	for i := 0; i < nTasks; i++ {
+		id := i
+		steps := 30 + rng.Intn(50)
+		choices := make([]int, steps)
+		for j := range choices {
+			choices[j] = rng.Intn(10)
 		}
-		// A sweeper in the far future unblocks leftover waiters until every
-		// worker has finished (a worker may re-block after a wake, so the
-		// sweeper must outlive them all, not just drain the list once).
-		e.Spawn("sweeper", 1_000_000, func(tk *Task) {
-			for liveWorkers > 0 {
-				if len(waiting) > 0 {
+		liveWorkers++
+		e.Spawn(fmt.Sprintf("t%d", i), Time(rng.Intn(3)), func(tk *Task) {
+			for _, c := range choices {
+				tk.Advance(Time(c % 5))
+				tk.Sync()
+				// Wake every current waiter now and then so blocked
+				// tasks drain from inside the schedule too.
+				for len(waiting) > 0 && c%3 == 0 {
 					w := waiting[0]
 					waiting = waiting[1:]
-					w.Unblock(tk.Time())
+					w.Unblock(tk.Time() + Time(c%4))
 				}
-				tk.Advance(1)
-				tk.Sync()
+				// Task 0 never blocks, so the wait list always has a
+				// potential drainer among the workers.
+				if id != 0 && c%4 == 1 {
+					waiting = append(waiting, tk)
+					tk.BlockOn("test wait list")
+				}
+				order = append(order, step{id, tk.Time()})
 			}
+			liveWorkers--
 		})
-		e.Run()
-		return order
 	}
-	for seed := int64(0); seed < 30; seed++ {
-		ref := runSchedule(seed, dispatchModes[0])
-		for _, mode := range dispatchModes[1:] {
-			got := runSchedule(seed, mode)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %d steps in %s, %d in %s",
-					seed, len(ref), dispatchModes[0].name, len(got), mode.name)
+	// A sweeper in the far future unblocks leftover waiters until every
+	// worker has finished (a worker may re-block after a wake, so the
+	// sweeper must outlive them all, not just drain the list once).
+	e.Spawn("sweeper", 1_000_000, func(tk *Task) {
+		for liveWorkers > 0 {
+			if len(waiting) > 0 {
+				w := waiting[0]
+				waiting = waiting[1:]
+				w.Unblock(tk.Time())
 			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: step %d diverges: %s %v, %s %v",
-						seed, i, dispatchModes[0].name, ref[i], mode.name, got[i])
-				}
-			}
+			tk.Advance(1)
+			tk.Sync()
 		}
-	}
+	})
+	e.Run()
+	return order
+}
+
+// blockScheduleGoldens holds blockSchedule's digest for seeds 0..29.
+var blockScheduleGoldens = []string{
+	"0d258809321a0143", "b4ab70a35b8f65f0", "c422e0db3b85d899", "0491b00187c09b23", "6c777b248b80ace1",
+	"a555805e2163fe2b", "6e91b2d40e4e6cfd", "3eb06d28cef3d446", "f9445ece2d7b4907", "0dfae742257c3b79",
+	"0fac840367c78fab", "8ea57561ab58e4be", "fd93b01fad3dd8fc", "b7106e227df47356", "cd84487acd8261a2",
+	"b28b46fe0c1c4872", "1cf1ac97472e0335", "bdeb2eab5def6dd8", "a0f2f650a11e341b", "8be54611f3257967",
+	"f6291288958bca69", "566e4db139307ccf", "4f114dba678f236a", "4465735144023f3a", "94cc52cc06a77eea",
+	"14da0e3aa9df2f8c", "7afa737e9181271d", "656c8f942df02cf6", "7c147483bbce7491", "581a63553f93397e",
+}
+
+// TestHandoffBlockScheduleEquivalence pins the Block/Unblock schedules,
+// each task's wake times included, to the goldens recorded from the
+// channel-handoff engine, with the fast path on and off.
+func TestHandoffBlockScheduleEquivalence(t *testing.T) {
+	checkScheduleGoldens(t, blockScheduleGoldens, blockSchedule)
 }
 
 // TestTaskHeapOrdering drives the specialized 4-ary heap directly with
@@ -326,8 +337,8 @@ func TestTaskHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestTaskHeapReplaceMin drives replaceMin (the handoff dispatch's
-// single-sift push+pop) against the plain push-then-pop reference on a
+// TestTaskHeapReplaceMin drives replaceMin (Run's single-sift
+// requeue+pop) against the plain push-then-pop reference on a
 // second heap fed the identical operation stream: the returned minimum
 // and the surviving key set must match at every step.
 func TestTaskHeapReplaceMin(t *testing.T) {

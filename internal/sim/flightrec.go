@@ -1,7 +1,7 @@
 package sim
 
 // Flight recorder: a fixed-size ring of the last K scheduler events —
-// dispatches, handoffs, inline steps, blocks, unblocks — so that when a
+// dispatches, inline steps, blocks, unblocks — so that when a
 // run dies (deadlock, watchdog abort, task panic) the typed failure
 // carries not just where every task stood (EngineState.Tasks) but the
 // event history that led there. The run layer arms it per job; disabled
@@ -11,17 +11,14 @@ package sim
 // either mode, so fast-path cost is untouched.
 //
 // Ownership follows the engine's scheduling state: events are recorded
-// only by the domain's single running goroutine (the engine loop or the
-// task currently driving a handoff chain), so the ring needs no locks,
-// and the same channel edges that order the scheduler's fields order
-// the ring for the race detector.
+// only by Run's loop and the coroutine it is running, one at a time, so
+// the ring needs no locks.
 
 // flightKind enumerates the recorded scheduler-event kinds.
 type flightKind uint8
 
 const (
-	flightDispatch   flightKind = iota // Run's loop resumed a goroutine task
-	flightHandoff                      // a yielding task resumed its successor directly
+	flightDispatch   flightKind = iota // Run's loop resumed a coroutine task
 	flightInlineStep                   // an inline task's Step ran as a plain call
 	flightBlock                        // a task blocked awaiting an Unblock
 	flightUnblock                      // a blocked task was made runnable
@@ -29,7 +26,7 @@ const (
 )
 
 var flightKindNames = [numFlightKinds]string{
-	"dispatch", "handoff", "inline-step", "block", "unblock",
+	"dispatch", "inline-step", "block", "unblock",
 }
 
 // flightEvent is one ring slot, kept compact (16 bytes) so recording is
@@ -86,8 +83,8 @@ type FlightEvent struct {
 	ID   int    `json:"id"`
 }
 
-// snapshot renders the ring oldest-first, resolving task names. Engine-
-// domain goroutine only (it reads the ring and tasks without locks).
+// snapshot renders the ring oldest-first, resolving task names. Domain-
+// only (it reads the ring and tasks without locks).
 func (r *flightRecorder) snapshot(tasks []*Task) []FlightEvent {
 	if r == nil || r.n == 0 {
 		return nil

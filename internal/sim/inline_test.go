@@ -8,40 +8,27 @@ import (
 	"time"
 )
 
-// inlineMode is one corner of the {fastpath, handoff, inline} on/off
-// cube. The first entry is the production default; every other corner
-// must produce the same simulated schedule.
-type inlineMode struct {
-	name                            string
-	noFastPath, noHandoff, noInline bool
-}
-
-// inlineModes enumerates all eight dispatch configurations: the PR 6
-// 2×2 fastpath × handoff matrix crossed with the inline representation
-// on (SpawnInline steps run as plain calls) and off (the same Runnables
-// run goroutine-backed through DriveRunnable).
-var inlineModes = []inlineMode{
-	{"inline fastpath+handoff", false, false, false},
-	{"inline fastpath only", false, true, false},
-	{"inline handoff only", true, false, false},
-	{"inline engine only", true, true, false},
-	{"goroutine fastpath+handoff", false, false, true},
-	{"goroutine fastpath only", false, true, true},
-	{"goroutine handoff only", true, false, true},
-	{"goroutine engine only", true, true, true},
-}
-
-func newInlineModeEngine(mode inlineMode) *Engine {
-	e := NewEngine()
-	e.noFastPath = mode.noFastPath
-	e.noHandoff = mode.noHandoff
-	e.noInline = mode.noInline
-	return e
+// checkFastPathEquivalence runs schedule for seeds 0..n-1 with the fast
+// path (and the inline spin, which shares its condition) on and off:
+// the step sequences must be identical.
+func checkFastPathEquivalence(t *testing.T, n int64, schedule func(seed int64, noFastPath bool) []step) {
+	t.Helper()
+	for seed := int64(0); seed < n; seed++ {
+		ref, got := schedule(seed, false), schedule(seed, true)
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: %d steps with the fast path, %d without", seed, len(ref), len(got))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("seed %d: step %d diverges: fast path %v, none %v", seed, i, ref[i], got[i])
+			}
+		}
+	}
 }
 
 // scriptSM is a Runnable that advances through a fixed list of deltas,
 // recording its local time at each dispatch — the state-machine twin of
-// the goroutine bodies in fastpath_test.go (record after each yield).
+// the coroutine bodies in fastpath_test.go (record after each yield).
 type scriptSM struct {
 	id     int
 	deltas []Time
@@ -62,17 +49,15 @@ func (s *scriptSM) Step(t *Task) Status {
 }
 
 // TestInlineScheduleEquivalence is the randomized-schedule oracle for
-// the inline representation: for many random mixed task sets — some
-// goroutine-backed, some inline, random start times, random per-step
-// advances including zero so equal timestamps are common — the
-// observable event order must be identical across the full 2×2×2
-// {fastpath, handoff, inline} cube. Goroutine-backed and inline tasks
-// interleave in one heap, so this pins both the inline dispatch paths
-// (engine loop and mid-handoff driving) and the fallback adapter.
+// mixed task sets — some coroutine, some inline, random start times,
+// random per-step advances including zero so equal timestamps are
+// common: the observable event order must be identical with the fast
+// path and inline spin on and off.
 func TestInlineScheduleEquivalence(t *testing.T) {
-	runSchedule := func(seed int64, mode inlineMode) []step {
+	checkFastPathEquivalence(t, 40, func(seed int64, noFastPath bool) []step {
 		rng := rand.New(rand.NewSource(seed))
-		e := newInlineModeEngine(mode)
+		e := NewEngine()
+		e.noFastPath = noFastPath
 		var order []step
 		nTasks := 2 + rng.Intn(6)
 		for i := 0; i < nTasks; i++ {
@@ -87,7 +72,7 @@ func TestInlineScheduleEquivalence(t *testing.T) {
 				e.SpawnInline(fmt.Sprintf("in%d", i), start,
 					&scriptSM{id: id, deltas: deltas, order: &order})
 			} else {
-				e.Spawn(fmt.Sprintf("go%d", i), start, func(tk *Task) {
+				e.Spawn(fmt.Sprintf("co%d", i), start, func(tk *Task) {
 					for _, d := range deltas {
 						tk.Advance(d)
 						tk.Sync()
@@ -98,23 +83,7 @@ func TestInlineScheduleEquivalence(t *testing.T) {
 		}
 		e.Run()
 		return order
-	}
-	for seed := int64(0); seed < 40; seed++ {
-		ref := runSchedule(seed, inlineModes[0])
-		for _, mode := range inlineModes[1:] {
-			got := runSchedule(seed, mode)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %d steps in %s, %d in %s",
-					seed, len(ref), inlineModes[0].name, len(got), mode.name)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: step %d diverges: %s %v, %s %v",
-						seed, i, inlineModes[0].name, ref[i], mode.name, got[i])
-				}
-			}
-		}
-	}
+	})
 }
 
 // mixEnv is the shared world of the block/unblock stress: a FIFO of
@@ -126,8 +95,7 @@ type mixEnv struct {
 	liveWorkers int
 }
 
-// mixSM is the state-machine twin of TestHandoffBlockScheduleEquivalence's
-// worker body: per choice c it advances, yields, drains waiters, maybe
+// mixSM is the state-machine twin of blockSchedule's worker body: per choice c it advances, yields, drains waiters, maybe
 // blocks itself on the wait list, and records its time.
 type mixSM struct {
 	id      int
@@ -172,16 +140,17 @@ func (s *mixSM) Step(t *Task) Status {
 	}
 }
 
-// TestInlineBlockUnblockEquivalence extends the cube oracle to the
-// Block/Unblock edges: inline workers and goroutine workers block on and
-// drain a shared FIFO wait list (inline steps unblock goroutine tasks
-// and vice versa), with a goroutine sweeper in the far future. Every
-// corner of the 2×2×2 matrix must produce the identical step sequence,
-// including each task's wake times.
+// TestInlineBlockUnblockEquivalence extends the oracle to the
+// Block/Unblock edges: inline workers and coroutine workers block on and
+// drain a shared FIFO wait list (inline steps unblock coroutine tasks
+// and vice versa), with a coroutine sweeper in the far future. The step
+// sequence, each task's wake times included, must be identical with the
+// fast path on and off.
 func TestInlineBlockUnblockEquivalence(t *testing.T) {
-	runSchedule := func(seed int64, mode inlineMode) []step {
+	checkFastPathEquivalence(t, 25, func(seed int64, noFastPath bool) []step {
 		rng := rand.New(rand.NewSource(seed))
-		e := newInlineModeEngine(mode)
+		e := NewEngine()
+		e.noFastPath = noFastPath
 		var order []step
 		env := &mixEnv{order: &order}
 		nTasks := 3 + rng.Intn(5)
@@ -198,7 +167,7 @@ func TestInlineBlockUnblockEquivalence(t *testing.T) {
 				e.SpawnInline(fmt.Sprintf("in%d", i), start,
 					&mixSM{id: id, choices: choices, env: env})
 			} else {
-				e.Spawn(fmt.Sprintf("go%d", i), start, func(tk *Task) {
+				e.Spawn(fmt.Sprintf("co%d", i), start, func(tk *Task) {
 					for _, c := range choices {
 						tk.Advance(Time(c % 5))
 						tk.Sync()
@@ -217,7 +186,7 @@ func TestInlineBlockUnblockEquivalence(t *testing.T) {
 				})
 			}
 		}
-		// A goroutine sweeper in the far future unblocks leftover waiters
+		// A coroutine sweeper in the far future unblocks leftover waiters
 		// until every worker has finished.
 		e.Spawn("sweeper", 1_000_000, func(tk *Task) {
 			for env.liveWorkers > 0 {
@@ -232,27 +201,11 @@ func TestInlineBlockUnblockEquivalence(t *testing.T) {
 		})
 		e.Run()
 		return order
-	}
-	for seed := int64(0); seed < 25; seed++ {
-		ref := runSchedule(seed, inlineModes[0])
-		for _, mode := range inlineModes[1:] {
-			got := runSchedule(seed, mode)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %d steps in %s, %d in %s",
-					seed, len(ref), inlineModes[0].name, len(got), mode.name)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: step %d diverges: %s %v, %s %v",
-						seed, i, inlineModes[0].name, ref[i], mode.name, got[i])
-				}
-			}
-		}
-	}
+	})
 }
 
 // dynSM is a Runnable parent that spawns children mid-run: at scripted
-// steps it registers a new task (alternating inline and goroutine) while
+// steps it registers a new task (alternating inline and coroutine) while
 // the simulation is executing — the dynamic-spawn path the equivalence
 // tests above never exercise.
 type dynSM struct {
@@ -278,96 +231,93 @@ func (s *dynSM) Step(t *Task) Status {
 	return StatusRunning
 }
 
-// TestDynamicSpawnScheduleEquivalence is the mid-sim spawn stress: both
-// goroutine-backed and inline parents spawn both kinds of children while
-// the simulation runs (from task goroutines, from inline Steps driven by
-// the engine loop, and from inline Steps driven mid-handoff), and the
-// full step sequence must be identical across the 2×2×2 mode cube.
-// Child record ids are assigned in spawn order, which the schedule
-// equivalence itself makes deterministic.
-func TestDynamicSpawnScheduleEquivalence(t *testing.T) {
-	runSchedule := func(seed int64, mode inlineMode) []step {
-		rng := rand.New(rand.NewSource(seed))
-		e := newInlineModeEngine(mode)
-		var order []step
-		nextID := 100 // child ids; parents use 0..nParents-1
-		nParents := 2 + rng.Intn(4)
-		// Pre-generate child scripts so every mode consumes identical
-		// randomness regardless of scheduling.
-		childDeltas := make([][]Time, 64)
-		for i := range childDeltas {
-			d := make([]Time, 5+rng.Intn(15))
-			for j := range d {
-				d[j] = Time(rng.Intn(4))
-			}
-			childDeltas[i] = d
+// dynamicSpawnSchedule is the mid-sim spawn stress: both coroutine and
+// inline parents spawn both kinds of children while the simulation runs
+// (from coroutine bodies and from inline Steps). Child record ids are
+// assigned in spawn order, which the schedule itself makes
+// deterministic.
+func dynamicSpawnSchedule(seed int64, noFastPath bool) []step {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	e.noFastPath = noFastPath
+	var order []step
+	nextID := 100 // child ids; parents use 0..nParents-1
+	nParents := 2 + rng.Intn(4)
+	// Pre-generate child scripts so every mode consumes identical
+	// randomness regardless of scheduling.
+	childDeltas := make([][]Time, 64)
+	for i := range childDeltas {
+		d := make([]Time, 5+rng.Intn(15))
+		for j := range d {
+			d[j] = Time(rng.Intn(4))
 		}
-		childN := 0
-		spawnChild := func(at Time, k int) {
-			if childN >= len(childDeltas) {
-				return
-			}
-			deltas := childDeltas[childN]
-			childN++
-			id := nextID
-			nextID++
-			start := at + Time(k%3)
-			if id%2 == 0 {
-				e.SpawnInline(fmt.Sprintf("cin%d", id), start,
-					&scriptSM{id: id, deltas: deltas, order: &order})
-			} else {
-				e.Spawn(fmt.Sprintf("cgo%d", id), start, func(tk *Task) {
-					for _, d := range deltas {
-						tk.Advance(d)
-						tk.Sync()
-						order = append(order, step{id, tk.Time()})
-					}
-				})
-			}
-		}
-		for i := 0; i < nParents; i++ {
-			id := i
-			steps := 25 + rng.Intn(40)
-			deltas := make([]Time, steps)
-			for j := range deltas {
-				deltas[j] = Time(rng.Intn(5))
-			}
-			start := Time(rng.Intn(3))
-			if i%2 == 0 {
-				e.SpawnInline(fmt.Sprintf("pin%d", i), start,
-					&dynSM{id: id, deltas: deltas, order: &order, spawn: spawnChild})
-			} else {
-				e.Spawn(fmt.Sprintf("pgo%d", i), start, func(tk *Task) {
-					for k, d := range deltas {
-						tk.Advance(d)
-						tk.Sync()
-						if k > 0 && k%5 == 3 {
-							spawnChild(tk.Time(), k)
-						}
-						order = append(order, step{id, tk.Time()})
-					}
-				})
-			}
-		}
-		e.Run()
-		return order
+		childDeltas[i] = d
 	}
-	for seed := int64(0); seed < 25; seed++ {
-		ref := runSchedule(seed, inlineModes[0])
-		for _, mode := range inlineModes[1:] {
-			got := runSchedule(seed, mode)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %d steps in %s, %d in %s",
-					seed, len(ref), inlineModes[0].name, len(got), mode.name)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d: step %d diverges: %s %v, %s %v",
-						seed, i, inlineModes[0].name, ref[i], mode.name, got[i])
+	childN := 0
+	spawnChild := func(at Time, k int) {
+		if childN >= len(childDeltas) {
+			return
+		}
+		deltas := childDeltas[childN]
+		childN++
+		id := nextID
+		nextID++
+		start := at + Time(k%3)
+		if id%2 == 0 {
+			e.SpawnInline(fmt.Sprintf("cin%d", id), start,
+				&scriptSM{id: id, deltas: deltas, order: &order})
+		} else {
+			e.Spawn(fmt.Sprintf("cco%d", id), start, func(tk *Task) {
+				for _, d := range deltas {
+					tk.Advance(d)
+					tk.Sync()
+					order = append(order, step{id, tk.Time()})
 				}
-			}
+			})
 		}
 	}
+	for i := 0; i < nParents; i++ {
+		id := i
+		steps := 25 + rng.Intn(40)
+		deltas := make([]Time, steps)
+		for j := range deltas {
+			deltas[j] = Time(rng.Intn(5))
+		}
+		start := Time(rng.Intn(3))
+		if i%2 == 0 {
+			e.SpawnInline(fmt.Sprintf("pin%d", i), start,
+				&dynSM{id: id, deltas: deltas, order: &order, spawn: spawnChild})
+		} else {
+			e.Spawn(fmt.Sprintf("pco%d", i), start, func(tk *Task) {
+				for k, d := range deltas {
+					tk.Advance(d)
+					tk.Sync()
+					if k > 0 && k%5 == 3 {
+						spawnChild(tk.Time(), k)
+					}
+					order = append(order, step{id, tk.Time()})
+				}
+			})
+		}
+	}
+	e.Run()
+	return order
+}
+
+// dynamicSpawnGoldens holds dynamicSpawnSchedule's digest for seeds 0..24.
+var dynamicSpawnGoldens = []string{
+	"ad157ce84439f88f", "7daa4055cf54cd30", "1267604971e56e3d", "9ee92b9eefe31615", "78f9d5558506b447",
+	"62b03b691038fdae", "bfb041156d6bedb8", "4e87abcc13b8a2f3", "04757c39627e6378", "a8e2ae239bc29078",
+	"838f419e60b23945", "a05c1304089e4a19", "915bdb5735e7b3b8", "4a54b4f13dab4902", "62296565e3d8634a",
+	"e8a28667a13d16bf", "41847b838df4e430", "051cc83a7f42581d", "f98ac9c4abc965f2", "830523e2cf40011b",
+	"40d9dc59007c600f", "0d32a99dce9c60cb", "cd5272c94a018d09", "b96d6aa0339f3d25", "538aa01b912fec35",
+}
+
+// TestDynamicSpawnScheduleEquivalence pins the dynamic-spawn schedules to
+// the goldens recorded from the channel-handoff engine, with the fast
+// path on and off.
+func TestDynamicSpawnScheduleEquivalence(t *testing.T) {
+	checkScheduleGoldens(t, dynamicSpawnGoldens, dynamicSpawnSchedule)
 }
 
 // spinSM advances forever, signalling once it has started.
@@ -385,12 +335,11 @@ func (s *spinSM) Step(t *Task) Status {
 	return StatusRunning
 }
 
-// TestAbortLandsMidInlineStep is the inline-dispatch regression twin of
-// TestAbortLandsMidHandoff: a watchdog Abort arriving while the engine
-// loop is stepping inline tasks — and while a goroutine task is driving
-// an inline chain mid-handoff — must cancel the run with a typed
-// *AbortError and a coherent EngineState snapshot (every task runnable,
-// none stuck "running" or lost).
+// TestAbortLandsMidInlineStep: a watchdog Abort arriving while Run is
+// stepping inline tasks — alone, and interleaved with a coroutine task
+// in the same lockstep — must cancel the run with a typed *AbortError
+// and a coherent EngineState snapshot (every task runnable, none stuck
+// "running" or lost).
 func TestAbortLandsMidInlineStep(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
 		name := "engine-driven"
@@ -404,9 +353,9 @@ func TestAbortLandsMidInlineStep(t *testing.T) {
 			e.SpawnInline("in1", 0, &spinSM{started: make(chan struct{})})
 			tasks := 2
 			if mixed {
-				// A goroutine task in the same lockstep forces the
-				// task-driven inline path (handoffInline) to be active.
-				e.Spawn("go2", 0, func(tk *Task) {
+				// A coroutine task in the same lockstep interleaves
+				// resumes with the inline steps.
+				e.Spawn("co2", 0, func(tk *Task) {
 					for {
 						tk.Advance(3)
 						tk.Sync()
@@ -461,9 +410,8 @@ func (s *panicSM) Step(t *Task) Status {
 
 // TestInlinePanicBecomesTaskPanicError proves a panic inside an inline
 // Step surfaces as a typed *TaskPanicError naming the inline task — both
-// when the engine loop is stepping it and when a goroutine-backed task
-// is driving it mid-handoff (the panic must be forwarded to the engine
-// goroutine, not unwind the driver).
+// alone and interleaved with a coroutine task, which Shutdown must then
+// stop.
 func TestInlinePanicBecomesTaskPanicError(t *testing.T) {
 	t.Run("engine-driven", func(t *testing.T) {
 		e := NewEngine()
@@ -482,9 +430,9 @@ func TestInlinePanicBecomesTaskPanicError(t *testing.T) {
 	})
 	t.Run("task-driven", func(t *testing.T) {
 		e := NewEngine()
-		// The goroutine task (id 0) and the inline task (id 1) run in
-		// lockstep, so the goroutine task's Sync hands off to the inline
-		// task, whose second step panics on the driver's goroutine.
+		// The coroutine task (id 0) and the inline task (id 1) run in
+		// lockstep, so the inline task's second step panics between two
+		// resumes of the coroutine.
 		e.Spawn("driver", 0, func(tk *Task) {
 			for {
 				tk.Advance(10)
@@ -513,8 +461,7 @@ func (s *blockOnceSM) Step(t *Task) Status {
 
 // TestInlineDeadlockDiagnosed pins the deadlock diagnostics for inline
 // tasks: WillBlockOn labels must appear in the DeadlockError exactly as
-// BlockOn labels do, for both the engine-driven block and the
-// block-inside-a-driven-chain (handback) path.
+// BlockOn labels do, alongside a coroutine task's BlockOn label.
 func TestInlineDeadlockDiagnosed(t *testing.T) {
 	e := NewEngine()
 	e.SpawnInline("inliner", 0, &blockOnceSM{label: "gizmo queue"})
@@ -533,7 +480,7 @@ func TestInlineDeadlockDiagnosed(t *testing.T) {
 		t.Fatalf("deadlock message %q missing inline task's label", msg)
 	}
 	if !strings.Contains(msg, "partner (awaiting widget lock") {
-		t.Fatalf("deadlock message %q missing goroutine task's label", msg)
+		t.Fatalf("deadlock message %q missing coroutine task's label", msg)
 	}
 }
 
@@ -606,7 +553,7 @@ func TestInlineMetrics(t *testing.T) {
 		t.Errorf("InlineSteps = %d, want 12", m.InlineSteps)
 	}
 	if m.Dispatches != 0 || m.Handoffs != 0 {
-		t.Errorf("all-inline run counted goroutine dispatches: %+v", m)
+		t.Errorf("all-inline run counted coroutine dispatches: %+v", m)
 	}
 	if r := m.InlineRate(); r != 1.0 {
 		t.Errorf("InlineRate = %v, want 1", r)
@@ -617,7 +564,7 @@ func TestInlineMetrics(t *testing.T) {
 		t.Errorf("snapshot inline_steps = %v, want 12", got["inline_steps"])
 	}
 
-	// Mixed run: the inline task's steps and the goroutine task's
+	// Mixed run: the inline task's steps and the coroutine task's
 	// dispatches share the denominator.
 	e = NewEngine()
 	e.SpawnInline("in", 0, &scriptSM{id: 0, deltas: []Time{1, 1, 1}, order: &order})

@@ -39,73 +39,29 @@ func TestMetricsCountFastAndSlowSyncs(t *testing.T) {
 	m = e.Metrics()
 	// Lockstep twins: each Sync sees the sibling queued at the same time,
 	// and the tie goes to the smaller id, so at most the id-0 task can
-	// occasionally win. The slow path must dominate, and nearly all of it
-	// must dispatch as direct task-to-task handoffs: the engine goroutine
-	// only sees the two initial dispatches and the completion edges.
+	// occasionally win. The slow path must dominate, and every slow-path
+	// Sync is one coroutine resume by Run.
 	if m.SyncSlow == 0 {
 		t.Errorf("lockstep twins never took the slow path: %+v", m)
 	}
-	if m.Handoffs == 0 {
-		t.Errorf("lockstep twins never handed off: %+v", m)
+	if m.Dispatches != m.SyncSlow+2 {
+		t.Errorf("dispatches = %d, want one per slow Sync plus the two first resumes (%+v)", m.Dispatches, m)
+	}
+	if m.Handoffs != 0 {
+		t.Errorf("handoffs = %d, want 0", m.Handoffs)
 	}
 	if m.HeapMax < 2 {
 		t.Errorf("heap max %d, want >= 2", m.HeapMax)
-	}
-	if r := m.HandoffRate(); r < 0.5 {
-		t.Errorf("handoff rate = %v (%d handoffs / %d dispatches), want > 0.5", r, m.Handoffs, m.Dispatches)
 	}
 	if m.HeapPushes != m.HeapPops {
 		t.Errorf("heap pushes %d != pops %d after a drained run", m.HeapPushes, m.HeapPops)
 	}
 }
 
-// TestMetricsHandoffVsEngine runs the same lockstep schedule with the
-// handoff enabled and disabled: the simulated result must be identical,
-// the handoff run must move (almost) every slow-path dispatch off the
-// engine goroutine, and the noHandoff run must report zero handoffs.
-func TestMetricsHandoffVsEngine(t *testing.T) {
-	run := func(noHandoff bool) (Metrics, Time) {
-		e := NewEngine()
-		e.noHandoff = noHandoff
-		for i := 0; i < 4; i++ {
-			e.Spawn("w", 0, func(task *Task) {
-				for j := 0; j < 50; j++ {
-					task.Advance(Nanosecond)
-					task.Sync()
-				}
-			})
-		}
-		e.Run()
-		return e.Metrics(), e.Now()
-	}
-	hm, hNow := run(false)
-	em, eNow := run(true)
-	if hNow != eNow {
-		t.Fatalf("final times diverge: handoff %v, engine %v", hNow, eNow)
-	}
-	if em.Handoffs != 0 {
-		t.Errorf("noHandoff run counted %d handoffs", em.Handoffs)
-	}
-	if em.HandoffRate() != 0 {
-		t.Errorf("noHandoff handoff rate = %v, want 0", em.HandoffRate())
-	}
-	if hm.SyncSlow != em.SyncSlow || hm.SyncFast != em.SyncFast {
-		t.Errorf("sync counts diverge: handoff %+v, engine %+v", hm, em)
-	}
-	if hm.Handoffs+hm.Dispatches != em.Dispatches {
-		t.Errorf("dispatch totals diverge: %d handoffs + %d dispatches != %d engine dispatches",
-			hm.Handoffs, hm.Dispatches, em.Dispatches)
-	}
-	if hm.HandoffRate() < 0.9 {
-		t.Errorf("handoff rate = %v, want nearly all dispatches handed off (%+v)", hm.HandoffRate(), hm)
-	}
-}
-
-// TestMetricsSnapshotEmitsHandoffCounters pins the probe-facing counter
-// names, including the ones the handoff work added (handoffs, spawns,
-// heap_max): renaming or dropping one would silently break recorded
-// probe series.
-func TestMetricsSnapshotEmitsHandoffCounters(t *testing.T) {
+// TestMetricsSnapshotEmitsCounters pins the probe-facing counter names
+// (spawns and heap_max included): renaming or dropping one would
+// silently break recorded probe series.
+func TestMetricsSnapshotEmitsCounters(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2; i++ {
 		e.Spawn("twin", 0, func(task *Task) {
@@ -119,7 +75,7 @@ func TestMetricsSnapshotEmitsHandoffCounters(t *testing.T) {
 	got := map[string]float64{}
 	e.Metrics().Snapshot(func(name string, v float64) { got[name] = v })
 	for _, name := range []string{
-		"sync_fast", "sync_slow", "dispatches", "handoffs", "spawns",
+		"sync_fast", "sync_slow", "dispatches", "spawns",
 		"blocks", "unblocks", "heap_pushes", "heap_pops", "heap_max",
 		"inline_steps",
 	} {
@@ -127,11 +83,14 @@ func TestMetricsSnapshotEmitsHandoffCounters(t *testing.T) {
 			t.Errorf("Snapshot missing counter %q (got %v)", name, got)
 		}
 	}
+	if len(got) != 10 {
+		t.Errorf("Snapshot emitted %d counters, want 10: %v", len(got), got)
+	}
 	if got["spawns"] != 2 {
 		t.Errorf("spawns = %v, want 2", got["spawns"])
 	}
-	if got["handoffs"] == 0 {
-		t.Errorf("handoffs = 0 for a lockstep run: %v", got)
+	if got["dispatches"] == 0 {
+		t.Errorf("dispatches = 0 for a lockstep run: %v", got)
 	}
 	if got["heap_max"] < 2 {
 		t.Errorf("heap_max = %v, want >= 2", got["heap_max"])

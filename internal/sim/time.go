@@ -4,7 +4,7 @@
 //
 // The engine dispatches the runnable task with the smallest (time, id)
 // key. A task that yields while it still holds that minimum skips the
-// scheduler handshake entirely and keeps running — the fast path that
+// yield to the scheduler entirely and keeps running — the fast path that
 // makes fine-grained Sync calls in the model hot paths nearly free; see
 // the Engine documentation for the invariant and why the resulting event
 // order (and therefore every simulated timestamp) is unchanged.

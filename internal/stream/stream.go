@@ -308,113 +308,6 @@ func (m *Mem) Wait(p *cpu.Proc, tag dma.Tag) {
 // command.
 const dmaSetupInstr = 8
 
-// The methods below split Get/Put/Wait/Flush at their yield points so an
-// inline (state machine) core body can replicate them exactly: the
-// goroutine versions yield inside the call (Sync, BlockOn), which a
-// Runnable's Step must instead express as a return. Each half is named
-// for its position relative to the caller's yield.
-
-// QueueSetup charges the DMA-programming instructions of one queue
-// operation — the pre-yield half of Get/Put for inline cores, which
-// yield where those methods Sync.
-func (m *Mem) QueueSetup(p *cpu.Proc) { p.Work(dmaSetupInstr) }
-
-// QueueGet enqueues a sequential get after the caller's yield (the
-// post-yield half of Get).
-func (m *Mem) QueueGet(p *cpu.Proc, base mem.Addr, nbytes uint64) dma.Tag {
-	return m.eng.Queue(p.Now(), dma.Get, base, nbytes)
-}
-
-// QueuePut enqueues a sequential put after the caller's yield (the
-// post-yield half of Put).
-func (m *Mem) QueuePut(p *cpu.Proc, base mem.Addr, nbytes uint64) dma.Tag {
-	return m.eng.Queue(p.Now(), dma.Put, base, nbytes)
-}
-
-// WaitCheck resolves a DMA wait after the caller's leading yield (the
-// body of Wait between its Sync and any block). Exactly one of three
-// outcomes:
-//   - charge: the tag completed at done; the caller must apply
-//     p.ChargeDMAWait(done) and yield once (WaitUntilDMA's sync), after
-//     which the wait is over.
-//   - block: the caller is registered as the engine's waiter (block
-//     label already set); it must yield StatusBlocked and call
-//     WaitFinish once woken.
-//   - neither: the tag was already collected; the wait is over with no
-//     further yield and nothing to charge.
-func (m *Mem) WaitCheck(p *cpu.Proc, tag dma.Tag) (done sim.Time, charge, block bool) {
-	if done, ok := m.eng.Done(tag); ok {
-		return done, true, false
-	}
-	if _, ok := m.eng.WaitStart(p.Task(), tag); ok {
-		return 0, false, false
-	}
-	p.Task().WillBlockOn(m.eng.WaitLabel(tag))
-	return 0, false, true
-}
-
-// WaitFinish collects a blocked wait's completion after the caller's
-// wake and charges the DMA wait since before (the caller's time at
-// WaitCheck).
-func (m *Mem) WaitFinish(p *cpu.Proc, tag dma.Tag, before sim.Time) {
-	m.eng.WaitCollect(tag)
-	if wait := p.Now() - before; wait > 0 {
-		p.AddDMAWait(wait)
-	}
-}
-
-// finishSM runs cpu.Proc.Finish for a streaming core — store-buffer
-// drain, Mem.Flush, completion record — as a resumable state machine,
-// with the identical yield placement: one sync yield at Flush's head
-// and, only when the last DMA command is still in flight, one blocked
-// yield on the engine.
-type finishSM struct {
-	m      *Mem
-	p      *cpu.Proc
-	pc     int
-	t      sim.Time
-	last   dma.Tag
-	before sim.Time
-}
-
-// NewFinish returns the core's end-of-workload sequence as a Runnable;
-// the inline-core path runs it after the workload's body machine.
-func (m *Mem) NewFinish(p *cpu.Proc) sim.Runnable { return &finishSM{m: m, p: p} }
-
-func (f *finishSM) Step(t *sim.Task) sim.Status {
-	m, p := f.m, f.p
-	switch f.pc {
-	case 0:
-		p.DrainStores()
-		f.pc = 1
-		return sim.StatusRunning // Flush's leading sync
-	case 1:
-		f.t = p.Now()
-		if f.last = m.eng.LastTag(); f.last != 0 {
-			if done, ok := m.eng.Done(f.last); ok {
-				f.t = maxTime(f.t, done)
-			} else {
-				f.before = p.Now()
-				if done, ok := m.eng.WaitStart(p.Task(), f.last); ok {
-					f.t = maxTime(f.t, done)
-				} else {
-					t.WillBlockOn(m.eng.WaitLabel(f.last))
-					f.pc = 2
-					return sim.StatusBlocked
-				}
-			}
-		}
-	case 2:
-		f.t = maxTime(f.t, m.eng.WaitCollect(f.last))
-		if wait := p.Now() - f.before; wait > 0 {
-			p.AddDMAWait(wait)
-		}
-	}
-	m.eng.Stop()
-	p.CompleteFinish(f.t)
-	return sim.StatusDone
-}
-
 func maxTime(a, b sim.Time) sim.Time {
 	if a > b {
 		return a

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dma"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/stream"
 )
 
@@ -151,152 +150,6 @@ func (f *fir) runSTR(p *cpu.Proc, sm *stream.Mem, lo, hi int) {
 		havePrev = true
 	}
 	sm.Wait(p, prevPut)
-}
-
-// InlineBody implements core.InlineWorkload: the STR strip loop as a
-// resumable state machine, so the core runs as an inline task with no
-// goroutine. CC/INC cores return nil and keep the goroutine path (their
-// memory models yield data-dependently inside Load/Store, which a flat
-// machine cannot express).
-func (f *fir) InlineBody(p *cpu.Proc) sim.Runnable {
-	sm, ok := streamMem(p)
-	if !ok {
-		return nil
-	}
-	lo, hi := span(len(f.out), f.cores, p.ID())
-	return &firSTR{f: f, p: p, sm: sm, lo: lo, hi: hi}
-}
-
-// firSTR's resume points. Every StatusRunning below sits exactly where
-// runSTR's call chain would Sync (Get/Put setup, Wait's leading sync,
-// WaitUntilDMA after an already-done tag), and the StatusBlocked where
-// Wait would block on the engine — which is what keeps the inline and
-// goroutine schedules identical.
-const (
-	fsSetup     = iota // allocate buffers, first get's setup
-	fsFirstGet         // queue the first get, enter the loop
-	fsLoopHead         // pick the block; prefetch setup or straight to wait
-	fsNextGet          // queue the next block's get, wait on the current
-	fsWaitCheck        // resolve the wait: charge, block, or fall through
-	fsWaitWake         // woken from a blocked wait
-	fsCompute          // filter the block, reclaim the previous put
-	fsPutSetup         // output put's setup
-	fsPut              // queue the put, next block
-	fsDone
-)
-
-// firSTR is runSTR flattened: the loop indices and double-buffering
-// tags live in the struct instead of on a goroutine stack, and the wait
-// sub-machine (fsWait*) is shared by the input, reclaim and final waits
-// via wret, the state to resume after the wait ends.
-type firSTR struct {
-	f      *fir
-	p      *cpu.Proc
-	sm     *stream.Mem
-	lo, hi int
-
-	pc       int
-	blocks   []struct{ b, e int }
-	i        int
-	getTag   dma.Tag
-	prevPut  dma.Tag
-	havePrev bool
-
-	wtag    dma.Tag
-	wret    int
-	wbefore sim.Time
-}
-
-// wait routes the machine into the shared wait sub-machine: yield for
-// Wait's leading sync, then resume at ret.
-func (w *firSTR) wait(tag dma.Tag, ret int) sim.Status {
-	w.wtag, w.wret = tag, ret
-	w.pc = fsWaitCheck
-	return sim.StatusRunning
-}
-
-func (w *firSTR) Step(t *sim.Task) sim.Status {
-	f, p, sm := w.f, w.p, w.sm
-	const block = 128 // elements per DMA transfer, as in the paper
-	for {
-		switch w.pc {
-		case fsSetup:
-			if w.lo >= w.hi {
-				return sim.StatusDone // idle core: straight to Finish
-			}
-			ls := sm.LocalStore()
-			ls.Reset()
-			ls.Alloc("in0", (block+firTaps)*4)
-			ls.Alloc("in1", (block+firTaps)*4)
-			ls.Alloc("out0", block*4)
-			ls.Alloc("out1", block*4)
-			for b := w.lo; b < w.hi; b += block {
-				w.blocks = append(w.blocks, struct{ b, e int }{b, min(b+block, w.hi)})
-			}
-			sm.QueueSetup(p)
-			w.pc = fsFirstGet
-			return sim.StatusRunning
-		case fsFirstGet:
-			b0 := w.blocks[0]
-			w.getTag = sm.QueueGet(p, f.inR.Index(b0.b, 4), uint64(b0.e-b0.b+firTaps-1)*4)
-			w.pc = fsLoopHead
-		case fsLoopHead:
-			if w.i >= len(w.blocks) {
-				return w.wait(w.prevPut, fsDone)
-			}
-			if w.i+1 < len(w.blocks) {
-				sm.QueueSetup(p)
-				w.pc = fsNextGet
-				return sim.StatusRunning
-			}
-			return w.wait(w.getTag, fsCompute)
-		case fsNextGet:
-			cur := w.getTag
-			nb := w.blocks[w.i+1]
-			w.getTag = sm.QueueGet(p, f.inR.Index(nb.b, 4), uint64(nb.e-nb.b+firTaps-1)*4)
-			return w.wait(cur, fsCompute)
-		case fsWaitCheck:
-			w.wbefore = p.Now()
-			done, charge, blocked := sm.WaitCheck(p, w.wtag)
-			if charge {
-				p.ChargeDMAWait(done)
-				w.pc = w.wret
-				return sim.StatusRunning
-			}
-			if blocked {
-				w.pc = fsWaitWake
-				return sim.StatusBlocked
-			}
-			w.pc = w.wret
-		case fsWaitWake:
-			sm.WaitFinish(p, w.wtag, w.wbefore)
-			w.pc = w.wret
-		case fsCompute:
-			blkI := w.blocks[w.i]
-			n := uint64(blkI.e - blkI.b)
-			sm.LSLoadN(p, n)
-			f.compute(blkI.b, blkI.e)
-			p.Work(n * (firWorkPerElem + 1)) // +1: output-buffer bookkeeping
-			sm.LSStoreN(p, n)
-			if w.havePrev {
-				return w.wait(w.prevPut, fsPutSetup) // reclaim the other output buffer
-			}
-			w.pc = fsPutSetup
-		case fsPutSetup:
-			sm.QueueSetup(p)
-			w.pc = fsPut
-			return sim.StatusRunning
-		case fsPut:
-			blkI := w.blocks[w.i]
-			n := uint64(blkI.e - blkI.b)
-			w.prevPut = sm.QueuePut(p, f.outR.Index(blkI.b, 4), n*4)
-			w.havePrev = true
-			w.i++
-			w.pc = fsLoopHead
-		case fsDone:
-			return sim.StatusDone
-		}
-	}
 }
 
 func (f *fir) Verify() error {
