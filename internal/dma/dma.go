@@ -356,6 +356,7 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 				return sim.StatusBlocked // resumes here: recheck the queue
 			}
 			e.cur = e.queue[0]
+			e.queue[0] = command{} // e.cur now holds the trace handle
 			e.queue = e.queue[1:]
 			e.cmdStart = t.Time()
 			if e.cur.ctx != nil && e.cmdStart > e.cur.issued {
@@ -557,6 +558,7 @@ func (e *Engine) finishCmd(done sim.Time) {
 		}
 	}
 	e.txn.EndDetached(e.cur.ctx, done)
+	e.cur.ctx = nil // the tracer may recycle the ended transaction
 	e.done[e.cur.tag] = done
 	e.lastDone = e.cur.tag
 	if e.waiter != nil && e.waitingFor <= e.cur.tag {

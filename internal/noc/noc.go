@@ -102,11 +102,11 @@ func (n *Network) xfer(p *sim.Pipe, at sim.Time, nbytes uint64, op string) sim.T
 		n.lat.NoCAcquire.Record(uint64(wait))
 	}
 	if n.txn != nil {
-		tag := ""
 		if wait > 0 {
-			tag = fmt.Sprintf("wait=%dfs", wait)
+			n.txn.HopNum("noc", op, at, done, txntrace.TagWait, uint64(wait))
+		} else {
+			n.txn.Hop("noc", op, at, done)
 		}
-		n.txn.HopTag("noc", op, at, done, tag)
 	}
 	return done
 }

@@ -18,7 +18,7 @@ func traceOneMiss(t *Tracer, i int) {
 	t.Begin(L2Hit, i&7, uint64(i)*64, at+10)
 	t.Hop("l2", "access", at+10, at+20)
 	t.End(at + 20)
-	t.HopTag("noc", "bus_data", at+20, at+30, "wait=0fs")
+	t.HopNum("noc", "bus_data", at+20, at+30, TagWait, 5000)
 	t.End(at + 30)
 }
 
@@ -29,6 +29,7 @@ func traceOneMiss(t *Tracer, i int) {
 // under the cost of a single inline dispatch.
 func BenchmarkTxnTraceDisabled(b *testing.B) {
 	var t *Tracer
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		traceOneMiss(t, i)
 	}
@@ -36,9 +37,11 @@ func BenchmarkTxnTraceDisabled(b *testing.B) {
 
 // BenchmarkTxnTraceEnabled is the same sequence with exemplar capture
 // armed (the always-on mode every -txn-trace/-explain-tail run pays for
-// every transaction, not just retained ones).
+// every transaction, not just retained ones). Once the reservoirs hold
+// their K trees, every transaction is recycled: 0 allocs/op.
 func BenchmarkTxnTraceEnabled(b *testing.B) {
 	t := New()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		traceOneMiss(t, i)
@@ -52,8 +55,51 @@ func BenchmarkTxnTraceSampled(b *testing.B) {
 	t := New()
 	t.SampleEvery = 64
 	t.KeptCap = 1024
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		traceOneMiss(t, i)
+	}
+}
+
+// TestTraceOneMissAllocs pins armed capture at zero allocations per
+// transaction once warm: the exemplar-only tracer, and a sampling
+// tracer whose retention cap has filled (so sampled trees are counted,
+// not kept). Every transaction the warm tracer opens reuses a recycled
+// shell and its backing arrays, and no tag is formatted. A third case
+// makes every miss slower than the last, so each one evicts a reservoir
+// tree, whose shell must be recycled too.
+func TestTraceOneMissAllocs(t *testing.T) {
+	sampled := New()
+	sampled.SampleEvery = 4
+	sampled.KeptCap = 8
+	slower := func(t *Tracer, i int) {
+		at := sim.Time(i) * 1000
+		t.Begin(ReadMiss, 0, 0, at)
+		t.Hop("l1", "lookup", at, at+1)
+		t.End(at + sim.Time(i))
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Tracer
+		miss func(*Tracer, int)
+	}{
+		{"exemplars", New(), traceOneMiss},
+		{"sampled_past_cap", sampled, traceOneMiss},
+		{"reservoir_churn", New(), slower},
+	} {
+		i := 0
+		for ; i < 4096; i++ {
+			c.miss(c.tr, i)
+		}
+		if avg := testing.AllocsPerRun(1000, func() {
+			c.miss(c.tr, i)
+			i++
+		}); avg != 0 {
+			t.Errorf("%s: %.2f allocs per warm miss, want 0", c.name, avg)
+		}
+	}
+	if sampled.DroppedSampled() == 0 {
+		t.Fatal("sampled_past_cap: warm-up never filled the retention cap")
 	}
 }

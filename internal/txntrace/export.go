@@ -60,10 +60,20 @@ type jsonTxn struct {
 	Sampled     bool      `json:"sampled,omitempty"`
 	Exemplar    bool      `json:"exemplar,omitempty"`
 	Tags        []string  `json:"tags,omitempty"`
-	Hops        []Hop     `json:"hops,omitempty"`
+	Hops        []jsonHop `json:"hops,omitempty"`
 	Kids        []jsonTxn `json:"children,omitempty"`
 	DroppedHops uint64    `json:"dropped_hops,omitempty"`
 	DroppedKids uint64    `json:"dropped_children,omitempty"`
+}
+
+// jsonHop is the wire form of a hop, with its tag rendered.
+type jsonHop struct {
+	Component string   `json:"component"`
+	Op        string   `json:"op"`
+	StartFS   sim.Time `json:"start_fs"`
+	EndFS     sim.Time `json:"end_fs"`
+	AdvanceFS sim.Time `json:"advance_fs"`
+	Tag       string   `json:"tag,omitempty"`
 }
 
 func toJSON(x *Txn, inReservoir map[uint64]bool) jsonTxn {
@@ -71,8 +81,14 @@ func toJSON(x *Txn, inReservoir map[uint64]bool) jsonTxn {
 		ID: x.ID, Class: x.Class.String(), Core: x.Core, Addr: x.Addr,
 		StartFS: x.StartFS, EndFS: x.EndFS, LatencyFS: x.Latency(),
 		Sampled: x.sampled, Exemplar: inReservoir[x.ID],
-		Tags: x.Tags, Hops: x.Hops,
+		Tags:        x.Tags,
 		DroppedHops: x.DroppedHops, DroppedKids: x.DroppedKids,
+	}
+	if len(x.Hops) > 0 {
+		j.Hops = make([]jsonHop, len(x.Hops))
+		for i, h := range x.Hops {
+			j.Hops[i] = jsonHop{h.Component, h.Op, h.StartFS, h.EndFS, h.AdvanceFS, h.Tag()}
+		}
 	}
 	for _, k := range x.Kids {
 		j.Kids = append(j.Kids, toJSON(k, inReservoir))
@@ -80,12 +96,12 @@ func toJSON(x *Txn, inReservoir map[uint64]bool) jsonTxn {
 	return j
 }
 
-// export returns every retained root tree — sampled captures plus
-// exemplar reservoirs, deduplicated — in (StartFS, ID) order, paired
-// with whether each sits in an exemplar reservoir.
-func (t *Tracer) export() []jsonTxn {
+// roots returns every retained root tree — sampled captures plus
+// exemplar reservoirs, deduplicated — in (StartFS, ID) order, plus the
+// set of IDs that sit in an exemplar reservoir.
+func (t *Tracer) roots() ([]*Txn, map[uint64]bool) {
 	if t == nil {
-		return nil
+		return nil, nil
 	}
 	inReservoir := map[uint64]bool{}
 	byID := map[uint64]*Txn{}
@@ -101,12 +117,13 @@ func (t *Tracer) export() []jsonTxn {
 	// A reservoir can hold a nested transaction whose enclosing tree is
 	// itself retained; exporting both would duplicate the subtree, so a
 	// tree is top-level only when no ancestor is also retained (the
-	// nested copy keeps its exemplar mark).
+	// nested copy keeps its exemplar mark). Ancestors are matched by ID:
+	// an enclosing transaction that was not retained has been recycled.
 	txs := make([]*Txn, 0, len(byID))
 	for _, x := range byID {
 		nested := false
-		for p := x.parent; p != nil; p = p.parent {
-			if byID[p.ID] != nil {
+		for _, id := range x.ancestors {
+			if byID[id] != nil {
 				nested = true
 				break
 			}
@@ -121,25 +138,23 @@ func (t *Tracer) export() []jsonTxn {
 		}
 		return txs[i].ID < txs[j].ID
 	})
-	out := make([]jsonTxn, 0, len(txs))
-	for _, x := range txs {
-		out = append(out, toJSON(x, inReservoir))
-	}
-	return out
+	return txs, inReservoir
 }
 
 // Trees returns how many root transaction trees the tracer retained:
 // sampled captures plus exemplar reservoirs, deduplicated.
 func (t *Tracer) Trees() int {
-	return len(t.export())
+	txs, _ := t.roots()
+	return len(txs)
 }
 
 // WriteJSONL writes every retained transaction tree as one JSON object
 // per line (the -txn-trace sink), in deterministic (start, ID) order.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, j := range t.export() {
-		if err := enc.Encode(j); err != nil {
+	txs, inReservoir := t.roots()
+	for _, x := range txs {
+		if err := enc.Encode(toJSON(x, inReservoir)); err != nil {
 			return err
 		}
 	}
@@ -187,9 +202,9 @@ func writeTxnTree(w io.Writer, x *Txn, period sim.Time, indent string) {
 	var sum sim.Time
 	for _, h := range x.Hops {
 		sum += h.AdvanceFS
-		tag := ""
-		if h.Tag != "" {
-			tag = "  " + h.Tag
+		tag := h.Tag()
+		if tag != "" {
+			tag = "  " + tag
 		}
 		fmt.Fprintf(w, "%s  %8.1f cyc  %s.%s%s\n", indent, cycles(h.AdvanceFS, period), h.Component, h.Op, tag)
 	}
@@ -233,25 +248,27 @@ func (t *Tracer) MergeChrome(tc *trace.Collector) {
 		tc.SetTrackName(componentTrackBase+i, "txn."+c)
 	}
 	tc.SetTrackName(componentTrackBase+len(componentTracks), "txn.other")
-	for _, j := range t.export() {
-		mergeTxn(tc, j)
+	txs, _ := t.roots()
+	for _, x := range txs {
+		mergeTxn(tc, x)
 	}
 }
 
-func mergeTxn(tc *trace.Collector, j jsonTxn) {
+func mergeTxn(tc *trace.Collector, x *Txn) {
+	class := x.Class.String()
 	var steps []trace.FlowStep
-	for _, h := range j.Hops {
+	for _, h := range x.Hops {
 		// Child aggregates ("txn" hops) are represented by the child's
 		// own spans; skip the aggregate to avoid double-drawing.
 		if h.Component == "txn" {
 			continue
 		}
 		tr := trackOf(h.Component)
-		tc.Add(tr, fmt.Sprintf("%s %s.%s", j.Class, h.Component, h.Op), h.StartFS, h.EndFS-h.StartFS)
+		tc.Add(tr, fmt.Sprintf("%s %s.%s", class, h.Component, h.Op), h.StartFS, h.EndFS-h.StartFS)
 		steps = append(steps, trace.FlowStep{Track: tr, At: h.StartFS})
 	}
-	tc.AddFlow(j.ID, j.Class, steps)
-	for _, k := range j.Kids {
+	tc.AddFlow(x.ID, class, steps)
+	for _, k := range x.Kids {
 		mergeTxn(tc, k)
 	}
 }

@@ -21,11 +21,20 @@
 // reads simulated clocks — attaching a Tracer never changes a report.
 // Model code runs single-threaded in event order, so the Tracer needs
 // no locks; reading results is safe once the run has finished.
+//
+// Armed capture allocates nothing in steady state: a transaction that
+// no retained tree references when it ends (or that a reservoir later
+// evicts) goes back to a per-tracer free list, shell, hop array and
+// all, and numeric hop tags are stored as integers and rendered only
+// when a tree is read. So a handle from Begin or BeginDetached is valid
+// only until its End or EndDetached; trees reachable from Exemplars and
+// Kept are retained and never change.
 package txntrace
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -85,12 +94,46 @@ func Classes() []Class {
 // (side paths the core never waited for — overlapped writebacks,
 // snoop responses subsumed by a slower data return — contribute 0).
 type Hop struct {
-	Component string   `json:"component"`
-	Op        string   `json:"op"`
-	StartFS   sim.Time `json:"start_fs"`
-	EndFS     sim.Time `json:"end_fs"`
-	AdvanceFS sim.Time `json:"advance_fs"`
-	Tag       string   `json:"tag,omitempty"`
+	Component string
+	Op        string
+	StartFS   sim.Time
+	EndFS     sim.Time
+	AdvanceFS sim.Time
+
+	text string  // fixed tag (tagText)
+	num  uint64  // numeric tag value (the other kinds)
+	kind TagKind // how Tag renders
+}
+
+// TagKind selects how a hop's outcome tag renders. Numeric kinds keep
+// the number and format it only when a tree is read, so the charge
+// sites that record a wait or a channel index never format a string.
+type TagKind uint8
+
+// The hop tag kinds.
+const (
+	tagText     TagKind = iota // a fixed string ("" = no tag)
+	TagWait                    // "wait=<n>fs": NoC arbitration wait
+	TagPortWait                // "port_wait=<n>fs": L2 bank-port queueing
+	TagChannel                 // "ch<n>": the DRAM channel that served the access
+	tagChild                   // "#<n>": the child an aggregate "txn" hop stands for
+)
+
+// tagForms holds each numeric kind's text around the number.
+var tagForms = [...]struct{ prefix, suffix string }{
+	TagWait:     {"wait=", "fs"},
+	TagPortWait: {"port_wait=", "fs"},
+	TagChannel:  {"ch", ""},
+	tagChild:    {"#", ""},
+}
+
+// Tag renders the hop's outcome tag ("" when it has none).
+func (h Hop) Tag() string {
+	if h.kind == tagText {
+		return h.text
+	}
+	f := tagForms[h.kind]
+	return f.prefix + strconv.FormatUint(h.num, 10) + f.suffix
 }
 
 // Caps bounding a single transaction's memory footprint. A transaction
@@ -121,9 +164,11 @@ type Txn struct {
 	DroppedHops uint64
 	DroppedKids uint64
 
-	parent  *Txn
-	sampled bool
-	root    bool
+	parent    *Txn     // enclosing transaction while this one is open
+	ancestors []uint64 // IDs of the enclosing transactions, outermost first
+	refs      uint8    // retaining references: reservoir, kept list, parent's Kids
+	sampled   bool
+	detached  bool
 }
 
 // Latency returns the transaction's end-to-end latency.
@@ -200,12 +245,14 @@ type reservoir struct {
 	txs []*Txn
 }
 
-func (r *reservoir) offer(x *Txn) {
+// offer inserts x if it ranks among the K slowest, reporting whether it
+// was kept and which transaction, if any, it pushed out.
+func (r *reservoir) offer(x *Txn) (kept bool, evicted *Txn) {
 	if r.k <= 0 {
-		return
+		return false, nil
 	}
 	if len(r.txs) == r.k && x.Latency() <= r.txs[len(r.txs)-1].Latency() {
-		return
+		return false, nil
 	}
 	i := sort.Search(len(r.txs), func(i int) bool {
 		l := r.txs[i].Latency()
@@ -214,15 +261,19 @@ func (r *reservoir) offer(x *Txn) {
 		// reservoir's content does not depend on arrival order quirks.
 		return l < x.Latency() || (l == x.Latency() && r.txs[i].ID > x.ID)
 	})
-	if i == len(r.txs) && len(r.txs) == r.k {
-		return
+	n := len(r.txs)
+	if i == n && n == r.k {
+		return false, nil
 	}
-	r.txs = append(r.txs, nil)
-	copy(r.txs[i+1:], r.txs[i:])
+	if n == r.k {
+		evicted = r.txs[n-1]
+	} else {
+		r.txs = append(r.txs, nil)
+		n++
+	}
+	copy(r.txs[i+1:n], r.txs[i:n-1])
 	r.txs[i] = x
-	if len(r.txs) > r.k {
-		r.txs = r.txs[:r.k]
-	}
+	return true, evicted
 }
 
 // DefaultK is the per-class exemplar reservoir depth.
@@ -257,6 +308,11 @@ type Tracer struct {
 	counts     [numClasses]uint64
 	kept       []*Txn
 	dropped    uint64
+	// Recycled shells. Detached roots (DMA commands) record hundreds of
+	// beat hops each; keeping them apart stops their long hop arrays
+	// from migrating into every small nested shell.
+	free         []*Txn
+	freeDetached []*Txn
 }
 
 // New returns a Tracer with exemplar capture on (DefaultK per class)
@@ -300,10 +356,44 @@ func (t *Tracer) sampleRoot() bool {
 	return splitmix64(t.serial^t.Seed)%t.SampleEvery == 0
 }
 
-// newTxn allocates a transaction shell.
-func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time) *Txn {
+// newTxn takes a shell from the matching free list, keeping its
+// backing arrays, or allocates one when the list is empty.
+func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time, detached bool) *Txn {
+	free := &t.free
+	if detached {
+		free = &t.freeDetached
+	}
+	var x *Txn
+	if n := len(*free); n > 0 {
+		x = (*free)[n-1]
+		*free = (*free)[:n-1]
+		*x = Txn{Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0], ancestors: x.ancestors[:0]}
+	} else {
+		x = new(Txn)
+	}
 	t.nextID++
-	return &Txn{ID: t.nextID, Class: class, Core: core, Addr: addr, StartFS: at}
+	x.ID, x.Class, x.Core, x.Addr, x.StartFS, x.detached = t.nextID, class, core, addr, at, detached
+	return x
+}
+
+// release returns a shell that no retained tree references to its free
+// list, and drops its own references to its children.
+func (t *Tracer) release(x *Txn) {
+	for _, k := range x.Kids {
+		t.unref(k)
+	}
+	if x.detached {
+		t.freeDetached = append(t.freeDetached, x)
+	} else {
+		t.free = append(t.free, x)
+	}
+}
+
+// unref drops one retaining reference, releasing the shell at zero.
+func (t *Tracer) unref(x *Txn) {
+	if x.refs--; x.refs == 0 {
+		t.release(x)
+	}
 }
 
 // Begin opens a transaction at the top of the active stack and makes it
@@ -315,12 +405,13 @@ func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 	if t == nil {
 		return nil
 	}
-	x := t.newTxn(class, core, addr, at)
+	x := t.newTxn(class, core, addr, at, false)
 	if n := len(t.stack); n > 0 {
-		x.parent = t.stack[n-1]
-		x.sampled = x.parent.sampled
+		p := t.stack[n-1]
+		x.parent = p
+		x.sampled = p.sampled
+		x.ancestors = append(append(x.ancestors, p.ancestors...), p.ID)
 	} else {
-		x.root = true
 		x.sampled = t.sampleRoot()
 	}
 	t.stack = append(t.stack, x)
@@ -336,8 +427,7 @@ func (t *Tracer) BeginDetached(class Class, core int, addr uint64, at sim.Time) 
 	if t == nil {
 		return nil
 	}
-	x := t.newTxn(class, core, addr, at)
-	x.root = true
+	x := t.newTxn(class, core, addr, at, true)
 	x.sampled = t.sampleRoot()
 	return x
 }
@@ -363,15 +453,24 @@ func (t *Tracer) Suspend() {
 // Hop records one interval against the active transaction (no-op when
 // none is active).
 func (t *Tracer) Hop(component, op string, start, end sim.Time) {
-	t.HopTag(component, op, start, end, "")
+	if x := t.Active(); x != nil {
+		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end})
+	}
 }
 
-// HopTag is Hop with an outcome tag.
+// HopTag is Hop with a fixed outcome tag.
 func (t *Tracer) HopTag(component, op string, start, end sim.Time, tag string) {
-	if t == nil || len(t.stack) == 0 {
-		return
+	if x := t.Active(); x != nil {
+		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, text: tag})
 	}
-	t.stack[len(t.stack)-1].addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, Tag: tag})
+}
+
+// HopNum is Hop with a numeric outcome tag of the given kind; the tag
+// text is rendered only when the tree is read.
+func (t *Tracer) HopNum(component, op string, start, end sim.Time, kind TagKind, n uint64) {
+	if x := t.Active(); x != nil {
+		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, num: n, kind: kind})
+	}
 }
 
 // Active returns the transaction currently receiving hops (nil when
@@ -387,7 +486,8 @@ func (t *Tracer) Active() *Txn {
 // finalizes its per-hop attribution, offers it to its class reservoir
 // and — for sampled roots — retains the tree. Nested transactions
 // attach to their parent as both a child tree and an aggregate hop, so
-// the parent's conservation covers them.
+// the parent's conservation covers them. The handle Begin returned is
+// not valid past End: an unretained transaction is recycled.
 func (t *Tracer) End(at sim.Time) {
 	if t == nil || len(t.stack) == 0 {
 		return
@@ -398,7 +498,8 @@ func (t *Tracer) End(at sim.Time) {
 }
 
 // EndDetached closes a detached transaction (which must not be on the
-// active stack — the DMA engine suspends it between beats).
+// active stack — the DMA engine suspends it between beats). Like End,
+// it ends the handle's validity.
 func (t *Tracer) EndDetached(x *Txn, at sim.Time) {
 	if t == nil || x == nil {
 		return
@@ -406,33 +507,44 @@ func (t *Tracer) EndDetached(x *Txn, at sim.Time) {
 	t.finish(x, at)
 }
 
+// finish retains x wherever it belongs — its class reservoir, its
+// parent's Kids, the sampled list — and recycles it if nothing did.
 func (t *Tracer) finish(x *Txn, at sim.Time) {
 	x.finalize(at)
 	t.counts[x.Class]++
-	if t.kOrDefault() > 0 {
+	if k := t.kOrDefault(); k > 0 {
 		r := &t.reservoirs[x.Class]
-		r.k = t.kOrDefault()
-		r.offer(x)
+		r.k = k
+		if kept, evicted := r.offer(x); kept {
+			x.refs++
+			if evicted != nil {
+				t.unref(evicted)
+			}
+		}
 	}
 	if p := x.parent; p != nil {
+		x.parent = nil
 		p.addHop(Hop{
 			Component: "txn", Op: x.Class.String(),
 			StartFS: x.StartFS, EndFS: x.EndFS,
-			Tag: fmt.Sprintf("#%d", x.ID),
+			num: x.ID, kind: tagChild,
 		})
 		if len(p.Kids) < maxKids {
 			p.Kids = append(p.Kids, x)
+			x.refs++
 		} else {
 			p.DroppedKids++
 		}
-		return
-	}
-	if x.sampled {
+	} else if x.sampled {
 		if len(t.kept) < t.keptCapOrDefault() {
 			t.kept = append(t.kept, x)
+			x.refs++
 		} else {
 			t.dropped++
 		}
+	}
+	if x.refs == 0 {
+		t.release(x)
 	}
 }
 

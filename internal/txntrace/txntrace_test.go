@@ -22,6 +22,7 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	tr.Hop("l1", "lookup", 100, 110)
 	tr.HopTag("noc", "bus_data", 110, 120, "wait=0")
+	tr.HopNum("dram", "read", 120, 130, TagChannel, 1)
 	tr.Suspend()
 	tr.Resume(nil)
 	tr.End(200)
@@ -158,11 +159,11 @@ func TestSamplingDeterminism(t *testing.T) {
 		tr.Seed = seed
 		var ids []uint64
 		for i := 0; i < 1024; i++ {
-			x := tr.Begin(ReadMiss, 0, uint64(i), sim.Time(i))
-			tr.End(sim.Time(i + 1))
-			if x.Sampled() {
+			// Read the handle before End: it is recycled once ended.
+			if x := tr.Begin(ReadMiss, 0, uint64(i), sim.Time(i)); x.Sampled() {
 				ids = append(ids, x.ID)
 			}
+			tr.End(sim.Time(i + 1))
 		}
 		return ids
 	}
@@ -291,13 +292,18 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 }
 
 // TestWriteExplainTail pins the table's load-bearing lines: the
-// worst-K header with the observed count, per-hop cycle rows, and the
-// total line.
+// worst-K header with the observed count, per-hop cycle rows with every
+// tag kind rendered (fixed, wait=, port_wait=, chN and the #id of a
+// child aggregate), and the total line.
 func TestWriteExplainTail(t *testing.T) {
 	tr := New()
 	tr.Begin(ReadMiss, 3, 0x2000, 0)
 	tr.HopTag("l1", "lookup", 0, 1250000, "miss")
-	tr.Hop("dram", "read", 1250000, 12500000)
+	tr.HopNum("noc", "bus_control", 1250000, 2500000, TagWait, 625000)
+	tr.Begin(L2Hit, 3, 0x2000, 2500000)
+	tr.HopNum("l2", "access", 2500000, 5000000, TagPortWait, 1250000)
+	tr.HopNum("dram", "read", 5000000, 12500000, TagChannel, 3)
+	tr.End(12500000)
 	tr.End(12500000)
 	var buf bytes.Buffer
 	tr.WriteExplainTail(&buf, 1250000) // 800 MHz period
@@ -306,7 +312,10 @@ func TestWriteExplainTail(t *testing.T) {
 		"worst-1 read_miss exemplars (1 observed)",
 		"core=3 addr=0x2000: 10.0 cycles",
 		"1.0 cyc  l1.lookup  miss",
-		"9.0 cyc  dram.read",
+		"1.0 cyc  noc.bus_control  wait=625000fs",
+		"8.0 cyc  txn.l2_hit  #2",
+		"2.0 cyc  l2.access  port_wait=1250000fs",
+		"6.0 cyc  dram.read  ch3",
 		"10.0 cyc  = total",
 	} {
 		if !strings.Contains(out, want) {
@@ -316,28 +325,33 @@ func TestWriteExplainTail(t *testing.T) {
 }
 
 // TestMergeChrome: merged trees land as component-track spans plus one
-// flow chain per tree threading the hops, and aggregate "txn" hops are
-// not double-drawn.
+// flow chain per tree threading the hops, and aggregate "txn" hops (the
+// ones tagged with a child's #id) are not double-drawn. Hops carrying
+// each numeric tag kind are drawn like any other.
 func TestMergeChrome(t *testing.T) {
 	tr := New()
 	tr.SampleEvery = 1
 	tr.Begin(ReadMiss, 0, 0x40, 0)
 	tr.Hop("l1", "lookup", 0, 10)
-	tr.Begin(DRAMFill, 0, 0x40, 10)
-	tr.Hop("l2", "access", 10, 20)
-	tr.Hop("dram", "read", 20, 100)
+	tr.HopNum("noc", "bus_control", 10, 12, TagWait, 1)
+	tr.Begin(DRAMFill, 0, 0x40, 12)
+	tr.HopNum("l2", "access", 12, 20, TagPortWait, 2)
+	tr.HopNum("dram", "read", 20, 100, TagChannel, 1)
 	tr.End(100)
 	tr.End(110)
 
 	tc := trace.New()
 	tr.MergeChrome(tc)
-	if tc.Len() == 0 {
-		t.Fatal("no spans merged")
-	}
+	var names []string
 	for _, s := range tc.Spans() {
 		if strings.HasPrefix(s.Name, "read_miss txn.") {
 			t.Fatalf("aggregate txn hop drawn as a span: %+v", s)
 		}
+		names = append(names, s.Name)
+	}
+	want := []string{"read_miss l1.lookup", "read_miss noc.bus_control", "read_miss wait.tail", "dram_fill l2.access", "dram_fill dram.read"}
+	if strings.Join(names, "|") != strings.Join(want, "|") {
+		t.Fatalf("spans = %q, want %q", names, want)
 	}
 	flows := tc.Flows()
 	if len(flows) != 2 { // root + nested fill (chains of >= 2 steps)
@@ -346,6 +360,51 @@ func TestMergeChrome(t *testing.T) {
 	for _, f := range flows {
 		if len(f.Steps) < 2 {
 			t.Fatalf("flow %d has %d steps, want >= 2", f.ID, len(f.Steps))
+		}
+	}
+}
+
+// TestNumericTagsRender: numeric tags are stored as integers and render
+// through Hop.Tag and the JSONL wire form exactly as the formatted
+// strings they replace.
+func TestNumericTagsRender(t *testing.T) {
+	tr := New()
+	tr.SampleEvery = 1
+	tr.Begin(ReadMiss, 0, 0x40, 0)
+	tr.HopTag("l1", "lookup", 0, 10, "miss")
+	tr.HopNum("noc", "bus_control", 10, 20, TagWait, 7)
+	tr.HopNum("l2", "access", 20, 30, TagPortWait, 1250000)
+	tr.HopNum("dram", "read", 30, 40, TagChannel, 0)
+	tr.Begin(L2Hit, 0, 0x40, 40)
+	tr.End(50)
+	tr.Hop("noc", "bus_data", 50, 60)
+	tr.End(60)
+
+	want := []string{"miss", "wait=7fs", "port_wait=1250000fs", "ch0", "#2", ""}
+	root := tr.Kept()[0]
+	for i, w := range want {
+		if got := root.Hops[i].Tag(); got != w {
+			t.Errorf("hop %d tag = %q, want %q", i, got, w)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var j struct {
+		Hops []struct {
+			Tag *string `json:"tag"`
+		} `json:"hops"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &j); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		switch h := j.Hops[i]; {
+		case w == "" && h.Tag != nil:
+			t.Errorf("JSONL hop %d has tag %q, want none", i, *h.Tag)
+		case w != "" && (h.Tag == nil || *h.Tag != w):
+			t.Errorf("JSONL hop %d tag = %v, want %q", i, h.Tag, w)
 		}
 	}
 }

@@ -133,7 +133,7 @@ func (u *Uncore) dramAccess(at sim.Time, a mem.Addr, nbytes uint64, write bool) 
 		if write {
 			op = "write"
 		}
-		u.txn.HopTag("dram", op, at, done, fmt.Sprintf("ch%d", u.chanOf(a)))
+		u.txn.HopNum("dram", op, at, done, txntrace.TagChannel, uint64(u.chanOf(a)))
 	}
 	return done
 }
@@ -232,11 +232,11 @@ func (u *Uncore) l2Access(at sim.Time, a mem.Addr) sim.Time {
 	start := u.l2Ports[u.bankOf(a)].Acquire(at, u.cfg.L2Latency)
 	done := start + u.cfg.L2Latency
 	if u.txn != nil {
-		tag := ""
 		if start > at {
-			tag = fmt.Sprintf("port_wait=%dfs", start-at)
+			u.txn.HopNum("l2", "access", at, done, txntrace.TagPortWait, uint64(start-at))
+		} else {
+			u.txn.Hop("l2", "access", at, done)
 		}
-		u.txn.HopTag("l2", "access", at, done, tag)
 	}
 	return done
 }
