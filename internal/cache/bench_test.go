@@ -7,8 +7,9 @@ import (
 )
 
 // The per-access tag lookup is the hottest path of the simulator; these
-// benchmarks track it across the map→array/mask table changes (baseline
-// in BENCH_runner.json).
+// benchmarks track it across the map→array/mask table changes. Run them
+// with go test -bench 'AccessHit|LookupMiss|InsertEvict' and compare
+// same-run pairs: no recorded baseline gates them.
 
 func benchCache() *Cache {
 	return New(Config{Name: "l1d", Size: 32 * 1024, Assoc: 2})

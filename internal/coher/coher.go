@@ -6,9 +6,10 @@
 // they are broadcast to all other clusters and the shared L2. Snoop
 // probes occupy the target D-cache for a cycle and may stall its core.
 //
-// The package also provides the per-core cpu.ProcMem implementation
-// (Mem), including the optional tagged hardware prefetcher and the
-// "Prepare For Store" / no-write-allocate store policies of Section 5.5.
+// The per-core cpu.ProcMem (Mem) is the private L1 front end of
+// internal/incoher with MESI plugged in as its protocol; the protocol
+// carries the optional tagged hardware prefetcher and the "Prepare For
+// Store" / no-write-allocate store policies of Section 5.5.
 package coher
 
 import (
@@ -16,12 +17,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/ledger"
+	"repro/internal/incoher"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/txntrace"
 	"repro/internal/uncore"
 )
 
@@ -49,7 +49,9 @@ func DefaultConfig() Config {
 	return Config{L1Size: 32 * 1024, L1Assoc: 2, WriteAllocate: true}
 }
 
-// Stats counts protocol activity across the domain.
+// Stats counts protocol activity across the domain. The miss counts
+// are the L1 front ends' (incoher.Stats, which also carries the miss
+// service times).
 type Stats struct {
 	ReadMisses       uint64
 	WriteMisses      uint64
@@ -64,16 +66,10 @@ type Stats struct {
 	PrefetchUseless  uint64 // prefetched lines evicted before any demand
 	GatherFlushes    uint64 // write-gather buffer lines sent to the L2
 	FilteredSnoops   uint64 // broadcasts avoided by the region filter
-
-	// Latency accounting for the average demand read-miss and write-miss
-	// service times (diagnostics and the EXPERIMENTS.md tables).
-	ReadMissLatency  sim.Time
-	WriteMissLatency sim.Time
 }
 
 // Snapshot emits the headline protocol counters in a fixed order (probe
 // layer); the per-epoch C2C deltas are the communication-phase series.
-// Latency accumulators stay out: they are diagnostics, not time series.
 func (s Stats) Snapshot(put func(name string, value float64)) {
 	put("read_misses", float64(s.ReadMisses))
 	put("write_misses", float64(s.WriteMisses))
@@ -88,34 +84,15 @@ func (s Stats) Snapshot(put func(name string, value float64)) {
 	put("filtered_snoops", float64(s.FilteredSnoops))
 }
 
-// AvgReadMissLatency returns the mean demand read-miss service time.
-func (s Stats) AvgReadMissLatency() sim.Time {
-	if s.ReadMisses == 0 {
-		return 0
-	}
-	return s.ReadMissLatency / sim.Time(s.ReadMisses)
-}
-
-// AvgWriteMissLatency returns the mean write-miss service time.
-func (s Stats) AvgWriteMissLatency() sim.Time {
-	if s.WriteMisses == 0 {
-		return 0
-	}
-	return s.WriteMissLatency / sim.Time(s.WriteMisses)
-}
-
 // Domain is the set of coherent L1 caches over one uncore.
 type Domain struct {
 	cfg   Config
 	net   *noc.Network
 	unc   *uncore.Uncore
 	procs []*cpu.Proc
-	l1s   []*cache.Cache
-	pref  []*prefetch.Prefetcher
-	gath  []*gatherBuffer
+	mems  []*Mem
+	l1s   []*cache.Cache // mems[i].Cache(), for snooping
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
 	// The RegionScout filter state, array-backed (see table.go):
 	// regions[i] counts core i's resident lines per region, and
 	// regionOwners counts, per region, how many cores hold at least one
@@ -167,14 +144,20 @@ func NewDomain(cfg Config, unc *uncore.Uncore, procs []*cpu.Proc) *Domain {
 		cfg.RegionBytes = 1024
 	}
 	d := &Domain{cfg: cfg, net: unc.Network(), unc: unc, procs: procs}
-	for i := range procs {
-		d.l1s = append(d.l1s, cache.New(cache.Config{
-			Name:  fmt.Sprintf("l1d%d", i),
-			Size:  cfg.L1Size,
-			Assoc: cfg.L1Assoc,
-		}))
-		d.pref = append(d.pref, prefetch.New(cfg.PrefetchDepth))
-		d.gath = append(d.gath, newGatherBuffer())
+	for i, p := range procs {
+		m := &Mem{
+			L1: incoher.NewL1(i, p.Cluster(), cache.Config{
+				Name:  fmt.Sprintf("l1d%d", i),
+				Size:  cfg.L1Size,
+				Assoc: cfg.L1Assoc,
+			}, unc),
+			d:    d,
+			core: i,
+			pref: prefetch.New(cfg.PrefetchDepth),
+		}
+		m.SetProtocol(m)
+		d.mems = append(d.mems, m)
+		d.l1s = append(d.l1s, m.Cache())
 	}
 	if cfg.SnoopFilter {
 		d.regShift = regionShift(cfg.RegionBytes)
@@ -184,31 +167,35 @@ func NewDomain(cfg Config, unc *uncore.Uncore, procs []*cpu.Proc) *Domain {
 }
 
 // Mem returns the cpu.ProcMem for core i.
-func (d *Domain) Mem(i int) *Mem { return &Mem{d: d, core: i} }
+func (d *Domain) Mem(i int) *Mem { return d.mems[i] }
 
 // L1 returns core i's data cache (stats, tests).
 func (d *Domain) L1(i int) *cache.Cache { return d.l1s[i] }
 
-// Prefetcher returns core i's prefetcher.
-func (d *Domain) Prefetcher(i int) *prefetch.Prefetcher { return d.pref[i] }
-
 // Stats returns a snapshot of the protocol counters.
-func (d *Domain) Stats() Stats { return d.stats }
-
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (d *Domain) SetLatency(l *ledger.Latency) { d.lat = l }
-
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (d *Domain) SetTxnTrace(t *txntrace.Tracer) { d.txn = t }
-
-// tag annotates the active transaction with an outcome (no-op when
-// tracing is off or nothing is active).
-func (d *Domain) tag(s string) {
-	if d.txn != nil {
-		d.txn.Active().AddTag(s)
+func (d *Domain) Stats() Stats {
+	st := d.stats
+	for _, m := range d.mems {
+		ms := m.Stats()
+		st.ReadMisses += ms.ReadMisses
+		st.WriteMisses += ms.WriteMisses
 	}
+	return st
 }
+
+// mesiTags[from][to] is the "mesi=<from>-><to>" outcome tag of a state
+// transition, built once so tagging a traced miss allocates nothing.
+var mesiTags = func() (t [4][4]string) {
+	for from := cache.Invalid; from <= cache.Modified; from++ {
+		for to := cache.Invalid; to <= cache.Modified; to++ {
+			t[from][to] = "mesi=" + from.String() + "->" + to.String()
+		}
+	}
+	return t
+}()
+
+// tag annotates core i's active miss transaction with an outcome.
+func (d *Domain) tag(i int, s string) { d.mems[i].Tag(s) }
 
 // Uncore returns the shared hierarchy.
 func (d *Domain) Uncore() *uncore.Uncore { return d.unc }
@@ -265,53 +252,12 @@ func (d *Domain) snoopRemote(at sim.Time, cl int, a mem.Addr) (owner int, ln *ca
 
 const ctrlBytes = 8
 
-// insertL1 installs a line into core i's L1, handling the displaced
-// victim (dirty victims are written back to the L2 over the local bus;
-// the core does not wait for the writeback).
-func (d *Domain) insertL1(at sim.Time, i int, a mem.Addr, st cache.State, fill sim.Time) *cache.Line {
-	ln, ev := d.l1s[i].Insert(a, st, fill)
-	d.regionTrack(i, a, 1)
-	if ev.Valid {
-		d.regionTrack(i, ev.Addr, -1)
-		if ev.Prefetched {
-			d.stats.PrefetchUseless++
-		}
-		if ev.Dirty {
-			d.stats.L1WritebacksL2++
-			cl := d.procs[i].Cluster()
-			t := d.net.BusData(at, cl, mem.LineSize)
-			d.unc.WriteLine(t, cl, ev.Addr, mem.LineSize, true)
-		}
-	}
-	return ln
-}
-
-// readMiss services a demand read miss (or a prefetch when pf is set)
-// for core i. It returns the time the line is filled.
-func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
-	if d.txn != nil {
-		class := txntrace.ReadMiss
-		if pf {
-			class = txntrace.Prefetch
-		}
-		d.txn.Begin(class, i, uint64(a.Line()), at)
-	}
-	done := d.readMiss1(at, i, a, pf)
-	if !pf {
-		d.stats.ReadMissLatency += done - at
-		if d.lat != nil {
-			d.lat.ReadMiss.Record(uint64(done - at))
-		}
-	}
-	d.txn.End(done)
-	return done
-}
-
-func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
+// readMiss runs the MESI read (or, with pf, prefetch) transaction for
+// core i's miss on a. It returns when the line arrives and the state to
+// install it in.
+func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, cache.State) {
 	a = a.Line()
-	if !pf {
-		d.stats.ReadMisses++
-	} else {
+	if pf {
 		d.stats.PrefetchFills++
 	}
 	cl := d.procs[i].Cluster()
@@ -320,10 +266,8 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 	// Step 1: snoop within the cluster.
 	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
 		d.stats.C2CCluster++
-		if d.txn != nil {
-			d.tag("src=c2c_cluster")
-			d.tag("mesi=" + oln.State.String() + "->S")
-		}
+		d.tag(i, "src=c2c_cluster")
+		d.tag(i, mesiTags[oln.State][cache.Shared])
 		t = d.net.BusData(t, cl, mem.LineSize)
 		if oln.State == cache.Modified && oln.Dirty {
 			// Owner supplies dirty data and writes it back to the L2 so
@@ -332,9 +276,7 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 		}
 		oln.State = cache.Shared
 		oln.Dirty = false
-		ln := d.insertL1(t, i, a, cache.Shared, t)
-		ln.Prefetched = pf
-		return t
+		return t, cache.Shared
 	}
 
 	// Step 2: broadcast to the other clusters and the L2 — unless the
@@ -344,14 +286,14 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 	tSnoop := t
 	if d.cfg.SnoopFilter && !d.regionShared(i, a) {
 		d.stats.FilteredSnoops++
-		d.tag("snoop=filtered")
+		d.tag(i, "snoop=filtered")
 		owner = -1
 	} else {
 		owner, oln, tSnoop = d.snoopRemote(t, cl, a)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		d.stats.C2CRemote++
-		d.tag("src=owner_remote_m")
+		d.tag(i, "src=owner_remote_m")
 		ocl := d.procs[owner].Cluster()
 		td := d.net.BusData(tSnoop, ocl, mem.LineSize)
 		td = d.net.ToGlobal(td, ocl, mem.LineSize)
@@ -362,9 +304,7 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 		td = d.net.BusData(td, cl, mem.LineSize)
 		oln.State = cache.Shared
 		oln.Dirty = false
-		ln := d.insertL1(td, i, a, cache.Shared, td)
-		ln.Prefetched = pf
-		return td
+		return td, cache.Shared
 	}
 
 	// Step 3: the L2/DRAM supplies the data. Remote clean owners are
@@ -374,18 +314,13 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 		oln.State = cache.Shared
 		newState = cache.Shared
 	}
-	if d.txn != nil {
-		d.tag("src=l2")
-		d.tag("mesi=I->" + newState.String())
-	}
+	d.tag(i, "src=l2")
+	d.tag(i, mesiTags[cache.Invalid][newState])
 	done, _ := d.unc.ReadLine(t, cl, a)
 	if done < tSnoop {
 		done = tSnoop
 	}
-	done = d.net.BusData(done, cl, mem.LineSize)
-	ln := d.insertL1(done, i, a, newState, done)
-	ln.Prefetched = pf
-	return done
+	return d.net.BusData(done, cl, mem.LineSize), newState
 }
 
 // invalidateOthers kills every other copy of line a. withinOnly limits
@@ -416,46 +351,26 @@ func (d *Domain) invalidateOthers(at sim.Time, i int, a mem.Addr, withinOnly boo
 	return tSnoop
 }
 
-// writeMiss services a store miss for core i with the write-allocate
-// policy: a read-for-ownership that fetches the line (the "superfluous
-// refill" for output-only data) and invalidates every other copy.
+// writeMiss runs the write-allocate transaction for core i's store
+// miss on a: a read-for-ownership that fetches the line (the
+// "superfluous refill" for output-only data) and invalidates every other
+// copy. It returns when the line arrives, to be installed Modified.
 func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
-	d.txn.Begin(txntrace.WriteMiss, i, uint64(a.Line()), at)
-	done := d.writeMiss1(at, i, a)
-	d.stats.WriteMissLatency += done - at
-	if d.lat != nil {
-		d.lat.WriteMiss.Record(uint64(done - at))
-	}
-	d.txn.End(done)
-	return done
-}
-
-func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 	a = a.Line()
-	d.stats.WriteMisses++
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
 
 	// Cluster-local M/E owner: take the data and ownership locally.
 	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
-		if d.txn != nil {
-			d.tag("src=c2c_cluster")
-			d.tag("mesi=" + oln.State.String() + "->M")
-		}
+		d.tag(i, "src=c2c_cluster")
+		d.tag(i, mesiTags[oln.State][cache.Modified])
 		exclusiveOwner := oln.State == cache.Modified || oln.State == cache.Exclusive
 		t = d.net.BusData(t, cl, mem.LineSize)
-		dirty := oln.Dirty
 		d.invalidate(owner, a)
 		if !exclusiveOwner {
 			// Shared: other copies may exist anywhere; broadcast.
-			t2 := d.invalidateOthers(t, i, a, false)
-			if t2 > t {
-				t = t2
-			}
+			t = max(t, d.invalidateOthers(t, i, a, false))
 		}
-		_ = dirty // ownership moves with the data; the store dirties it
-		ln := d.insertL1(t, i, a, cache.Modified, t)
-		ln.Dirty = true
 		return t
 	}
 
@@ -466,14 +381,14 @@ func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 	tSnoop := t
 	if d.cfg.SnoopFilter && !d.regionShared(i, a) {
 		d.stats.FilteredSnoops++
-		d.tag("snoop=filtered")
+		d.tag(i, "snoop=filtered")
 		owner = -1
 	} else {
 		owner, oln, tSnoop = d.snoopRemote(t, cl, a)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		// Remote dirty owner transfers the line with ownership.
-		d.tag("src=owner_remote_m")
+		d.tag(i, "src=owner_remote_m")
 		ocl := d.procs[owner].Cluster()
 		td := d.net.BusData(tSnoop, ocl, mem.LineSize)
 		td = d.net.ToGlobal(td, ocl, mem.LineSize)
@@ -481,23 +396,16 @@ func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 		td = d.net.BusData(td, cl, mem.LineSize)
 		d.invalidate(owner, a)
 		d.killRemaining(a, i)
-		ln := d.insertL1(td, i, a, cache.Modified, td)
-		ln.Dirty = true
 		return td
 	}
 	d.killRemaining(a, i)
-	if d.txn != nil {
-		d.tag("src=l2")
-		d.tag("mesi=I->M")
-	}
+	d.tag(i, "src=l2")
+	d.tag(i, mesiTags[cache.Invalid][cache.Modified])
 	done, _ := d.unc.ReadLine(t, cl, a)
 	if done < tSnoop {
 		done = tSnoop
 	}
-	done = d.net.BusData(done, cl, mem.LineSize)
-	ln := d.insertL1(done, i, a, cache.Modified, done)
-	ln.Dirty = true
-	return done
+	return d.net.BusData(done, cl, mem.LineSize)
 }
 
 // killRemaining invalidates stray copies after a global broadcast has
@@ -544,38 +452,17 @@ func (d *Domain) upgrade(at sim.Time, i int, a mem.Addr) sim.Time {
 		d.stats.FilteredSnoops++
 		return t
 	}
-	t2 := d.invalidateOthers(t, i, a, false)
-	if t2 > t {
-		t = t2
-	}
-	return t
+	return max(t, d.invalidateOthers(t, i, a, false))
 }
 
-// pfsMiss services a PFS store to an absent line: ownership without data.
+// pfsMiss gains ownership of line a without data for core i's PFS
+// store to an absent line, returning when ownership is granted.
 func (d *Domain) pfsMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 	a = a.Line()
 	d.stats.PFSMisses++
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
-	t2 := d.invalidateOthers(t, i, a, false)
-	if t2 > t {
-		t = t2
-	}
-	ln, ev := d.l1s[i].InsertPFS(a, t)
-	_ = ln
-	d.regionTrack(i, a, 1)
-	if ev.Valid {
-		d.regionTrack(i, ev.Addr, -1)
-		if ev.Prefetched {
-			d.stats.PrefetchUseless++
-		}
-		if ev.Dirty {
-			d.stats.L1WritebacksL2++
-			wt := d.net.BusData(t, cl, mem.LineSize)
-			d.unc.WriteLine(wt, cl, ev.Addr, mem.LineSize, true)
-		}
-	}
-	return t
+	return max(t, d.invalidateOthers(t, i, a, false))
 }
 
 // CheckInvariants verifies MESI invariants across all L1s: a line that is

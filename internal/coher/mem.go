@@ -1,132 +1,122 @@
 package coher
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/dma"
+	"repro/internal/incoher"
 	"repro/internal/mem"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/txntrace"
 )
 
-// Mem is the per-core cpu.ProcMem of the cache-coherent model. L1 hits
-// are charged locally without an engine round trip; misses, upgrades and
-// prefetch issue synchronize with the engine so that shared-state
-// mutations stay in timestamp order.
+// Mem is the per-core cpu.ProcMem of the cache-coherent model: the
+// private L1 front end (incoher.L1) with MESI plugged in as its
+// Protocol. L1 hits are charged locally without an engine round trip;
+// misses, upgrades and prefetch issue synchronize with the engine so
+// that shared-state mutations stay in timestamp order.
 //
-// Sync audit (engine fast path, PR 2): every Sync below is immediately
-// followed by a read or write of cross-core state — the bus/L2 servers
-// via readMiss/writeMiss/upgrade, peer L1s via invalidation, or this
-// core's own L1 tags, which peers mutate through snoops and so count as
-// shared. None can convert to SetTime/Advance. They stay because they
-// are needed, not because they are cheap — though with the engine fast
-// path a Sync by the globally minimal core does not yield.
+// Sync audit (engine fast path): every Sync before a hook is
+// immediately followed by a read or write of cross-core state — the
+// bus/L2 servers via readMiss/writeMiss/upgrade, peer L1s via
+// invalidation, or this core's own L1 tags, which peers mutate through
+// snoops and so count as shared. None can convert to SetTime/Advance.
+// They stay because they are needed, not because they are cheap —
+// though with the engine fast path a Sync by the globally minimal core
+// does not yield.
 type Mem struct {
+	*incoher.L1
 	d    *Domain
 	core int
+	pref *prefetch.Prefetcher
+	gath gatherBuffer
 }
 
-var _ cpu.ProcMem = (*Mem)(nil)
+var (
+	_ cpu.ProcMem      = (*Mem)(nil)
+	_ incoher.Protocol = (*Mem)(nil)
+)
 
-// Load implements cpu.ProcMem.
-func (m *Mem) Load(p *cpu.Proc, a mem.Addr) sim.Time {
-	c := m.d.l1s[m.core]
-	ln, wasPf := c.AccessTagged(a, false)
-	if ln != nil {
-		done := p.Now()
-		if ln.FillDone > done {
-			done = ln.FillDone
-			if wasPf {
-				// The stall until FillDone is the tail of a prefetch still
-				// in flight — ledger it as PrefetchShadow, not LoadStall.
-				p.MarkPrefetchShadow()
-			}
-		}
-		if wasPf {
-			// Tagged trigger: top the stream up. This touches shared
-			// resources, so sync first.
-			p.Task().Sync()
-			m.issuePrefetches(p, m.d.pref[m.core].Hit(a.Line()))
-		}
-		return done
-	}
-	p.Task().Sync()
+// ReadMiss implements incoher.Protocol: flush any gathered writes to
+// the line, fill it, and let the prefetcher run ahead of the miss.
+func (m *Mem) ReadMiss(p *cpu.Proc, a mem.Addr) sim.Time {
 	// The gather buffer may hold pending writes to this line; flush them
 	// so the load observes a consistent memory image.
 	if !m.d.cfg.WriteAllocate {
-		m.d.gath[m.core].flushLine(m.d, m.core, p, a.Line())
+		m.gath.flushLine(m, p, a.Line())
 	}
-	done := m.d.readMiss(p.Now(), m.core, a, false)
-	m.issuePrefetches(p, m.d.pref[m.core].Miss(a.Line()))
+	done := m.Miss(txntrace.ReadMiss, p.Now(), a)
+	m.issuePrefetches(p, m.pref.Miss(a.Line()))
 	return done
+}
+
+// PrefetchHit implements incoher.Protocol: a tagged trigger tops the
+// prefetch stream up.
+func (m *Mem) PrefetchHit(p *cpu.Proc, a mem.Addr) {
+	m.issuePrefetches(p, m.pref.Hit(a.Line()))
 }
 
 // issuePrefetches fires the prefetcher's proposals into the memory
 // system without stalling the core.
 func (m *Mem) issuePrefetches(p *cpu.Proc, addrs []mem.Addr) {
-	c := m.d.l1s[m.core]
 	for _, pa := range addrs {
-		if c.Lookup(pa) != nil {
+		if m.Cache().Lookup(pa) != nil {
 			continue // already resident or in flight
 		}
-		m.d.readMiss(p.Now(), m.core, pa, true)
+		m.Miss(txntrace.Prefetch, p.Now(), pa)
 	}
 }
 
-// Store implements cpu.ProcMem.
-func (m *Mem) Store(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
-	c := m.d.l1s[m.core]
-	ln := c.Access(a, true)
-	if ln != nil {
-		switch ln.State {
-		case cache.Modified:
-			ln.Dirty = true
-			return maxTime(p.Now(), ln.FillDone)
-		case cache.Exclusive:
-			// E -> M is silent in MESI.
-			ln.State = cache.Modified
-			ln.Dirty = true
-			return maxTime(p.Now(), ln.FillDone)
-		case cache.Shared:
-			p.Task().Sync()
-			// The line may have been invalidated while we yielded.
-			if ln2 := c.Lookup(a); ln2 != nil {
-				done := m.d.upgrade(p.Now(), m.core, a)
-				ln2.State = cache.Modified
-				ln2.Dirty = true
-				return done
-			}
-			return m.d.writeMiss(p.Now(), m.core, a)
-		}
-	}
-	p.Task().Sync()
+// WriteMiss implements incoher.Protocol: a write-allocate fill, or a
+// write-gather buffer entry under the no-write-allocate policy.
+func (m *Mem) WriteMiss(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
 	if !m.d.cfg.WriteAllocate {
-		return m.d.gath[m.core].add(m.d, m.core, p, a, nbytes)
+		return m.gath.add(m, p, a, nbytes)
 	}
-	return m.d.writeMiss(p.Now(), m.core, a)
+	return m.Miss(txntrace.WriteMiss, p.Now(), a)
 }
 
-// StorePFS implements cpu.ProcMem: allocate-without-refill stores.
-func (m *Mem) StorePFS(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
-	c := m.d.l1s[m.core]
-	ln := c.Access(a, true)
-	if ln != nil {
-		switch ln.State {
-		case cache.Modified, cache.Exclusive:
-			ln.State = cache.Modified
-			ln.Dirty = true
-			return maxTime(p.Now(), ln.FillDone)
-		case cache.Shared:
-			p.Task().Sync()
-			if ln2 := c.Lookup(a); ln2 != nil {
-				done := m.d.upgrade(p.Now(), m.core, a)
-				ln2.State = cache.Modified
-				ln2.Dirty = true
-				return done
-			}
-			return m.d.pfsMiss(p.Now(), m.core, a)
-		}
+// Fetch implements incoher.Protocol: the MESI bus transaction of a
+// read, prefetch or write-allocate miss.
+func (m *Mem) Fetch(class txntrace.Class, at sim.Time, a mem.Addr) (sim.Time, cache.State) {
+	if class == txntrace.WriteMiss {
+		return m.d.writeMiss(at, m.core, a), cache.Modified
 	}
-	p.Task().Sync()
-	return m.d.pfsMiss(p.Now(), m.core, a)
+	return m.d.readMiss(at, m.core, a, class == txntrace.Prefetch)
+}
+
+// Upgrade implements incoher.Protocol.
+func (m *Mem) Upgrade(at sim.Time, a mem.Addr) (sim.Time, bool) {
+	ln := m.Cache().Lookup(a)
+	if ln == nil {
+		return 0, false
+	}
+	done := m.d.upgrade(at, m.core, a)
+	ln.State = cache.Modified
+	ln.Dirty = true
+	return done, true
+}
+
+// PFSMiss implements incoher.Protocol.
+func (m *Mem) PFSMiss(at sim.Time, a mem.Addr) sim.Time { return m.d.pfsMiss(at, m.core, a) }
+
+// Installed implements incoher.Protocol: keep the region filter and the
+// victim counters in step with the L1's contents.
+func (m *Mem) Installed(a mem.Addr, ev cache.Evicted) {
+	m.d.regionTrack(m.core, a, 1)
+	if !ev.Valid {
+		return
+	}
+	m.d.regionTrack(m.core, ev.Addr, -1)
+	if ev.Prefetched {
+		m.d.stats.PrefetchUseless++
+	}
+	if ev.Dirty {
+		m.d.stats.L1WritebacksL2++
+	}
 }
 
 // PrefetchRange implements the hybrid "bulk transfer primitives for
@@ -139,20 +129,16 @@ func (m *Mem) PrefetchRange(p *cpu.Proc, a mem.Addr, nbytes uint64) {
 	if nbytes == 0 {
 		return
 	}
-	p.Work(dmaSetupInstr) // programming the bulk transfer
+	p.Work(dma.SetupInstr) // programming the bulk transfer
 	p.Task().Sync()
-	c := m.d.l1s[m.core]
 	end := a + mem.Addr(nbytes)
 	for la := a.Line(); la < end; la += mem.LineSize {
-		if c.Lookup(la) != nil {
+		if m.Cache().Lookup(la) != nil {
 			continue
 		}
-		m.d.readMiss(p.Now(), m.core, la, true)
+		m.Miss(txntrace.Prefetch, p.Now(), la)
 	}
 }
-
-// dmaSetupInstr mirrors the streaming model's DMA programming cost.
-const dmaSetupInstr = 8
 
 // Flush implements cpu.ProcMem: drain the write-gather buffer.
 func (m *Mem) Flush(p *cpu.Proc) sim.Time {
@@ -160,14 +146,7 @@ func (m *Mem) Flush(p *cpu.Proc) sim.Time {
 		return p.Now()
 	}
 	p.Task().Sync()
-	return m.d.gath[m.core].flushAll(m.d, m.core, p)
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
+	return m.gath.flushAll(m, p)
 }
 
 // gatherBufferEntries is the depth of the no-write-allocate model's
@@ -190,12 +169,10 @@ type gatherBuffer struct {
 	next    int // FIFO replacement
 }
 
-func newGatherBuffer() *gatherBuffer { return &gatherBuffer{} }
-
 // add records a store covering nbytes from a into the buffer, flushing
 // a displaced entry if needed. It returns the store's completion time
 // (acceptance).
-func (g *gatherBuffer) add(d *Domain, core int, p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
+func (g *gatherBuffer) add(m *Mem, p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
 	la := a.Line()
 	if nbytes == 0 {
 		nbytes = 4
@@ -209,7 +186,7 @@ func (g *gatherBuffer) add(d *Domain, core int, p *cpu.Proc, a mem.Addr, nbytes 
 		if e.valid && e.line == la {
 			e.mask |= wordMask
 			if e.mask == 0xFFFFFFFF {
-				g.flushEntry(d, core, p, e)
+				g.flushEntry(m, p, e)
 			}
 			return p.Now()
 		}
@@ -218,7 +195,7 @@ func (g *gatherBuffer) add(d *Domain, core int, p *cpu.Proc, a mem.Addr, nbytes 
 	e := &g.entries[g.next]
 	g.next = (g.next + 1) % gatherBufferEntries
 	if e.valid {
-		g.flushEntry(d, core, p, e)
+		g.flushEntry(m, p, e)
 	}
 	*e = gatherEntry{line: la, mask: wordMask, valid: true}
 	return p.Now()
@@ -226,41 +203,34 @@ func (g *gatherBuffer) add(d *Domain, core int, p *cpu.Proc, a mem.Addr, nbytes 
 
 // flushEntry sends a gathered entry to the L2 and invalidates other
 // cached copies (coherence for non-allocating stores).
-func (g *gatherBuffer) flushEntry(d *Domain, core int, p *cpu.Proc, e *gatherEntry) {
+func (g *gatherBuffer) flushEntry(m *Mem, p *cpu.Proc, e *gatherEntry) {
 	if !e.valid {
 		return
 	}
+	d := m.d
 	d.stats.GatherFlushes++
-	cl := d.procs[core].Cluster()
+	cl := d.procs[m.core].Cluster()
 	now := p.Now()
 	t := d.net.BusControl(now, cl)
-	t = d.invalidateOthers(t, core, e.line, false)
-	nbytes := uint64(popcount(e.mask))
+	t = d.invalidateOthers(t, m.core, e.line, false)
+	nbytes := uint64(bits.OnesCount32(e.mask))
 	full := e.mask == 0xFFFFFFFF
 	t = d.net.BusData(t, cl, nbytes)
 	d.unc.WriteLine(t, cl, e.line, nbytes, full)
 	e.valid = false
 }
 
-func (g *gatherBuffer) flushLine(d *Domain, core int, p *cpu.Proc, la mem.Addr) {
+func (g *gatherBuffer) flushLine(m *Mem, p *cpu.Proc, la mem.Addr) {
 	for i := range g.entries {
 		if g.entries[i].valid && g.entries[i].line == la {
-			g.flushEntry(d, core, p, &g.entries[i])
+			g.flushEntry(m, p, &g.entries[i])
 		}
 	}
 }
 
-func (g *gatherBuffer) flushAll(d *Domain, core int, p *cpu.Proc) sim.Time {
+func (g *gatherBuffer) flushAll(m *Mem, p *cpu.Proc) sim.Time {
 	for i := range g.entries {
-		g.flushEntry(d, core, p, &g.entries[i])
+		g.flushEntry(m, p, &g.entries[i])
 	}
 	return p.Now()
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -143,9 +143,10 @@ type System struct {
 	net   *noc.Network
 	unc   *uncore.Uncore
 	procs []*cpu.Proc
+	mems  []cpu.ProcMem   // each core's first level
+	l1s   []*incoher.L1   // the private cache inside each mems[i]
 	dom   *coher.Domain   // CC only
 	strs  []*stream.Mem   // STR only
-	inc   *incoher.Domain // INC only
 	lat   *ledger.Latency // non-nil when cfg.CycleLedger
 	ran   bool
 }
@@ -221,14 +222,23 @@ func New(cfg Config) *System {
 		ccfg.WriteAllocate = !cfg.NoWriteAllocate
 		ccfg.SnoopFilter = cfg.SnoopFilter
 		s.dom = coher.NewDomain(ccfg, s.unc, s.procs)
+		for i := range s.procs {
+			m := s.dom.Mem(i)
+			s.mems, s.l1s = append(s.mems, m), append(s.l1s, m.L1)
+		}
 	case STR:
 		scfg := stream.DefaultConfig()
 		scfg.DMAOutstanding = cfg.DMAOutstanding
-		for i := 0; i < cfg.Cores; i++ {
-			s.strs = append(s.strs, stream.New(i, s.net.ClusterOf(i), scfg, s.unc))
+		for i, p := range s.procs {
+			m := stream.New(i, p.Cluster(), scfg, s.unc)
+			s.strs = append(s.strs, m)
+			s.mems, s.l1s = append(s.mems, m), append(s.l1s, m.L1)
 		}
 	case INC:
-		s.inc = incoher.NewDomain(incoher.DefaultConfig(), s.unc, s.procs)
+		for i, p := range s.procs {
+			m := incoher.New(i, p.Cluster(), incoher.DefaultConfig(), s.unc)
+			s.mems, s.l1s = append(s.mems, m), append(s.l1s, m.L1)
+		}
 	default:
 		panic("core: unknown model")
 	}
@@ -247,15 +257,11 @@ func New(cfg Config) *System {
 func (s *System) attachTxnTrace(t *txntrace.Tracer) {
 	s.unc.SetTxnTrace(t)
 	s.net.SetTxnTrace(t)
-	switch s.cfg.Model {
-	case CC:
-		s.dom.SetTxnTrace(t)
-	case STR:
-		for _, m := range s.strs {
-			m.SetTxnTrace(t)
-		}
-	case INC:
-		s.inc.SetTxnTrace(t)
+	for _, l1 := range s.l1s {
+		l1.SetTxnTrace(t)
+	}
+	for i, m := range s.strs {
+		m.DMA().SetTxnTrace(t, i)
 	}
 }
 
@@ -268,15 +274,11 @@ func (s *System) attachLedger() {
 	}
 	s.unc.SetLatency(s.lat)
 	s.net.SetLatency(s.lat)
-	switch s.cfg.Model {
-	case CC:
-		s.dom.SetLatency(s.lat)
-	case STR:
-		for _, m := range s.strs {
-			m.SetLatency(s.lat)
-		}
-	case INC:
-		s.inc.SetLatency(s.lat)
+	for _, l1 := range s.l1s {
+		l1.SetLatency(s.lat)
+	}
+	for _, m := range s.strs {
+		m.DMA().SetLatency(s.lat)
 	}
 }
 
@@ -306,9 +308,6 @@ func (s *System) Domain() *coher.Domain { return s.dom }
 
 // StreamMem returns core i's streaming first level (STR model only).
 func (s *System) StreamMem(i int) *stream.Mem { return s.strs[i] }
-
-// Incoherent returns the incoherent-cache domain (INC model only).
-func (s *System) Incoherent() *incoher.Domain { return s.inc }
 
 // Uncore returns the shared hierarchy.
 func (s *System) Uncore() *uncore.Uncore { return s.unc }
@@ -356,25 +355,15 @@ func (s *System) Run(w Workload) (rep *Report, err error) {
 	for i := 0; i < s.cfg.Cores; i++ {
 		p := s.procs[i]
 		p.SetTracer(s.cfg.Trace)
-		var m cpu.ProcMem
-		switch s.cfg.Model {
-		case CC:
-			m = s.dom.Mem(i)
-		case STR:
-			m = s.strs[i]
-		case INC:
-			m = s.inc.Mem(i)
-		}
+		m := s.mems[i]
 		s.eng.Spawn(fmt.Sprintf("core%d", i), 0, func(task *sim.Task) {
 			p.Bind(task, m)
 			w.Run(p)
 			p.Finish()
 		})
 	}
-	if s.cfg.Model == STR {
-		for _, m := range s.strs {
-			m.Spawn(s.eng)
-		}
+	for _, m := range s.strs {
+		m.Spawn(s.eng)
 	}
 	if s.cfg.Probe != nil {
 		s.attachProbe(s.cfg.Probe)

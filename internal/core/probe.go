@@ -4,6 +4,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dma"
+	"repro/internal/incoher"
 	"repro/internal/ledger"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -92,7 +93,7 @@ func (s *System) attachProbe(r *probe.Recorder) {
 		})
 	case INC:
 		r.AddSnapshot("inc", func(put func(string, float64)) {
-			s.inc.Stats().Snapshot(put)
+			s.missStats().Snapshot(put)
 		})
 	case STR:
 		r.AddSnapshot("dma", func(put func(string, float64)) {
@@ -125,19 +126,18 @@ func (s *System) attachProbe(r *probe.Recorder) {
 // built (shared by report() and the probe's "l1" source).
 func (s *System) l1Stats() cache.Stats {
 	var agg cache.Stats
-	switch s.cfg.Model {
-	case CC:
-		for i := 0; i < s.cfg.Cores; i++ {
-			agg.Add(s.dom.L1(i).Stats())
-		}
-	case INC:
-		for i := 0; i < s.cfg.Cores; i++ {
-			agg.Add(s.inc.L1(i).Stats())
-		}
-	case STR:
-		for _, m := range s.strs {
-			agg.Add(m.Cache().Stats())
-		}
+	for _, l1 := range s.l1s {
+		agg.Add(l1.Cache().Stats())
+	}
+	return agg
+}
+
+// missStats aggregates the first level's miss accounting across cores
+// (shared by report() and the probe's "inc" source).
+func (s *System) missStats() incoher.Stats {
+	var agg incoher.Stats
+	for _, l1 := range s.l1s {
+		agg.Add(l1.Stats())
 	}
 	return agg
 }

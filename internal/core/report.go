@@ -12,7 +12,6 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/uncore"
 )
 
@@ -142,14 +141,7 @@ func (s *System) report() *Report {
 		r.PrefetchUseless = st.PrefetchUseless
 		r.GatherFlushes = st.GatherFlushes
 		r.FilteredSnoops = st.FilteredSnoops
-		r.AvgReadMissLatency = st.AvgReadMissLatency()
-		r.AvgWriteMissLatency = st.AvgWriteMissLatency()
-	case INC:
-		st := s.inc.Stats()
-		r.AvgReadMissLatency = st.AvgReadMissLatency()
-		r.AvgWriteMissLatency = st.AvgWriteMissLatency()
 	case STR:
-		var ss stream.Stats
 		var da dma.Stats
 		for _, m := range s.strs {
 			ds := m.DMA().Stats()
@@ -159,13 +151,13 @@ func (s *System) report() *Report {
 			r.DMAPutBytes += ds.PutBytes
 			ls := m.LocalStore().Stats()
 			r.LSAccesses += ls.Reads + ls.Writes + ls.DMABeats
-			ss.Add(m.Stats())
 		}
-		r.AvgReadMissLatency = ss.AvgReadMissLatency()
-		r.AvgWriteMissLatency = ss.AvgWriteMissLatency()
 		r.AvgDMAGetLatency = da.AvgGetLatency()
 		r.AvgDMAPutLatency = da.AvgPutLatency()
 	}
+	ms := s.missStats()
+	r.AvgReadMissLatency = ms.AvgReadMissLatency()
+	r.AvgWriteMissLatency = ms.AvgWriteMissLatency()
 	r.L1 = s.l1Stats()
 	r.Engine = s.eng.Metrics()
 	s.net.AddServerMetrics(&r.Servers)

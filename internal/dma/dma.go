@@ -22,6 +22,11 @@ import (
 // sustains (Table 2).
 const Outstanding = 16
 
+// SetupInstr is the instruction overhead of programming one DMA command
+// ("it often has to execute additional instructions to set up DMA
+// transfers"); the coherent model's bulk prefetch pays it too.
+const SetupInstr = 8
+
 // Dir is a transfer direction.
 type Dir uint8
 

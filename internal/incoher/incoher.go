@@ -1,9 +1,13 @@
-// Package incoher implements the third practical point in the paper's
-// Table 1 design space: **incoherent cache-based** memory — hardware-
-// managed locality (ordinary caches) with software-managed communication
-// (no coherence protocol; software flushes and invalidates explicitly at
-// synchronization points, as in the embedded MPSoCs of the paper's
-// Loghi & Poncino reference [31] and the Section 7 hybrid discussion).
+// Package incoher holds the private L1 front end every memory model's
+// first level is built on (L1), and the incoherent cache-based model
+// that is that front end with no protocol in front of it.
+//
+// The incoherent model is the third practical point in the paper's
+// Table 1 design space: hardware-managed locality (ordinary caches)
+// with software-managed communication (no coherence protocol; software
+// flushes and invalidates explicitly at synchronization points, as in
+// the embedded MPSoCs of the paper's Loghi & Poncino reference [31] and
+// the Section 7 hybrid discussion).
 //
 // Compared with the coherent model, every miss skips the snoop
 // broadcasts — no bus command slots, no tag probes in other caches, no
@@ -18,11 +22,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/ledger"
 	"repro/internal/mem"
-	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/txntrace"
 	"repro/internal/uncore"
 )
 
@@ -36,179 +37,22 @@ type Config struct {
 // DefaultConfig matches the coherent model's 32 KB 2-way L1s.
 func DefaultConfig() Config { return Config{L1Size: 32 * 1024, L1Assoc: 2} }
 
-// Stats counts software-coherence activity.
-type Stats struct {
-	ReadMisses  uint64
-	WriteMisses uint64
-	Flushes     uint64 // dirty lines written back by software
-	Invalidates uint64 // lines killed by software
-	FlushOps    uint64 // FlushRange calls
-	InvalOps    uint64 // InvalidateRange calls
-
-	// Miss-service accumulators mirroring coher.Stats so the models'
-	// reports are comparable field-for-field (diagnostics, not time
-	// series — they stay out of Snapshot so probe columns are stable).
-	ReadMissLatency  sim.Time
-	WriteMissLatency sim.Time
-}
-
-// AvgReadMissLatency returns the mean demand read-miss service time.
-func (s Stats) AvgReadMissLatency() sim.Time {
-	if s.ReadMisses == 0 {
-		return 0
-	}
-	return s.ReadMissLatency / sim.Time(s.ReadMisses)
-}
-
-// AvgWriteMissLatency returns the mean write-miss service time.
-func (s Stats) AvgWriteMissLatency() sim.Time {
-	if s.WriteMisses == 0 {
-		return 0
-	}
-	return s.WriteMissLatency / sim.Time(s.WriteMisses)
-}
-
-// Snapshot emits the counters in a fixed order (probe layer).
-func (s Stats) Snapshot(put func(name string, value float64)) {
-	put("read_misses", float64(s.ReadMisses))
-	put("write_misses", float64(s.WriteMisses))
-	put("flushes", float64(s.Flushes))
-	put("invalidates", float64(s.Invalidates))
-	put("flush_ops", float64(s.FlushOps))
-	put("inval_ops", float64(s.InvalOps))
-}
-
-// Domain is the set of incoherent L1s over one uncore.
-type Domain struct {
-	cfg   Config
-	net   *noc.Network
-	unc   *uncore.Uncore
-	procs []*cpu.Proc
-	l1s   []*cache.Cache
-	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
-}
-
-// NewDomain builds the incoherent L1 level for the given cores.
-func NewDomain(cfg Config, unc *uncore.Uncore, procs []*cpu.Proc) *Domain {
-	d := &Domain{cfg: cfg, net: unc.Network(), unc: unc, procs: procs}
-	for i := range procs {
-		d.l1s = append(d.l1s, cache.New(cache.Config{
-			Name:  fmt.Sprintf("incl1d%d", i),
-			Size:  cfg.L1Size,
-			Assoc: cfg.L1Assoc,
-		}))
-	}
-	return d
-}
-
-// Mem returns the cpu.ProcMem for core i.
-func (d *Domain) Mem(i int) *Mem { return &Mem{d: d, core: i} }
-
-// L1 returns core i's cache.
-func (d *Domain) L1(i int) *cache.Cache { return d.l1s[i] }
-
-// Stats returns a snapshot of the counters.
-func (d *Domain) Stats() Stats { return d.stats }
-
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (d *Domain) SetLatency(l *ledger.Latency) { d.lat = l }
-
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (d *Domain) SetTxnTrace(t *txntrace.Tracer) { d.txn = t }
-
-// Mem is the per-core cpu.ProcMem of the incoherent model. Misses go
-// straight to the shared L2/DRAM with no snooping.
+// Mem is the per-core cpu.ProcMem of the incoherent model: a private
+// L1 whose misses go straight to the shared L2/DRAM with no snooping,
+// plus the software-coherence operations.
 type Mem struct {
-	d    *Domain
-	core int
+	*L1
 }
 
 var _ cpu.ProcMem = (*Mem)(nil)
 
-func (m *Mem) cluster() int { return m.d.procs[m.core].Cluster() }
-
-func (m *Mem) evict(at sim.Time, ev cache.Evicted) {
-	if ev.Valid && ev.Dirty {
-		cl := m.cluster()
-		t := m.d.net.BusData(at, cl, mem.LineSize)
-		m.d.unc.WriteLine(t, cl, ev.Addr, mem.LineSize, true)
-	}
-}
-
-// Load implements cpu.ProcMem.
-func (m *Mem) Load(p *cpu.Proc, a mem.Addr) sim.Time {
-	c := m.d.l1s[m.core]
-	if ln := c.Access(a, false); ln != nil {
-		if ln.FillDone > p.Now() {
-			return ln.FillDone
-		}
-		return p.Now()
-	}
-	p.Task().Sync()
-	m.d.stats.ReadMisses++
-	at := p.Now()
-	m.d.txn.Begin(txntrace.ReadMiss, m.core, uint64(a.Line()), at)
-	cl := m.cluster()
-	t := m.d.net.BusControl(at, cl)
-	done, _ := m.d.unc.ReadLine(t, cl, a)
-	done = m.d.net.BusData(done, cl, mem.LineSize)
-	m.d.txn.End(done)
-	m.d.stats.ReadMissLatency += done - at
-	if m.d.lat != nil {
-		m.d.lat.ReadMiss.Record(uint64(done - at))
-	}
-	_, ev := c.Insert(a, cache.Exclusive, done)
-	m.evict(done, ev)
-	return done
-}
-
-// Store implements cpu.ProcMem: write-back, write-allocate, but with no
-// ownership transaction — there is no coherence to maintain.
-func (m *Mem) Store(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
-	c := m.d.l1s[m.core]
-	if ln := c.Access(a, true); ln != nil {
-		ln.State = cache.Modified
-		ln.Dirty = true
-		if ln.FillDone > p.Now() {
-			return ln.FillDone
-		}
-		return p.Now()
-	}
-	p.Task().Sync()
-	m.d.stats.WriteMisses++
-	at := p.Now()
-	m.d.txn.Begin(txntrace.WriteMiss, m.core, uint64(a.Line()), at)
-	cl := m.cluster()
-	t := m.d.net.BusControl(at, cl)
-	done, _ := m.d.unc.ReadLine(t, cl, a) // write-allocate refill
-	done = m.d.net.BusData(done, cl, mem.LineSize)
-	m.d.txn.End(done)
-	m.d.stats.WriteMissLatency += done - at
-	if m.d.lat != nil {
-		m.d.lat.WriteMiss.Record(uint64(done - at))
-	}
-	ln, ev := c.Insert(a, cache.Modified, done)
-	ln.Dirty = true
-	m.evict(done, ev)
-	return done
-}
-
-// StorePFS implements cpu.ProcMem: allocate without refill (trivially
-// safe here — there are no other copies to reconcile).
-func (m *Mem) StorePFS(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
-	c := m.d.l1s[m.core]
-	if ln := c.Access(a, true); ln != nil {
-		ln.State = cache.Modified
-		ln.Dirty = true
-		return p.Now()
-	}
-	p.Task().Sync()
-	_, ev := c.InsertPFS(a, p.Now())
-	m.evict(p.Now(), ev)
-	return p.Now()
+// New builds core's incoherent L1 in the given cluster over unc.
+func New(core, cluster int, cfg Config, unc *uncore.Uncore) *Mem {
+	return &Mem{NewL1(core, cluster, cache.Config{
+		Name:  fmt.Sprintf("incl1d%d", core),
+		Size:  cfg.L1Size,
+		Assoc: cfg.L1Assoc,
+	}, unc)}
 }
 
 // Flush implements cpu.ProcMem. No Sync here: FlushRange syncs before
@@ -223,17 +67,15 @@ func (m *Mem) Flush(p *cpu.Proc) sim.Time {
 // It returns the time the last write-back is accepted.
 func (m *Mem) FlushRange(p *cpu.Proc, a mem.Addr, n uint64) sim.Time {
 	p.Task().Sync()
-	m.d.stats.FlushOps++
-	c := m.d.l1s[m.core]
-	cl := m.cluster()
+	m.stats.FlushOps++
 	t := p.Now()
 	end := a + mem.Addr(n)
 	if n == ^uint64(0) {
 		end = ^mem.Addr(0)
 	}
 	var last sim.Time
-	for _, la := range c.Lines() {
-		ln := c.Lookup(la)
+	for _, la := range m.c.Lines() {
+		ln := m.c.Lookup(la)
 		if ln == nil || !ln.Dirty || la < a || la >= end {
 			continue
 		}
@@ -242,18 +84,15 @@ func (m *Mem) FlushRange(p *cpu.Proc, a mem.Addr, n uint64) sim.Time {
 		// for each to complete).
 		p.Work(1)
 		t = p.Now()
-		m.d.stats.Flushes++
-		bt := m.d.net.BusData(t, cl, mem.LineSize)
-		if done := m.d.unc.WriteLine(bt, cl, la, mem.LineSize, true); done > last {
+		m.stats.Flushes++
+		bt := m.net.BusData(t, m.cluster, mem.LineSize)
+		if done := m.unc.WriteLine(bt, m.cluster, la, mem.LineSize, true); done > last {
 			last = done
 		}
 		ln.Dirty = false
 		ln.State = cache.Exclusive
 	}
-	if last > t {
-		t = last
-	}
-	return t
+	return max(t, last)
 }
 
 // InvalidateRange discards every cached line in [a, a+n), dirty or not.
@@ -262,15 +101,14 @@ func (m *Mem) FlushRange(p *cpu.Proc, a mem.Addr, n uint64) sim.Time {
 // software coherence hard to program.
 func (m *Mem) InvalidateRange(p *cpu.Proc, a mem.Addr, n uint64) {
 	p.Task().Sync()
-	m.d.stats.InvalOps++
-	c := m.d.l1s[m.core]
+	m.stats.InvalOps++
 	end := a + mem.Addr(n)
-	for _, la := range c.Lines() {
+	for _, la := range m.c.Lines() {
 		if la < a || la >= end {
 			continue
 		}
 		p.Work(1)
-		c.Invalidate(la)
-		m.d.stats.Invalidates++
+		m.c.Invalidate(la)
+		m.stats.Invalidates++
 	}
 }

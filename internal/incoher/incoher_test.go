@@ -13,7 +13,7 @@ import (
 // harness wires an engine, uncore and n incoherent cores.
 type harness struct {
 	eng   *sim.Engine
-	dom   *Domain
+	mems  []*Mem
 	unc   *uncore.Uncore
 	procs []*cpu.Proc
 }
@@ -24,9 +24,18 @@ func newHarness(n int) *harness {
 	h.unc = uncore.New(uncore.DefaultConfig(), net)
 	for i := 0; i < n; i++ {
 		h.procs = append(h.procs, cpu.New(i, net.ClusterOf(i), cpu.Config{Clock: sim.MHz(800)}))
+		h.mems = append(h.mems, New(i, net.ClusterOf(i), DefaultConfig(), h.unc))
 	}
-	h.dom = NewDomain(DefaultConfig(), h.unc, h.procs)
 	return h
+}
+
+// stats sums the per-core counters.
+func (h *harness) stats() Stats {
+	var st Stats
+	for _, m := range h.mems {
+		st.Add(m.Stats())
+	}
+	return st
 }
 
 func (h *harness) run(bodies ...func(p *cpu.Proc)) {
@@ -34,7 +43,7 @@ func (h *harness) run(bodies ...func(p *cpu.Proc)) {
 		i, body := i, body
 		h.eng.Spawn("core", 0, func(task *sim.Task) {
 			p := h.procs[i]
-			p.Bind(task, h.dom.Mem(i))
+			p.Bind(task, h.mems[i])
 			body(p)
 			p.Finish()
 		})
@@ -56,7 +65,7 @@ func TestMissesSkipSnoops(t *testing.T) {
 	h.run(bodies...)
 	// No snoop probes anywhere: no coherence hardware.
 	for i := 0; i < 4; i++ {
-		if got := h.dom.L1(i).Stats().SnoopLookups; got != 0 {
+		if got := h.mems[i].Cache().Stats().SnoopLookups; got != 0 {
 			t.Errorf("core %d saw %d snoop probes; INC has none", i, got)
 		}
 		if got := h.procs[i].Stats().SnoopStalls; got != 0 {
@@ -73,7 +82,7 @@ func TestStoreNeedsNoOwnership(t *testing.T) {
 	check := func(p *cpu.Proc) {
 		// Sample before Finish (which flushes, as a well-behaved INC
 		// program drains its dirty data at the end).
-		ln := h.dom.L1(p.ID()).Lookup(0x5000)
+		ln := h.mems[p.ID()].Cache().Lookup(0x5000)
 		if ln == nil || !ln.Dirty {
 			t.Errorf("core %d lost its private dirty copy", p.ID())
 		}
@@ -102,14 +111,14 @@ func TestFlushRangeWritesBackDirtyLines(t *testing.T) {
 		m := p.Mem().(*Mem)
 		m.FlushRange(p, 0x8000, 16*32)
 	})
-	if got := h.dom.Stats().Flushes; got != 16 {
+	if got := h.stats().Flushes; got != 16 {
 		t.Errorf("flushed %d lines, want 16", got)
 	}
 	if got := h.unc.Stats().WriteRequests; got < 16 {
 		t.Errorf("L2 saw %d writes, want >= 16", got)
 	}
 	// Lines stay resident and clean.
-	ln := h.dom.L1(0).Lookup(0x8000)
+	ln := h.mems[0].Cache().Lookup(0x8000)
 	if ln == nil || ln.Dirty {
 		t.Errorf("flushed line should remain resident and clean, got %+v", ln)
 	}
@@ -121,11 +130,11 @@ func TestInvalidateRangeForcesRefetch(t *testing.T) {
 	h.run(func(p *cpu.Proc) {
 		p.Load(0x9000)
 		p.Load(0x9000) // hit
-		missesBefore = h.dom.Stats().ReadMisses
+		missesBefore = h.stats().ReadMisses
 		m := p.Mem().(*Mem)
 		m.InvalidateRange(p, 0x9000, 32)
 		p.Load(0x9000) // must re-fetch
-		missesAfter = h.dom.Stats().ReadMisses
+		missesAfter = h.stats().ReadMisses
 	})
 	if missesAfter != missesBefore+1 {
 		t.Errorf("invalidate did not force a refetch: %d -> %d", missesBefore, missesAfter)
@@ -154,7 +163,7 @@ func TestProducerConsumerThroughFlush(t *testing.T) {
 			m.FlushRange(p, region, 32)
 		},
 	)
-	st := h.dom.Stats()
+	st := h.stats()
 	if st.Flushes != 1 || st.Invalidates != 1 {
 		t.Errorf("flushes=%d invalidates=%d, want 1,1", st.Flushes, st.Invalidates)
 	}
@@ -205,7 +214,7 @@ func TestINCFasterThanCCWithoutSharing(t *testing.T) {
 		}
 	}
 	h.run(bodies...)
-	if got := h.dom.Stats().Invalidates; got != 0 {
+	if got := h.stats().Invalidates; got != 0 {
 		t.Errorf("unshared stores caused %d invalidations", got)
 	}
 }
