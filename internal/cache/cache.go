@@ -41,14 +41,17 @@ func (s State) String() string {
 	return "?"
 }
 
-// Line is one cache line's bookkeeping.
+// Line is one cache line's bookkeeping. The fields are ordered so a
+// line packs into 32 bytes. Callers may change State between valid
+// states, Dirty and Prefetched; validity itself changes only through
+// Insert, Invalidate and FlushAll, which keep the tag index in step.
 type Line struct {
 	Addr       mem.Addr // line-aligned address; valid only when State != Invalid
+	FillDone   sim.Time // time the fill completes; accesses before it wait
+	lastUse    uint64
 	State      State
 	Dirty      bool
-	FillDone   sim.Time // time the fill completes; accesses before it wait
-	Prefetched bool     // brought in by a prefetcher and not yet demanded
-	lastUse    uint64
+	Prefetched bool // brought in by a prefetcher and not yet demanded
 }
 
 // Stats counts tag-array activity. The coherence layer and energy model
@@ -111,9 +114,15 @@ type Config struct {
 // count is a power of two (it always is for the study's Table 2
 // geometries), keeping the per-access lookup free of divisions and
 // pointer chasing — it is the hottest path of the whole simulator.
+// A parallel array packs each way's tag into one word, so a lookup
+// scans 8 bytes per way (128 B for a 16-way L2 set) instead of the
+// whole lines.
 type Cache struct {
-	cfg     Config
-	lines   []Line // nsets * assoc entries, set-major
+	cfg   Config
+	lines []Line // nsets * assoc entries, set-major
+	// tags[i] is lines[i].Addr|1 while line i is valid and 0 while it is
+	// Invalid (line addresses are 32-byte aligned, so bit 0 is free).
+	tags    []uint64
 	assoc   uint64
 	nsets   uint64
 	setMask uint64 // nsets-1; valid only when pow2
@@ -141,6 +150,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		lines:   make([]Line, nlines),
+		tags:    make([]uint64, nlines),
 		assoc:   uint64(cfg.Assoc),
 		nsets:   nsets,
 		setMask: nsets - 1,
@@ -154,26 +164,37 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) set(a mem.Addr) []Line {
+// setBase returns the index of the first way of a's set.
+func (c *Cache) setBase(a mem.Addr) uint64 {
 	idx := uint64(a) >> mem.LineShift
 	if c.pow2 {
 		idx &= c.setMask
 	} else {
 		idx %= c.nsets
 	}
-	base := idx * c.assoc
-	return c.lines[base : base+c.assoc]
+	return idx * c.assoc
+}
+
+// tagOf returns the packed tag of the line holding a.
+func tagOf(a mem.Addr) uint64 { return uint64(a.Line()) | 1 }
+
+// find returns the index of the valid line holding a, or -1.
+func (c *Cache) find(a mem.Addr) int {
+	tag := tagOf(a)
+	base := c.setBase(a)
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
+			return int(base) + i
+		}
+	}
+	return -1
 }
 
 // Lookup probes the tag array for the line holding a, without updating
 // statistics. It returns nil on miss.
 func (c *Cache) Lookup(a mem.Addr) *Line {
-	la := a.Line()
-	set := c.set(a)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == la {
-			return &set[i]
-		}
+	if i := c.find(a); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -235,24 +256,25 @@ func (c *Cache) Insert(a mem.Addr, st State, fillDone sim.Time) (*Line, Evicted)
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	la := a.Line()
-	set := c.set(a)
-	victim := &set[0]
-	for i := range set {
-		ln := &set[i]
-		if ln.State != Invalid && ln.Addr == la {
+	la, tag := a.Line(), tagOf(a)
+	base := c.setBase(a)
+	set, tags := c.lines[base:base+c.assoc], c.tags[base:base+c.assoc]
+	v := 0
+	for i, t := range tags {
+		if t == tag {
 			panic(fmt.Sprintf("cache %s: Insert of already-present line %v", c.cfg.Name, la))
 		}
-		if ln.State == Invalid {
-			victim = ln
+		if t == 0 {
+			v = i
 			break
 		}
-		if ln.lastUse < victim.lastUse {
-			victim = ln
+		if set[i].lastUse < set[v].lastUse {
+			v = i
 		}
 	}
+	victim := &set[v]
 	var ev Evicted
-	if victim.State != Invalid {
+	if tags[v] != 0 {
 		ev = Evicted{Addr: victim.Addr, Dirty: victim.Dirty, Valid: true, Prefetched: victim.Prefetched}
 		c.stats.Evictions++
 		if victim.Dirty {
@@ -261,6 +283,7 @@ func (c *Cache) Insert(a mem.Addr, st State, fillDone sim.Time) (*Line, Evicted)
 	}
 	c.tick++
 	*victim = Line{Addr: la, State: st, FillDone: fillDone, lastUse: c.tick}
+	tags[v] = tag
 	c.stats.Fills++
 	return victim, ev
 }
@@ -280,13 +303,14 @@ func (c *Cache) InsertPFS(a mem.Addr, at sim.Time) (*Line, Evicted) {
 // was present and whether it was dirty (the caller decides if the dirty
 // data must be transferred).
 func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
-	ln := c.Lookup(a)
-	if ln == nil {
+	i := c.find(a)
+	if i < 0 {
 		return false, false
 	}
-	present, dirty = true, ln.Dirty
+	present, dirty = true, c.lines[i].Dirty
 	c.stats.Invalidates++
-	*ln = Line{}
+	c.lines[i] = Line{}
+	c.tags[i] = 0
 	return present, dirty
 }
 
@@ -306,24 +330,24 @@ func (c *Cache) Downgrade(a mem.Addr) *Line {
 // model cache cleaning.
 func (c *Cache) FlushAll() []mem.Addr {
 	var dirty []mem.Addr
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.State == Invalid {
+	for i, t := range c.tags {
+		if t == 0 {
 			continue
 		}
-		if ln.Dirty {
+		if ln := &c.lines[i]; ln.Dirty {
 			dirty = append(dirty, ln.Addr)
 		}
-		*ln = Line{}
+		c.lines[i] = Line{}
 	}
+	clear(c.tags)
 	return dirty
 }
 
 // Lines returns the addresses of all valid lines, in set order.
 func (c *Cache) Lines() []mem.Addr {
 	var out []mem.Addr
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
+	for i, t := range c.tags {
+		if t != 0 {
 			out = append(out, c.lines[i].Addr)
 		}
 	}
@@ -333,8 +357,8 @@ func (c *Cache) Lines() []mem.Addr {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

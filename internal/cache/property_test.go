@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // refCache is an oracle: a fully-associative-per-set model tracking the
@@ -108,5 +111,88 @@ func TestStatsBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkTags verifies the packed tag index against the lines: a way's tag
+// is its address with bit 0 set exactly while the line is valid, and 0
+// while it is Invalid.
+func checkTags(c *Cache) error {
+	for i, ln := range c.lines {
+		want := uint64(0)
+		if ln.State != Invalid {
+			want = uint64(ln.Addr) | 1
+		}
+		if c.tags[i] != want {
+			return fmt.Errorf("way %d: tag %#x, line %+v wants %#x", i, c.tags[i], ln, want)
+		}
+	}
+	return nil
+}
+
+// TestTagIndexConsistency drives random Insert, InsertPFS, Invalidate,
+// Downgrade, Access and FlushAll sequences, including the callers'
+// in-place state changes, and checks after every step that the tag
+// index matches the lines and that Lookup agrees with a scan of them.
+func TestTagIndexConsistency(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := New(Config{Name: "dut", Size: 2048, Assoc: 4})
+		for step, op := range ops {
+			a := mem.Addr(op>>3) * 24 // unaligned addresses, 171 distinct lines
+			switch op & 7 {
+			case 0, 1:
+				if c.Lookup(a) == nil {
+					ln, _ := c.Insert(a, State(1+op%3), sim.Time(step))
+					ln.Dirty = op&8 != 0
+				}
+			case 2:
+				if c.Lookup(a) == nil {
+					c.InsertPFS(a, sim.Time(step))
+				}
+			case 3:
+				c.Invalidate(a)
+			case 4:
+				if ln := c.Downgrade(a); ln != nil {
+					ln.Dirty = false
+				}
+			case 5:
+				if ln := c.Access(a, true); ln != nil {
+					ln.State, ln.Dirty = Modified, true
+				}
+			case 6:
+				c.Access(a, false)
+			case 7:
+				if op%16 == 7 {
+					c.FlushAll()
+				}
+			}
+			if err := checkTags(c); err != nil {
+				t.Logf("step %d (op %#x): %v", step, op, err)
+				return false
+			}
+			var scan *Line
+			base := c.setBase(a)
+			for i := base; i < base+c.assoc; i++ {
+				if ln := &c.lines[i]; ln.State != Invalid && ln.Addr == a.Line() {
+					scan = ln
+				}
+			}
+			if c.Lookup(a) != scan {
+				t.Logf("step %d: Lookup(%v) disagrees with a scan of the lines", step, a)
+				return false
+			}
+		}
+		return c.Occupancy() == len(c.Lines())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLineIs32Bytes pins the packed line layout: two lines per 64-byte
+// host cache line.
+func TestLineIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("Line is %d bytes, want 32", n)
 	}
 }

@@ -160,8 +160,7 @@ func (s *System) report() *Report {
 	r.AvgWriteMissLatency = ms.AvgWriteMissLatency()
 	r.L1 = s.l1Stats()
 	r.Engine = s.eng.Metrics()
-	s.net.AddServerMetrics(&r.Servers)
-	s.unc.AddServerMetrics(&r.Servers)
+	s.eachServer(func(sv *sim.Server) { sv.AddMetrics(&r.Servers) })
 	r.Counts = s.energyCounts(r)
 	r.Energy = energy.Default90nm().Compute(r.Counts, r.Wall, s.cfg.Cores)
 	if r.Wall > 0 {

@@ -127,7 +127,6 @@ type Engine struct {
 	task    *sim.Task
 	period  sim.Time // network clock period: one access issued per cycle
 
-	window   int
 	queue    []command
 	nextTag  Tag
 	done     map[Tag]sim.Time
@@ -144,10 +143,14 @@ type Engine struct {
 	pc       dmaState
 	cur      command
 	cmdStart sim.Time
-	beatNo   int
 	pending  beat
 	last     sim.Time
-	ring     []sim.Time // completion times of the window's accesses
+	// ring holds the completion times of the command's last
+	// outstanding-window accesses (0 for a slot not yet used by the
+	// command); slot is the entry of the beat being issued, which holds
+	// the access one window back.
+	ring []sim.Time
+	slot int
 	// Beat-iterator cursor: element index, and the line walk within the
 	// current element for sequential/wide-strided shapes.
 	ei              uint64
@@ -177,7 +180,6 @@ func NewWithWindow(name string, cluster int, unc *uncore.Uncore, ls *lstore.Stor
 		unc:     unc,
 		ls:      ls,
 		period:  unc.Network().Config().Clock.Period,
-		window:  window,
 		ring:    make([]sim.Time, window),
 		done:    make(map[Tag]sim.Time),
 	}
@@ -369,7 +371,8 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 				e.txn.Hop("dma", "queue", e.cur.issued, e.cmdStart)
 				e.txn.Suspend()
 			}
-			e.beatNo = 0
+			clear(e.ring)
+			e.slot = 0
 			e.last = 0
 			e.startIter()
 			if s, yield := e.issueNext(t); yield {
@@ -383,11 +386,13 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			e.txn.Resume(e.cur.ctx)
 			done := e.performBeat(t)
 			e.txn.Suspend()
-			e.ring[e.beatNo%e.window] = done
+			e.ring[e.slot] = done
 			if done > e.last {
 				e.last = done
 			}
-			e.beatNo++
+			if e.slot++; e.slot == len(e.ring) {
+				e.slot = 0
+			}
 			if s, yield := e.issueNext(t); yield {
 				return s
 			}
@@ -419,7 +424,7 @@ func (e *Engine) issueNext(t *sim.Task) (sim.Status, bool) {
 	// Engine issues one access per network cycle.
 	t.Advance(e.period)
 	// Respect the outstanding-access window.
-	if prev := e.ring[e.beatNo%e.window]; e.beatNo >= e.window && prev > t.Time() {
+	if prev := e.ring[e.slot]; prev > t.Time() {
 		t.SetTime(prev)
 	}
 	// The per-beat yield cannot convert to a local charge: the access

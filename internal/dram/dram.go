@@ -78,6 +78,10 @@ type Channel struct {
 	banks       []*bank
 	stats       Stats
 	lastRefresh sim.Time
+	// rowSel and bankSel map an address to its row and a row hash to
+	// its bank; lineXfer is transferTime(mem.LineSize), the common case.
+	rowSel, bankSel mem.Divisor
+	lineXfer        sim.Time
 }
 
 type bank struct {
@@ -110,10 +114,17 @@ func NewChannel(cfg Config) *Channel {
 	if cfg.Banks <= 0 || cfg.BandwidthMBps == 0 || cfg.RowBytes == 0 {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
 	}
-	c := &Channel{cfg: cfg, channel: sim.NewServer("dram.channel")}
+	c := &Channel{
+		cfg:     cfg,
+		channel: sim.NewServer("dram.channel"),
+		rowSel:  mem.NewDivisor(cfg.RowBytes),
+		bankSel: mem.NewDivisor(uint64(cfg.Banks)),
+	}
 	for i := 0; i < cfg.Banks; i++ {
 		c.banks = append(c.banks, &bank{server: sim.NewServer(fmt.Sprintf("dram.bank%d", i))})
 	}
+	c.lineXfer = c.transferTime(mem.LineSize)
+	c.capHorizon()
 	return c
 }
 
@@ -135,9 +146,9 @@ func (c *Channel) transferTime(nbytes uint64) sim.Time {
 // bits so that power-of-two-aligned streams from different cores do not
 // march through the same bank in lockstep.
 func (c *Channel) bankFor(a mem.Addr) (*bank, uint64) {
-	rowIdx := uint64(a) / c.cfg.RowBytes
+	rowIdx := c.rowSel.Div(uint64(a))
 	h := (rowIdx * 0x9E3779B1) >> 7
-	b := c.banks[h%uint64(len(c.banks))]
+	b := c.banks[c.bankSel.Mod(h)]
 	return b, rowIdx
 }
 
@@ -159,7 +170,10 @@ func (c *Channel) Access(at sim.Time, a mem.Addr, nbytes uint64, write bool) sim
 		window = 1
 	}
 	hit := b.hitRow(row, window)
-	xfer := c.transferTime(nbytes)
+	xfer := c.lineXfer
+	if nbytes != mem.LineSize {
+		xfer = c.transferTime(nbytes)
+	}
 
 	var latency, occupancy sim.Time
 	if hit {
@@ -204,7 +218,7 @@ func (c *Channel) Access(at sim.Time, a mem.Addr, nbytes uint64, write bool) sim
 // has elapsed before time at. Requests arriving during a refresh queue
 // behind it; all row buffers close (real refresh precharges the banks).
 func (c *Channel) refreshUpTo(at sim.Time) {
-	if c.cfg.RefreshInterval == 0 {
+	if c.cfg.RefreshInterval == 0 || c.lastRefresh+c.cfg.RefreshInterval > at {
 		return
 	}
 	for c.lastRefresh+c.cfg.RefreshInterval <= at {
@@ -215,6 +229,23 @@ func (c *Channel) refreshUpTo(at sim.Time) {
 			b.recent = b.recent[:0]
 		}
 		c.stats.Refreshes++
+	}
+	c.capHorizon()
+}
+
+// capHorizon keeps the servers' prune horizon at or below the next
+// refresh epoch. Epochs are booked lazily, when an access first arrives
+// past them, so the engine clock may already have moved beyond an epoch
+// that is still to be booked; pruning up to the clock would then drop
+// reservations the refresh must queue behind.
+func (c *Channel) capHorizon() {
+	if c.cfg.RefreshInterval == 0 {
+		return
+	}
+	next := c.lastRefresh + c.cfg.RefreshInterval
+	c.channel.CapHorizon(next)
+	for _, b := range c.banks {
+		b.server.CapHorizon(next)
 	}
 }
 
@@ -228,12 +259,11 @@ func (c *Channel) ChannelUtilization(end sim.Time) float64 {
 // differentiates it per epoch into a utilization series.
 func (c *Channel) ChannelBusy() sim.Time { return c.channel.BusyTime() }
 
-// AddServerMetrics accumulates the calendar-maintenance counters of the
-// channel and bank servers into m.
-func (c *Channel) AddServerMetrics(m *sim.ServerMetrics) {
-	c.channel.AddMetrics(m)
+// EachServer calls fn on the channel server and every bank server.
+func (c *Channel) EachServer(fn func(*sim.Server)) {
+	fn(c.channel)
 	for _, b := range c.banks {
-		b.server.AddMetrics(m)
+		fn(b.server)
 	}
 }
 

@@ -193,3 +193,64 @@ func TestRefreshStealsLittleBandwidth(t *testing.T) {
 		t.Errorf("sustained %.2f GB/s with refresh, want >= %.2f", gbps, 3.2*0.80)
 	}
 }
+
+// TestRefreshCapsServerHorizon: refresh epochs are booked lazily, when
+// an access first arrives past them, so by then the engine clock may be
+// microseconds beyond an epoch still to be booked. Each channel caps its
+// servers' prune horizon at the next unbooked epoch. Without the cap the
+// late refresh bookings would arrive below the horizon (Acquire panics)
+// after pruning had dropped the reservations they must queue behind.
+// With it, a channel driven by an engine grants exactly what one with
+// never-pruned calendars does.
+func TestRefreshCapsServerHorizon(t *testing.T) {
+	cfg := DefaultConfig()
+	// Each access lands just before a refresh epoch, so its bank and
+	// channel reservations are still running when the epoch starts,
+	// and the next access comes only several epochs later.
+	var accesses []sim.Time
+	for k := sim.Time(1); k <= 12; k += 3 {
+		accesses = append(accesses, k*cfg.RefreshInterval-10*sim.Nanosecond)
+	}
+	run := func(wired bool) ([]sim.Time, [][2]sim.Time, Stats) {
+		c := NewChannel(cfg)
+		e := sim.NewEngine()
+		if wired {
+			c.EachServer(func(s *sim.Server) { s.SetHorizon(e) })
+		}
+		var dones []sim.Time
+		e.Spawn("core", 0, func(tk *sim.Task) {
+			for i, at := range accesses {
+				tk.AdvanceTo(at)
+				for j := 0; j < 4; j++ {
+					a := mem.Addr(i*0x10000 + j*int(cfg.RowBytes))
+					dones = append(dones, c.Access(tk.Time(), a, mem.LineSize, j%2 == 1))
+				}
+			}
+			// A last access far past the final epoch books the late
+			// refreshes while the clock is beyond them.
+			tk.AdvanceTo(20 * cfg.RefreshInterval)
+			dones = append(dones, c.Access(tk.Time(), 0x40, mem.LineSize, false))
+		})
+		e.Run()
+		return dones, c.channel.Reservations(), c.Stats()
+	}
+	got, gotCh, gotSt := run(true)
+	want, wantCh, wantSt := run(false)
+	if gotSt != wantSt || gotSt.Refreshes != 20 {
+		t.Fatalf("stats %+v, want %+v with 20 refreshes", gotSt, wantSt)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d done at %v with pruning, %v without", i, got[i], want[i])
+		}
+	}
+	// The pruned channel calendar is a suffix of the never-pruned one.
+	if len(gotCh) == 0 || len(gotCh) >= len(wantCh) {
+		t.Fatalf("pruned calendar holds %d reservations, never-pruned %d", len(gotCh), len(wantCh))
+	}
+	for i, iv := range gotCh {
+		if w := wantCh[len(wantCh)-len(gotCh)+i]; iv != w {
+			t.Fatalf("live reservation %v, never-pruned calendar has %v", iv, w)
+		}
+	}
+}

@@ -7,7 +7,10 @@
 // ordinary Go memory owned by the workload.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a simulated physical byte address.
 type Addr uint64
@@ -37,6 +40,44 @@ func LinesCovered(a Addr, n uint64) uint64 {
 	first := uint64(a.Line())
 	last := uint64((a + Addr(n) - 1).Line())
 	return (last-first)/LineSize + 1
+}
+
+// Divisor divides by a fixed positive value, as address interleaving
+// does on every access (line to bank, channel or DRAM row). A power of
+// two, which every Table 2 geometry is, divides with a shift and
+// reduces with a mask; other values, used only by ablations, fall back
+// to a hardware divide.
+type Divisor struct {
+	d, mask uint64
+	shift   uint8
+	pow2    bool
+}
+
+// NewDivisor returns a Divisor by d, which must be positive.
+func NewDivisor(d uint64) Divisor {
+	if d == 0 {
+		panic("mem: zero divisor")
+	}
+	if d&(d-1) != 0 {
+		return Divisor{d: d}
+	}
+	return Divisor{d: d, mask: d - 1, shift: uint8(bits.TrailingZeros64(d)), pow2: true}
+}
+
+// Div returns x / d.
+func (v Divisor) Div(x uint64) uint64 {
+	if v.pow2 {
+		return x >> v.shift
+	}
+	return x / v.d
+}
+
+// Mod returns x % d.
+func (v Divisor) Mod(x uint64) uint64 {
+	if v.pow2 {
+		return x & v.mask
+	}
+	return x % v.d
 }
 
 // Region is a named, contiguous block of the simulated address space.

@@ -103,3 +103,20 @@ func TestRegionAtPanicsOutOfRange(t *testing.T) {
 	r := s.Alloc("r", 8)
 	r.At(8)
 }
+
+// TestDivisorMatchesDivision: the shift-and-mask path for powers of two
+// and the division fallback both agree with / and %.
+func TestDivisorMatchesDivision(t *testing.T) {
+	f := func(x uint64, d uint16) bool {
+		for _, dv := range []uint64{uint64(d) + 1, 1 << (d % 64)} {
+			v := NewDivisor(dv)
+			if v.Div(x) != x/dv || v.Mod(x) != x%dv {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -187,17 +187,16 @@ func (n *Network) XbarBusy() sim.Time {
 	return t
 }
 
-// AddServerMetrics accumulates the calendar-maintenance counters of
-// every bus and crossbar port into m.
-func (n *Network) AddServerMetrics(m *sim.ServerMetrics) {
+// EachServer calls fn on the calendar of every bus and crossbar port.
+func (n *Network) EachServer(fn func(*sim.Server)) {
 	for _, b := range n.buses {
-		b.AddMetrics(m)
+		fn(&b.Server)
 	}
 	for _, p := range n.toL2 {
-		p.AddMetrics(m)
+		fn(&p.Server)
 	}
 	for _, p := range n.frL2 {
-		p.AddMetrics(m)
+		fn(&p.Server)
 	}
 }
 

@@ -160,16 +160,40 @@ func BenchmarkSyncFastPathInline(b *testing.B) {
 }
 
 // BenchmarkServerAcquire measures the dominant calendar operation:
-// monotone arrivals appending at the end of a busy calendar whose live
-// window holds ~200 reservations (1us steps inside the 200us prune
-// window), so pruning is continuously active.
+// monotone arrivals appending at the end of a busy calendar while the
+// engine clock trails them by 8 reservations, so every Acquire also
+// prunes one.
 func BenchmarkServerAcquire(b *testing.B) {
 	s := NewServer("x")
+	e := NewEngine()
+	s.SetHorizon(e)
 	at := Time(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Acquire(at, 500*Nanosecond)
 		at += Microsecond
+		if at > 8*Microsecond {
+			e.now = at - 8*Microsecond
+		}
+	}
+}
+
+// BenchmarkServerAcquireBackfill alternates a booking 4us ahead of the
+// engine clock (as a miss books its response slot at its future fill
+// time) with a request at the clock that backfills the gap in front of
+// the future bookings: binary search, then a middle insert.
+func BenchmarkServerAcquireBackfill(b *testing.B) {
+	s := NewServer("x")
+	e := NewEngine()
+	s.SetHorizon(e)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&1 == 0 {
+			s.Acquire(e.now+4*Microsecond, 300*Nanosecond)
+		} else {
+			s.Acquire(e.now+500*Nanosecond, 300*Nanosecond)
+			e.now += Microsecond
+		}
 	}
 }
 

@@ -275,14 +275,18 @@ func TestEngineManyTasksProgress(t *testing.T) {
 
 func TestServerPrunesOldReservations(t *testing.T) {
 	s := NewServer("x")
+	e := NewEngine()
+	s.SetHorizon(e)
 	for i := Time(0); i < 100; i++ {
 		s.Acquire(i*100, 50)
 	}
-	// An arrival far in the future makes the old intervals unreachable;
-	// they must be pruned (bounded memory for long simulations).
-	s.Acquire(10*pruneWindow, 10)
-	if n := len(s.Reservations()); n > 4 {
-		t.Errorf("%d reservations retained after pruning, want few", n)
+	// Once the engine clock passes them, the old intervals are
+	// unreachable and must be pruned (bounded memory for long
+	// simulations); only the new booking stays.
+	e.now = 9960
+	s.Acquire(e.now, 10)
+	if got := s.Reservations(); len(got) != 1 || got[0] != [2]Time{9960, 9970} {
+		t.Errorf("reservations after pruning = %v, want only [9960 9970]", got)
 	}
 	// Utilization accounting survives pruning.
 	if s.BusyTime() != 100*50+10 {

@@ -409,6 +409,8 @@ func TestTaskHeapReplaceMin(t *testing.T) {
 // ever granted.
 func TestServerNextFreeSurvivesPruning(t *testing.T) {
 	s := NewServer("x")
+	e := NewEngine()
+	s.SetHorizon(e)
 	if s.NextFree() != 0 {
 		t.Fatalf("fresh server NextFree = %v, want 0", s.NextFree())
 	}
@@ -416,9 +418,10 @@ func TestServerNextFreeSurvivesPruning(t *testing.T) {
 	if s.NextFree() != 10 {
 		t.Fatalf("NextFree = %v, want 10", s.NextFree())
 	}
-	// A zero-duration arrival far in the future books nothing but
-	// advances the prune horizon past the only reservation.
-	s.Acquire(5*pruneWindow, 0)
+	// A zero-duration arrival after the engine clock passed the only
+	// reservation books nothing but prunes it.
+	e.now = 5 * Microsecond
+	s.Acquire(e.now, 0)
 	if n := len(s.Reservations()); n != 0 {
 		t.Fatalf("%d reservations tracked after pruning, want 0", n)
 	}
@@ -426,7 +429,7 @@ func TestServerNextFreeSurvivesPruning(t *testing.T) {
 		t.Fatalf("NextFree after pruning = %v, want 10 (pruning must not forget bookings)", s.NextFree())
 	}
 	// A real booking after the wipe restarts the ring and NextFree moves.
-	at := 5*pruneWindow + 3
+	at := e.now + 3
 	s.Acquire(at, 7)
 	if s.NextFree() != at+7 {
 		t.Fatalf("NextFree = %v, want %v", s.NextFree(), at+7)
@@ -441,15 +444,22 @@ func TestServerNextFreeSurvivesPruning(t *testing.T) {
 // tail.
 func TestServerBackfillWithPrunedSlack(t *testing.T) {
 	s := NewServer("x")
-	// 1us bookings every 2us: the live window holds ~100 of them and the
-	// ring accumulates pruned slack at the front as arrivals march on.
+	e := NewEngine()
+	s.SetHorizon(e)
+	// 1us bookings every 2us, each made 100us ahead of the engine
+	// clock: the live window holds ~50 of them and the calendar
+	// accumulates pruned slack at the front as the clock marches on.
 	for i := Time(0); i < 200; i++ {
-		s.Acquire(i*2*Microsecond, Microsecond)
+		at := i * 2 * Microsecond
+		if at > 100*Microsecond {
+			e.now = at - 100*Microsecond
+		}
+		s.Acquire(at, Microsecond)
 	}
 	ivs := s.Reservations()
 	live := len(ivs)
-	if live >= 200 {
-		t.Fatalf("pruning kept %d reservations, want far fewer", live)
+	if live >= 200 || s.head == 0 {
+		t.Fatalf("pruning kept %d reservations with head %d, want far fewer and pruned slack", live, s.head)
 	}
 	// Backfill a sliver into the gap right after the first live interval.
 	// The insertion point is one slot past the ring head with pruned

@@ -157,21 +157,29 @@ func TestEpochHookDoesNotPerturbSchedule(t *testing.T) {
 	}
 }
 
-// TestServerPruneMetrics: long monotone arrivals push reservations past
-// the prune window; the counters must see them go.
+// TestServerPruneMetrics: arrivals made a few steps ahead of an
+// advancing engine clock leave every reservation behind the horizon in
+// turn; the counters must see each one go and the slice compact.
 func TestServerPruneMetrics(t *testing.T) {
 	s := NewServer("x")
+	e := NewEngine()
+	s.SetHorizon(e)
 	step := 2 * Microsecond
-	for i := 0; i < 1000; i++ {
-		s.Acquire(Time(i)*step, Microsecond)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		at := Time(i) * step
+		if i >= 4 {
+			e.now = at - 4*step
+		}
+		s.Acquire(at, Microsecond)
 	}
 	var m ServerMetrics
 	s.AddMetrics(&m)
-	if m.Pruned == 0 {
-		t.Errorf("no reservations pruned after %v of arrivals", 1000*step)
+	if live := len(s.Reservations()); m.Pruned+uint64(live) != n || live > 5 {
+		t.Errorf("pruned %d, %d live, want %d in all and at most 5 live", m.Pruned, live, n)
 	}
 	if m.Compactions == 0 {
-		t.Errorf("ring never compacted: %+v", m)
+		t.Errorf("slice never compacted: %+v", m)
 	}
 }
 

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Server models a contended resource (a bus, a cache port, a DRAM
 // channel) as a busy-interval calendar. A request arriving at time t is
 // granted the first gap of sufficient length starting no earlier than t.
@@ -11,12 +16,16 @@ package sim
 // earlier requests; the calendar instead backfills gaps, which is what a
 // real arbiter does with requests that are actually present at the time.
 //
-// The calendar is kept as a ring: busy[head:] are the live reservations,
-// sorted by start and disjoint. Pruning advances head instead of copying
-// the slice, and the dead prefix is reclaimed in one amortized
-// compaction once it dominates, so both the dominant append-at-end
-// Acquire and prune are O(1) amortized; only the rare backfill insert
-// still shifts elements.
+// The calendar holds only the reservations that can still delay a grant.
+// Its horizon is a lower bound on every future arrival: the engine clock
+// (SetHorizon), optionally capped by the owner (CapHorizon). A search
+// for a request at t skips every reservation ending at or before t, so
+// a reservation ending at or before the horizon can never matter again
+// and is pruned; the live window is then a handful of reservations and
+// every grant is the one a never-pruned calendar would give. Acquire
+// checks the bound on every call and panics below it, so a model change
+// that books in the past fails loudly instead of silently changing
+// results.
 type Server struct {
 	name string
 	// busy[head:] holds the live, non-overlapping reservations sorted by
@@ -25,25 +34,29 @@ type Server struct {
 	head    int
 	busyAcc Time // total reserved time, for utilization
 	uses    uint64
-	maxAt   Time // latest arrival seen, for safe pruning
 	// lastEnd is the end of the latest-ending reservation ever granted.
-	// Unlike the ring it survives pruning, so NextFree stays truthful
+	// Unlike the calendar it survives pruning, so NextFree stays truthful
 	// after old bookings are discarded.
 	lastEnd Time
+	// eng is the engine whose clock the horizon follows; nil (a server
+	// outside any engine) keeps the horizon at 0, which prunes nothing.
+	eng *Engine
+	// limit caps the horizon for owners that book lazily in the past.
+	limit Time
 	// Calendar-maintenance counters (see ServerMetrics): how many
-	// reservations pruning discarded and how often the ring compacted.
+	// reservations pruning discarded and how often the slice compacted.
 	pruned      uint64
 	compactions uint64
 }
 
 // ServerMetrics aggregates calendar-maintenance counters across a set of
 // servers. The model layers (noc, dram, uncore) sum their servers into
-// one value per run so the ring calendar's behavior — how much history
-// it sheds and how often it pays a compaction copy — is visible in every
+// one value per run so the calendar's behavior — how much history it
+// sheds and how often it pays a compaction copy — is visible in every
 // report, not just in microbenchmarks.
 type ServerMetrics struct {
-	Pruned      uint64 // reservations discarded past the prune window
-	Compactions uint64 // amortized copies reclaiming the dead prefix
+	Pruned      uint64 // reservations discarded behind the horizon
+	Compactions uint64 // copies reclaiming the pruned prefix
 }
 
 // AddMetrics accumulates this server's calendar counters into m.
@@ -60,34 +73,51 @@ func (m ServerMetrics) Snapshot(put func(name string, value float64)) {
 
 type interval struct{ start, end Time }
 
-// pruneWindow bounds how far in the past a new arrival may land relative
-// to the latest arrival seen. Arrivals carry times no earlier than the
-// engine's current event time, and future bookings extend at most one
-// transaction latency (far below this) ahead, so reservations older than
-// the window can never interact with new arrivals.
-const pruneWindow = 200 * Microsecond
-
 // NewServer returns a named idle server.
-func NewServer(name string) *Server { return &Server{name: name} }
+func NewServer(name string) *Server { return &Server{name: name, limit: ^Time(0)} }
 
 // Name returns the server's name.
 func (s *Server) Name() string { return s.name }
 
+// SetHorizon makes the calendar prune behind e's clock. Every Acquire
+// must then arrive no earlier than e.Now(): a task's clock never goes
+// backwards and Unblock clamps to the engine clock, so each request a
+// task makes satisfies this.
+func (s *Server) SetHorizon(e *Engine) { s.eng = e }
+
+// CapHorizon keeps the horizon at or below t, for an owner that will
+// still book at t or later when the engine clock has moved past it.
+func (s *Server) CapHorizon(t Time) { s.limit = t }
+
+// horizon returns the current lower bound on arrivals.
+func (s *Server) horizon() Time {
+	if s.eng == nil {
+		return 0
+	}
+	if h := s.eng.now; h < s.limit {
+		return h
+	}
+	return s.limit
+}
+
 // Acquire reserves the server for dur starting no earlier than at,
 // returning the grant time. Zero-duration acquisitions return at.
 func (s *Server) Acquire(at, dur Time) (start Time) {
+	h := s.horizon()
+	if at < h {
+		s.pastArrival(at, h)
+	}
 	s.uses++
 	s.busyAcc += dur
-	if at > s.maxAt {
-		s.maxAt = at
-		s.prune()
+	if s.head < len(s.busy) && s.busy[s.head].end <= h {
+		s.prune(h)
 	}
 	if dur == 0 {
 		return at
 	}
 	n := len(s.busy)
 	if s.head == n {
-		// Ring empty (fresh server, or everything pruned): restart it.
+		// Calendar empty (fresh server, or everything pruned): restart it.
 		s.busy = append(s.busy[:0], interval{at, at + dur})
 		s.head = 0
 		s.grow(at + dur)
@@ -134,6 +164,12 @@ func (s *Server) Acquire(at, dur Time) (start Time) {
 	return start
 }
 
+// pastArrival reports an Acquire below the horizon. Out of line so the
+// message formatting stays off Acquire's path.
+func (s *Server) pastArrival(at, h Time) {
+	panic(fmt.Sprintf("sim: server %q acquired in the past (%v < horizon %v)", s.name, at, h))
+}
+
 // grow records a new reservation end time for NextFree.
 func (s *Server) grow(end Time) {
 	if end > s.lastEnd {
@@ -167,22 +203,18 @@ func (s *Server) insert(idx int, iv interval) {
 	}
 }
 
-// prune advances the ring head past reservations that ended long before
-// any possible future arrival, compacting the slice only once the dead
-// prefix is both large and the majority of it.
-func (s *Server) prune() {
-	if s.maxAt < pruneWindow {
-		return
+// prune advances the head past every reservation that ends at or
+// before the horizon h, compacting the slice once the dead prefix is
+// both large and the majority of it.
+func (s *Server) prune(h Time) {
+	i := s.head
+	for i < len(s.busy) && s.busy[i].end <= h {
+		i++
 	}
-	cut := s.maxAt - pruneWindow
-	h := s.head
-	for h < len(s.busy) && s.busy[h].end < cut {
-		h++
-	}
-	s.pruned += uint64(h - s.head)
-	s.head = h
-	if h > 64 && 2*h >= len(s.busy) {
-		live := copy(s.busy, s.busy[h:])
+	s.pruned += uint64(i - s.head)
+	s.head = i
+	if i > 64 && 2*i >= len(s.busy) {
+		live := copy(s.busy, s.busy[i:])
 		s.busy = s.busy[:live]
 		s.head = 0
 		s.compactions++
@@ -211,8 +243,8 @@ func (s *Server) Utilization(end Time) float64 {
 }
 
 // Reservations returns the currently tracked busy intervals (tests).
-// Reservations older than the prune window may already have been
-// dropped; aggregate accounting (BusyTime, Uses, NextFree) survives
+// Reservations that ended at or before the horizon may already have
+// been dropped; aggregate accounting (BusyTime, Uses, NextFree) survives
 // pruning, the interval list does not.
 func (s *Server) Reservations() [][2]Time {
 	live := s.busy[s.head:]
@@ -229,21 +261,31 @@ func (s *Server) Reservations() [][2]Time {
 // pipeline.
 type Pipe struct {
 	Server
-	// BytesPerCycle is the link width; Clock gives the cycle time.
+	// BytesPerCycle is the link width; Clock gives the cycle time. Both
+	// are fixed after NewPipe.
 	BytesPerCycle uint64
 	Clock         Clock
 	// Latency is the pipeline depth: time from service start to delivery.
 	Latency Time
+	// widthShift is log2(BytesPerCycle) when the width is a power of two
+	// (every Table 2 link), so the occupancy needs no division; -1
+	// otherwise.
+	widthShift int8
 }
 
 // NewPipe returns a pipelined link.
 func NewPipe(name string, bytesPerCycle uint64, clock Clock, latency Time) *Pipe {
-	return &Pipe{
-		Server:        Server{name: name},
+	p := &Pipe{
+		Server:        Server{name: name, limit: ^Time(0)},
 		BytesPerCycle: bytesPerCycle,
 		Clock:         clock,
 		Latency:       latency,
+		widthShift:    -1,
 	}
+	if bytesPerCycle != 0 && bytesPerCycle&(bytesPerCycle-1) == 0 {
+		p.widthShift = int8(bits.TrailingZeros64(bytesPerCycle))
+	}
+	return p
 }
 
 // Transfer moves nbytes through the pipe starting no earlier than at.
@@ -261,7 +303,13 @@ func (p *Pipe) TransferTracked(at Time, nbytes uint64) (done, wait Time) {
 	if nbytes == 0 {
 		return at + p.Latency, 0
 	}
-	cycles := (nbytes + p.BytesPerCycle - 1) / p.BytesPerCycle
-	start := p.Acquire(at, p.Clock.Cycles(cycles))
-	return start + p.Clock.Cycles(cycles) + p.Latency, start - at
+	cycles := nbytes + p.BytesPerCycle - 1
+	if p.widthShift >= 0 {
+		cycles >>= uint(p.widthShift)
+	} else {
+		cycles /= p.BytesPerCycle
+	}
+	occ := p.Clock.Cycles(cycles)
+	start := p.Acquire(at, occ)
+	return start + occ + p.Latency, start - at
 }

@@ -1,0 +1,159 @@
+package sim
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// refCalendar is the oracle for Server: a calendar that never prunes
+// and grants each request the first gap of sufficient length at or
+// after its arrival, by a linear scan over every reservation ever made.
+type refCalendar struct {
+	busy    []interval // sorted by start, disjoint
+	lastEnd Time
+}
+
+func (r *refCalendar) acquire(at, dur Time) Time {
+	if dur == 0 {
+		return at
+	}
+	start, idx := at, 0
+	for ; idx < len(r.busy); idx++ {
+		iv := r.busy[idx]
+		if iv.end <= start {
+			continue
+		}
+		if start+dur <= iv.start {
+			break
+		}
+		start = iv.end
+	}
+	r.busy = append(r.busy, interval{})
+	copy(r.busy[idx+1:], r.busy[idx:])
+	r.busy[idx] = interval{start, start + dur}
+	if start+dur > r.lastEnd {
+		r.lastEnd = start + dur
+	}
+	return start
+}
+
+// TestServerMatchesNeverPrunedCalendar: for random durations and
+// arrivals at or after a randomly advancing horizon, the pruned
+// calendar grants exactly what a never-pruned one does. Arrivals mix
+// the common near-horizon case with bookings far ahead of the clock,
+// so grants append, backfill gaps, merge with neighbors and queue
+// behind future reservations; the horizon sometimes holds still and
+// sometimes jumps past the whole calendar.
+func TestServerMatchesNeverPrunedCalendar(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		s := NewServer("x")
+		s.SetHorizon(e)
+		var ref refCalendar
+		var busy Time
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				e.now += Time(rng.Intn(20))
+			case r == 5:
+				e.now += Time(rng.Intn(2000))
+			}
+			at := e.now + Time(rng.Intn(40))
+			if rng.Intn(8) == 0 {
+				at += Time(rng.Intn(500))
+			}
+			dur := Time(rng.Intn(12))
+			got, want := s.Acquire(at, dur), ref.acquire(at, dur)
+			if got != want {
+				t.Fatalf("seed %d op %d: Acquire(%d, %d) at horizon %d = %d, never-pruned calendar grants %d",
+					seed, op, at, dur, e.now, got, want)
+			}
+			busy += dur
+			// After each Acquire the calendar holds nothing that ends
+			// at or before the horizon.
+			if live := s.Reservations(); len(live) > 0 && live[0][1] <= e.now {
+				t.Fatalf("seed %d op %d: reservation %v kept behind horizon %d", seed, op, live[0], e.now)
+			}
+		}
+		if s.NextFree() != ref.lastEnd || s.BusyTime() != busy {
+			t.Fatalf("seed %d: NextFree %d BusyTime %d, want %d and %d", seed, s.NextFree(), s.BusyTime(), ref.lastEnd, busy)
+		}
+	}
+}
+
+// TestServerPanicsBelowHorizon: an arrival earlier than the engine
+// clock is a model bug that would silently change grants once pruning
+// has dropped what it should queue behind, so Acquire refuses it and
+// names the server.
+func TestServerPanicsBelowHorizon(t *testing.T) {
+	e := NewEngine()
+	s := NewServer("l2.port0")
+	s.SetHorizon(e)
+	e.now = 100
+	s.Acquire(100, 5) // at the horizon: fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"l2.port0"`) || !strings.Contains(msg, "in the past") {
+			t.Fatalf("sub-horizon Acquire panicked with %q, want a message naming the server", msg)
+		}
+	}()
+	s.Acquire(99, 5)
+}
+
+// TestServerCapHorizon: an owner's cap holds the horizon below the
+// engine clock, so arrivals between the cap and the clock are legal and
+// reservations ending after the cap are kept for them.
+func TestServerCapHorizon(t *testing.T) {
+	e := NewEngine()
+	s := NewServer("dram.channel")
+	s.SetHorizon(e)
+	s.Acquire(10, 10) // [10, 20)
+	s.Acquire(40, 10) // [40, 50)
+	s.CapHorizon(30)
+	e.now = 1000
+	// Would panic without the cap; queues behind nothing and fits in
+	// the gap before [40, 50), which the cap kept live.
+	if got := s.Acquire(30, 10); got != 30 {
+		t.Fatalf("grant at the cap = %d, want 30", got)
+	}
+	if got := s.Acquire(35, 10); got != 50 {
+		t.Fatalf("grant behind the kept reservation = %d, want 50", got)
+	}
+	var m ServerMetrics
+	s.AddMetrics(&m)
+	if m.Pruned != 1 {
+		t.Fatalf("pruned %d reservations, want only [10, 20)", m.Pruned)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Acquire below the cap did not panic")
+		}
+	}()
+	s.Acquire(29, 1)
+}
+
+// TestServerWithoutEngineNeverPrunes: a server outside any engine has
+// horizon 0, accepts any arrival and keeps every reservation.
+func TestServerWithoutEngineNeverPrunes(t *testing.T) {
+	s := NewServer("x")
+	s.Acquire(1000, 10)
+	s.Acquire(0, 10)
+	if n := len(s.Reservations()); n != 2 {
+		t.Fatalf("%d reservations, want 2", n)
+	}
+}
+
+// TestPipeOccupancyNonPowerOfTwo: a link width that is not a power of
+// two takes the division fallback and still rounds up to whole cycles.
+func TestPipeOccupancyNonPowerOfTwo(t *testing.T) {
+	for _, c := range []struct {
+		width, bytes, cycles uint64
+	}{{16, 32, 2}, {16, 33, 3}, {24, 32, 2}, {24, 24, 1}, {24, 49, 3}, {1, 5, 5}} {
+		p := NewPipe("x", c.width, MHz(800), 0)
+		if done := p.Transfer(0, c.bytes); done != MHz(800).Cycles(c.cycles) {
+			t.Errorf("%d bytes over %d-byte link: done %v, want %d cycles", c.bytes, c.width, done, c.cycles)
+		}
+	}
+}

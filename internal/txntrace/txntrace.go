@@ -200,13 +200,24 @@ func (x *Txn) AddTag(tag string) {
 	}
 }
 
-// addHop appends a hop, honoring the cap.
-func (x *Txn) addHop(h Hop) {
-	if len(x.Hops) >= maxHops {
+// addHop appends a hop, honoring the cap. The fields are written in
+// place in the hop slice (a recycled slot still holds an old hop, so
+// every field is set) instead of assembling a Hop and copying it in.
+func (x *Txn) addHop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
+	n := len(x.Hops)
+	if n >= maxHops {
 		x.DroppedHops++
 		return
 	}
-	x.Hops = append(x.Hops, h)
+	if n < cap(x.Hops) {
+		x.Hops = x.Hops[:n+1]
+	} else {
+		x.Hops = append(x.Hops, Hop{})
+	}
+	h := &x.Hops[n]
+	h.Component, h.Op = component, op
+	h.StartFS, h.EndFS, h.AdvanceFS = start, end, 0
+	h.text, h.num, h.kind = text, num, kind
 }
 
 // finalize stamps the end time and assigns each hop's critical-path
@@ -453,23 +464,32 @@ func (t *Tracer) Suspend() {
 // Hop records one interval against the active transaction (no-op when
 // none is active).
 func (t *Tracer) Hop(component, op string, start, end sim.Time) {
-	if x := t.Active(); x != nil {
-		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end})
+	if t != nil {
+		t.hop(component, op, start, end, "", 0, tagText)
 	}
 }
 
 // HopTag is Hop with a fixed outcome tag.
 func (t *Tracer) HopTag(component, op string, start, end sim.Time, tag string) {
-	if x := t.Active(); x != nil {
-		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, text: tag})
+	if t != nil {
+		t.hop(component, op, start, end, tag, 0, tagText)
 	}
 }
 
 // HopNum is Hop with a numeric outcome tag of the given kind; the tag
 // text is rendered only when the tree is read.
 func (t *Tracer) HopNum(component, op string, start, end sim.Time, kind TagKind, n uint64) {
-	if x := t.Active(); x != nil {
-		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, num: n, kind: kind})
+	if t != nil {
+		t.hop(component, op, start, end, "", n, kind)
+	}
+}
+
+// hop adds a hop to the active transaction, if any. Hop, HopTag and
+// HopNum test only for a nil Tracer and call it, which keeps them small
+// enough to inline: a disabled tracer costs their callers one compare.
+func (t *Tracer) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
+	if len(t.stack) > 0 {
+		t.stack[len(t.stack)-1].addHop(component, op, start, end, text, num, kind)
 	}
 }
 
@@ -524,11 +544,7 @@ func (t *Tracer) finish(x *Txn, at sim.Time) {
 	}
 	if p := x.parent; p != nil {
 		x.parent = nil
-		p.addHop(Hop{
-			Component: "txn", Op: x.Class.String(),
-			StartFS: x.StartFS, EndFS: x.EndFS,
-			num: x.ID, kind: tagChild,
-		})
+		p.addHop("txn", x.Class.String(), x.StartFS, x.EndFS, "", x.ID, tagChild)
 		if len(p.Kids) < maxKids {
 			p.Kids = append(p.Kids, x)
 			x.refs++

@@ -83,6 +83,10 @@ type Uncore struct {
 	stats   Stats
 	lat     *ledger.Latency  // nil = latency histograms disabled
 	txn     *txntrace.Tracer // nil = transaction tracing disabled
+
+	// bankSel and chanSel interleave line addresses across the L2 banks
+	// and the DRAM channels.
+	bankSel, chanSel mem.Divisor
 }
 
 // New builds the shared hierarchy on the given network.
@@ -93,7 +97,12 @@ func New(cfg Config, net *noc.Network) *Uncore {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
-	u := &Uncore{cfg: cfg, net: net}
+	u := &Uncore{
+		cfg:     cfg,
+		net:     net,
+		bankSel: mem.NewDivisor(uint64(cfg.L2Banks)),
+		chanSel: mem.NewDivisor(uint64(cfg.Channels)),
+	}
 	for i := 0; i < cfg.L2Banks; i++ {
 		u.l2s = append(u.l2s, cache.New(cache.Config{
 			Name:  fmt.Sprintf("l2.%d", i),
@@ -113,12 +122,12 @@ func (u *Uncore) Network() *noc.Network { return u.net }
 
 // bankOf selects the L2 bank for a line address.
 func (u *Uncore) bankOf(a mem.Addr) int {
-	return int((uint64(a) >> mem.LineShift) % uint64(len(u.l2s)))
+	return int(u.bankSel.Mod(uint64(a) >> mem.LineShift))
 }
 
 // chanOf selects the DRAM channel for a line address.
 func (u *Uncore) chanOf(a mem.Addr) int {
-	return int((uint64(a) >> mem.LineShift) % uint64(len(u.drams)))
+	return int(u.chanSel.Mod(uint64(a) >> mem.LineShift))
 }
 
 // l2For returns the tag array holding a.
@@ -182,14 +191,14 @@ func (u *Uncore) ChannelBusy() sim.Time {
 	return t
 }
 
-// AddServerMetrics accumulates the calendar-maintenance counters of the
-// L2 ports and every DRAM channel/bank server into m.
-func (u *Uncore) AddServerMetrics(m *sim.ServerMetrics) {
+// EachServer calls fn on every L2 port and every DRAM channel and bank
+// server.
+func (u *Uncore) EachServer(fn func(*sim.Server)) {
 	for _, p := range u.l2Ports {
-		p.AddMetrics(m)
+		fn(p)
 	}
 	for _, c := range u.drams {
-		c.AddServerMetrics(m)
+		c.EachServer(fn)
 	}
 }
 

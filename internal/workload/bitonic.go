@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -235,7 +235,7 @@ func (bt *bitonic) stageSTRContig(p *cpu.Proc, sm *stream.Mem, k, j, lo, hi int)
 func (bt *bitonic) Verify() error {
 	want := make([]uint32, bt.n)
 	copy(want, bt.keys)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	for i := range want {
 		if bt.data[i] != want[i] {
 			return fmt.Errorf("bitonicsort: data[%d] = %d, want %d", i, bt.data[i], want[i])

@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -99,7 +99,7 @@ func (m *mergeSort) Run(p *cpu.Proc) {
 		}
 		lo, hi := idx*mergeChunk, (idx+1)*mergeChunk
 		seg := m.a[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		if isSTR {
 			// The 16 KB chunk is DMA'd in, sorted in the local store,
 			// and DMA'd back. It fills most of the store, so this phase
@@ -229,7 +229,7 @@ func (m *mergeSort) Verify() error {
 	}
 	want := make([]uint32, m.n)
 	copy(want, m.keys)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	for i := range want {
 		if m.final[i] != want[i] {
 			return fmt.Errorf("mergesort: result[%d] = %d, want %d", i, m.final[i], want[i])
