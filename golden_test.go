@@ -44,11 +44,30 @@ func goldenRuns() []goldenRun {
 	return runs
 }
 
+// goldenReport runs cfg and returns the report JSON, its Servers block
+// zeroed: those are calendar-maintenance counters, which depend on how
+// the calendars prune, not on the simulated machine; Engine stays
+// pinned because it proves the dispatch schedule is unchanged.
+func goldenReport(t *testing.T, g goldenRun, cfg memsys.Config) []byte {
+	t.Helper()
+	rep, err := memsys.Run(cfg, g.name, memsys.ScaleSmall)
+	if err != nil {
+		t.Fatalf("%s: %v", g.key, err)
+	}
+	rep.Servers = sim.ServerMetrics{}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // goldenDigest runs one configuration with every observer armed and
 // hashes all of its outputs: the report JSON (with the cycle ledger and
 // latency histograms), the sampled tracer's JSONL, the explain-tail
-// text, and the Chrome trace with the transaction spans merged in.
-func goldenDigest(t *testing.T, g goldenRun) string {
+// text, and the Chrome trace with the transaction spans merged in. It
+// also returns the report JSON alone.
+func goldenDigest(t *testing.T, g goldenRun) (string, []byte) {
 	t.Helper()
 	cfg := g.cfg
 	cfg.CycleLedger = true
@@ -58,19 +77,8 @@ func goldenDigest(t *testing.T, g goldenRun) string {
 	txn.SampleEvery = 16
 	txn.Seed = 42
 	cfg.TxnTrace = txn
-	rep, err := memsys.Run(cfg, g.name, memsys.ScaleSmall)
-	if err != nil {
-		t.Fatalf("%s: %v", g.key, err)
-	}
-	// Servers holds calendar-maintenance counters, which depend on how
-	// the calendars prune, not on the simulated machine; Engine stays
-	// pinned because it proves the dispatch schedule is unchanged.
-	rep.Servers = sim.ServerMetrics{}
+	raw := goldenReport(t, g, cfg)
 	h := sha256.New()
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Write(raw)
 	if err := txn.WriteJSONL(h); err != nil {
 		t.Fatal(err)
@@ -80,7 +88,7 @@ func goldenDigest(t *testing.T, g goldenRun) string {
 	if err := tr.WriteChrome(h); err != nil {
 		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), raw
 }
 
 // TestModelOutputGoldens pins every observable output of the three
@@ -88,14 +96,23 @@ func goldenDigest(t *testing.T, g goldenRun) string {
 // recorded digests. A refactor of model code must leave all of them
 // unchanged; an intended behavior change re-records them (the failure
 // message prints the new table).
+//
+// Each run is repeated with only the cycle ledger armed, and that
+// report JSON must equal the fully armed run's byte for byte: the
+// Latency block must not depend on which observers are attached.
 func TestModelOutputGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 57 traced 8-core simulations")
+		t.Skip("runs 57 traced 8-core simulations, each also ledger-only")
 	}
 	var got bytes.Buffer
 	failed := false
 	for _, g := range goldenRuns() {
-		d := goldenDigest(t, g)
+		d, armed := goldenDigest(t, g)
+		cfg := g.cfg
+		cfg.CycleLedger = true
+		if only := goldenReport(t, g, cfg); !bytes.Equal(only, armed) {
+			t.Errorf("%s: ledger-only report differs from the fully armed one:\nonly:  %s\narmed: %s", g.key, only, armed)
+		}
 		fmt.Fprintf(&got, "\t%q: %q,\n", g.key, d)
 		want, ok := modelGoldens[g.key]
 		if !ok {
