@@ -41,7 +41,8 @@ fuzz:
 # bench-engine regenerates the event-engine numbers tracked in
 # BENCH_engine.json (Sync fast path, scheduler dispatch and its channel
 # switch control, server calendar, the cycle-ledger charge path, the
-# histogram record path, plus the end-to-end runner grid).
+# histogram record path, the transaction tracer disabled, armed and
+# latency-only, plus the end-to-end runner grid).
 bench-engine:
 	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/
@@ -49,10 +50,12 @@ bench-engine:
 	go test -bench BenchmarkTxnTrace -run xxx ./internal/txntrace/
 	go test -bench BenchmarkRunner -run xxx -benchtime 3x ./internal/bench/
 
-# bench-check fails if the engine microbenchmarks regress more than 25%
-# against the 'after' values recorded in BENCH_engine.json. After an
-# intentional engine change, regenerate the record with bench-engine and
-# update the file.
+# bench-check fails if an engine microbenchmark regresses more than 25%
+# against its 'after' value in BENCH_engine.json, or breaks its paired
+# bound (at most 'max_ratio' times a 'control' benchmark of this same
+# run; all the commands below feed one check). After an intentional
+# engine change, regenerate the record with bench-engine and update the
+# file.
 bench-check:
 	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/ > /tmp/bench-engine-check.txt
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/ >> /tmp/bench-engine-check.txt

@@ -453,21 +453,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			txn.WriteExplainTail(stdout, sim.MHz(cfg.CoreMHz).Period)
 		}
 	}
-	if tele != nil {
-		if rep.Latency != nil {
-			period := sim.MHz(cfg.CoreMHz).Period
-			if period > 0 {
-				rep.Latency.Each(func(lname string, d *memsys.LatencyDist) {
-					for _, b := range d.Buckets {
-						tele.RecordLatency(lname, uint64(b.HiFS)/uint64(period), b.Count)
-					}
-				})
-			}
-		}
-		for _, s := range txn.Summary() {
-			tele.RecordTxnClass(s.Class, s.Count, s.Exemplars, s.SlowestID, s.SlowestFS)
-		}
-	}
+	tele.RecordRun(rep.Latency, sim.MHz(cfg.CoreMHz).Period, txn)
 	if *latencyCSV != "" {
 		f, ferr := os.Create(*latencyCSV)
 		if ferr != nil {

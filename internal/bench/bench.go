@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ledger"
 	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -301,7 +300,7 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 		fl.span.Fail(string(jerr.Kind))
 	} else {
 		fl.span.Done()
-		r.feedObservability(cfg, rep, tr)
+		r.Telemetry.RecordRun(rep.Latency, sim.MHz(cfg.CoreMHz).Period, tr)
 		// Persist the verified result. A failed write never fails the
 		// job — the report is already in hand — and the first failure is
 		// warned once; the store's PutErrors counter tracks the rest.
@@ -417,31 +416,6 @@ func (r *Runner) attempt(cfg core.Config, name string) (*core.Report, *txntrace.
 		return nil, nil, classify(name, cfg, err)
 	}
 	return rep, tr, nil
-}
-
-// feedObservability folds one fresh run's latency distribution and
-// transaction-tracer rollup into campaign telemetry: each report bucket
-// replays into the campaign-wide per-class histograms (converted to
-// core cycles, so runs at different clocks aggregate on one axis), and
-// the tracer's class digests accumulate into the /progress and /metrics
-// txn rollup. Nil-safe throughout.
-func (r *Runner) feedObservability(cfg core.Config, rep *core.Report, tr *txntrace.Tracer) {
-	if r.Telemetry == nil {
-		return
-	}
-	if rep != nil && rep.Latency != nil {
-		period := sim.MHz(cfg.CoreMHz).Period
-		if period > 0 {
-			rep.Latency.Each(func(name string, d *ledger.Dist) {
-				for _, b := range d.Buckets {
-					r.Telemetry.RecordLatency(name, uint64(b.HiFS)/uint64(period), b.Count)
-				}
-			})
-		}
-	}
-	for _, s := range tr.Summary() {
-		r.Telemetry.RecordTxnClass(s.Class, s.Count, s.Exemplars, s.SlowestID, s.SlowestFS)
-	}
 }
 
 // Seed inserts an already-known result into the memo table (paperbench

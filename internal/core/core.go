@@ -12,7 +12,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/incoher"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/probe"
@@ -86,11 +85,12 @@ type Config struct {
 	DMAOutstanding  int    // concurrent DMA accesses (default 16)
 	StoreBuffer     int    // store-buffer depth (default 8; 1 = blocking stores)
 
-	// CycleLedger enables the cycle-accounting and latency-distribution
-	// layer (internal/ledger): per-core cycle ledgers with the fixed
-	// class taxonomy plus service-time histograms across the memory
-	// system. The Report then carries Cycles and Latency blocks. Off by
-	// default: every charge site degenerates to a nil compare, and the
+	// CycleLedger adds the cycle-accounting and latency-distribution
+	// blocks to the Report: every core cycle attributed to the fixed
+	// class taxonomy of internal/ledger (Cycles), and the memory
+	// system's service-time histograms (Latency). Cores always keep
+	// their ledgers; the histograms come from the transaction tracer, so
+	// without TxnTrace the run arms one that keeps no trees. The
 	// simulated outcome is identical either way (accounting reads the
 	// clocks, it never moves them).
 	CycleLedger bool
@@ -143,11 +143,11 @@ type System struct {
 	net   *noc.Network
 	unc   *uncore.Uncore
 	procs []*cpu.Proc
-	mems  []cpu.ProcMem   // each core's first level
-	l1s   []*incoher.L1   // the private cache inside each mems[i]
-	dom   *coher.Domain   // CC only
-	strs  []*stream.Mem   // STR only
-	lat   *ledger.Latency // non-nil when cfg.CycleLedger
+	mems  []cpu.ProcMem    // each core's first level
+	l1s   []*incoher.L1    // the private cache inside each mems[i]
+	dom   *coher.Domain    // CC only
+	strs  []*stream.Mem    // STR only
+	txn   *txntrace.Tracer // cfg.TxnTrace, or a tree-less one for CycleLedger
 	ran   bool
 }
 
@@ -245,11 +245,12 @@ func New(cfg Config) *System {
 	default:
 		panic("core: unknown model")
 	}
-	if cfg.CycleLedger {
-		s.attachLedger()
+	s.txn = cfg.TxnTrace
+	if s.txn == nil && cfg.CycleLedger {
+		s.txn = &txntrace.Tracer{K: -1}
 	}
-	if cfg.TxnTrace != nil {
-		s.attachTxnTrace(cfg.TxnTrace)
+	if s.txn != nil {
+		s.attachTxnTrace(s.txn)
 	}
 	return s
 }
@@ -261,9 +262,9 @@ func (s *System) eachServer(fn func(*sim.Server)) {
 	s.unc.EachServer(fn)
 }
 
-// attachTxnTrace arms transaction tracing: every memory-system layer
-// shares one Tracer, mirroring attachLedger (model code runs
-// single-threaded in event order, so the shared tracer needs no locks).
+// attachTxnTrace arms the memory system's observer: every layer shares
+// one Tracer (model code runs single-threaded in event order, so the
+// shared tracer needs no locks).
 func (s *System) attachTxnTrace(t *txntrace.Tracer) {
 	s.unc.SetTxnTrace(t)
 	s.net.SetTxnTrace(t)
@@ -272,23 +273,6 @@ func (s *System) attachTxnTrace(t *txntrace.Tracer) {
 	}
 	for i, m := range s.strs {
 		m.DMA().SetTxnTrace(t, i)
-	}
-}
-
-// attachLedger arms the cycle-accounting layer: one ledger per core and
-// one shared set of latency histograms across every memory-system layer.
-func (s *System) attachLedger() {
-	s.lat = &ledger.Latency{}
-	for _, p := range s.procs {
-		p.SetLedger(&ledger.Ledger{})
-	}
-	s.unc.SetLatency(s.lat)
-	s.net.SetLatency(s.lat)
-	for _, l1 := range s.l1s {
-		l1.SetLatency(s.lat)
-	}
-	for _, m := range s.strs {
-		m.DMA().SetLatency(s.lat)
 	}
 }
 
@@ -318,6 +302,9 @@ func (s *System) Domain() *coher.Domain { return s.dom }
 
 // StreamMem returns core i's streaming first level (STR model only).
 func (s *System) StreamMem(i int) *stream.Mem { return s.strs[i] }
+
+// L1 returns core i's private first-level cache.
+func (s *System) L1(i int) *incoher.L1 { return s.l1s[i] }
 
 // Uncore returns the shared hierarchy.
 func (s *System) Uncore() *uncore.Uncore { return s.unc }

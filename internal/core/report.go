@@ -176,7 +176,7 @@ func (s *System) report() *Report {
 			finish[i] = p.FinishTime()
 		}
 		r.Cycles = ledger.NewSummary(r.Wall, leds, finish)
-		r.Latency = s.lat.Summary()
+		r.Latency = s.txn.Latency()
 	}
 	return r
 }

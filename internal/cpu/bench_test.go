@@ -3,7 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -19,14 +18,14 @@ func (f *benchMem) StorePFS(p *Proc, a mem.Addr, nbytes uint64) sim.Time {
 }
 func (f *benchMem) Flush(p *Proc) sim.Time { return p.Now() }
 
-// runLedgerBench drives one simulated core through b.N Work+Load pairs,
-// the two hottest charge sites, with the given ledger attached (nil =
-// accounting disabled). The whole loop runs inside a single task, so no
-// engine dispatch overhead lands in the measurement.
-func runLedgerBench(b *testing.B, led *ledger.Ledger) {
+// BenchmarkLedgerEnabled drives one simulated core through b.N
+// Work+Load pairs, the two hottest charge sites, each charging the
+// core's always-on cycle ledger: the price of full cycle attribution.
+// The whole loop runs inside a single task, so no engine dispatch
+// overhead lands in the measurement.
+func BenchmarkLedgerEnabled(b *testing.B) {
 	e := sim.NewEngine()
 	p := New(0, 0, Config{Clock: sim.MHz(800)})
-	p.SetLedger(led)
 	m := &benchMem{lat: 5 * sim.Nanosecond}
 	b.ResetTimer()
 	e.Spawn("core0", 0, func(task *sim.Task) {
@@ -39,13 +38,3 @@ func runLedgerBench(b *testing.B, led *ledger.Ledger) {
 	})
 	e.Run()
 }
-
-// BenchmarkLedgerDisabled is the zero-cost gate: with no ledger
-// attached, every charge site must degenerate to a nil compare, so this
-// should be indistinguishable from the pre-ledger core hot path
-// (BENCH_engine.json records it; cmd/benchcheck gates regressions).
-func BenchmarkLedgerDisabled(b *testing.B) { runLedgerBench(b, nil) }
-
-// BenchmarkLedgerEnabled is the same loop with accounting armed — the
-// price of full cycle attribution.
-func BenchmarkLedgerEnabled(b *testing.B) { runLedgerBench(b, &ledger.Ledger{}) }

@@ -2,10 +2,11 @@
 // LX-style 3-slot VLIW cores (Table 2) with up to one load/store per
 // instruction, a 16 KB instruction cache, and an 8-entry store buffer
 // that lets loads bypass store misses (weak consistency). The core is
-// pure issue accounting: one VLIW instruction per cycle, with stalls
-// charged to the paper's four execution-time buckets — Useful (which
-// includes fetch and non-memory pipeline stalls, as in Figure 2), Sync,
-// load stalls and store-buffer stalls.
+// pure issue accounting: one VLIW instruction per cycle, with every
+// cycle charged to one class of the core's cycle ledger. The paper's
+// four execution-time buckets (Breakdown) — Useful (which includes
+// fetch and non-memory pipeline stalls, as in Figure 2), Sync, load
+// stalls and store-buffer stalls — are a view of that ledger.
 //
 // A Proc is driven by workload code running as a sim.Task coroutine; the
 // attached ProcMem (the coherent-cache model in internal/coher or the
@@ -33,8 +34,8 @@ type Tracer interface {
 // FlushClasser lets a memory model classify its Finish-time drain in
 // the cycle ledger: the streaming model's Flush waits on DMA completion
 // (ledger.DMAWait), everything else drains at synchronization cost
-// (ledger.SyncWait, the default). The Figure 2 bucket stays Sync either
-// way.
+// (ledger.SyncWait, the default). Both classes read as Sync in the
+// Figure 2 breakdown.
 type FlushClasser interface {
 	FlushClass() ledger.Class
 }
@@ -58,7 +59,8 @@ type ProcMem interface {
 	Flush(p *Proc) sim.Time
 }
 
-// Breakdown is the Figure 2 execution-time decomposition.
+// Breakdown is the Figure 2 execution-time decomposition: a coarser
+// view of the cycle ledger (Proc.Breakdown).
 type Breakdown struct {
 	Useful     sim.Time // issue + fetch + non-memory pipeline stalls
 	Sync       sim.Time // locks, barriers, waiting for DMA
@@ -132,21 +134,17 @@ type Proc struct {
 	cfg     Config
 	memory  ProcMem
 
-	bd       Breakdown
 	stats    Stats
 	imissAcc uint64
 
-	// led is the fine-grained cycle ledger; nil disables it, leaving one
-	// nil compare per charge site on the hot path (the probe layer's
-	// sentinel pattern; BenchmarkLedgerDisabled gates the cost). Every
-	// bd charge below is mirrored by exactly one ledger charge over the
-	// same duration, which is what makes the conservation invariant
-	// (ledger classes sum to finish time) hold by construction.
-	led *ledger.Ledger
+	// led is the core's cycle account. Every site that moves the core's
+	// clock charges exactly one class for the same span, which is what
+	// makes the conservation invariant (ledger classes sum to finish
+	// time) hold by construction.
+	led ledger.Ledger
 	// pfShadow marks that the in-flight stall the memory model just
 	// reported is covered by an earlier prefetch (set via
-	// MarkPrefetchShadow, consumed by the next Load charge). Only ever
-	// set when led != nil.
+	// MarkPrefetchShadow, consumed by the next Load charge).
 	pfShadow bool
 
 	snoopDebt uint64 // snoop probes not yet converted into stall cycles
@@ -180,29 +178,14 @@ func (p *Proc) Bind(task *sim.Task, m ProcMem) {
 // SetTracer attaches a span collector (nil disables tracing).
 func (p *Proc) SetTracer(t Tracer) { p.tracer = t }
 
-// SetLedger attaches a cycle ledger (nil disables accounting).
-func (p *Proc) SetLedger(l *ledger.Ledger) { p.led = l }
-
-// Ledger returns the attached cycle ledger (nil when disabled).
-func (p *Proc) Ledger() *ledger.Ledger { return p.led }
-
-// charge mirrors a breakdown charge into the ledger when enabled.
-func (p *Proc) charge(c ledger.Class, d sim.Time) {
-	if p.led != nil {
-		p.led.Charge(c, d)
-	}
-}
+// Ledger returns the core's cycle ledger.
+func (p *Proc) Ledger() *ledger.Ledger { return &p.led }
 
 // MarkPrefetchShadow tells the core that the stall its memory model is
 // about to report comes from a line an earlier prefetch already had in
 // flight, so the next Load charge classifies it as ledger.PrefetchShadow
-// instead of LoadStall. The coherent model's hit path calls it; a no-op
-// when the ledger is disabled.
-func (p *Proc) MarkPrefetchShadow() {
-	if p.led != nil {
-		p.pfShadow = true
-	}
-}
+// instead of LoadStall. The coherent model's hit path calls it.
+func (p *Proc) MarkPrefetchShadow() { p.pfShadow = true }
 
 func (p *Proc) span(name string, start, dur sim.Time) {
 	if p.tracer != nil && dur > 0 {
@@ -236,8 +219,18 @@ func (p *Proc) Mem() ProcMem { return p.memory }
 // Now returns the core's local time.
 func (p *Proc) Now() sim.Time { return p.task.Time() }
 
-// Breakdown returns the execution-time decomposition so far.
-func (p *Proc) Breakdown() Breakdown { return p.bd }
+// Breakdown returns the execution-time decomposition so far, read off
+// the ledger: DMA waits count as Sync and prefetch shadows as load
+// stalls, as in Figure 2.
+func (p *Proc) Breakdown() Breakdown {
+	l := &p.led
+	return Breakdown{
+		Useful:     l.Get(ledger.Compute),
+		Sync:       l.Get(ledger.SyncWait) + l.Get(ledger.DMAWait),
+		LoadStall:  l.Get(ledger.LoadStall) + l.Get(ledger.PrefetchShadow),
+		StoreStall: l.Get(ledger.StoreStall),
+	}
+}
 
 // Stats returns the core's counters.
 func (p *Proc) Stats() Stats { return p.stats }
@@ -269,8 +262,7 @@ func (p *Proc) FinishTime() sim.Time {
 func (p *Proc) chargeUseful(n uint64) {
 	d := p.cfg.Clock.Cycles(n)
 	p.task.Advance(d)
-	p.bd.Useful += d
-	p.charge(ledger.Compute, d)
+	p.led.Charge(ledger.Compute, d)
 	p.stats.Instructions += n
 	p.stats.LocalAccesses += n / 2
 	if p.cfg.InstrPerIMiss == 0 {
@@ -281,8 +273,7 @@ func (p *Proc) chargeUseful(n uint64) {
 		p.imissAcc -= p.cfg.InstrPerIMiss
 		p.stats.IMisses++
 		p.task.Advance(p.cfg.IMissPenalty)
-		p.bd.Useful += p.cfg.IMissPenalty
-		p.charge(ledger.Compute, p.cfg.IMissPenalty)
+		p.led.Charge(ledger.Compute, p.cfg.IMissPenalty)
 	}
 }
 
@@ -299,8 +290,7 @@ func (p *Proc) applySnoopDebt() {
 	p.snoopDebt %= 2
 	d := p.cfg.Clock.Cycles(cycles)
 	p.task.Advance(d)
-	p.bd.LoadStall += d
-	p.charge(ledger.LoadStall, d)
+	p.led.Charge(ledger.LoadStall, d)
 	p.stats.SnoopStalls += cycles
 }
 
@@ -328,8 +318,7 @@ func (p *Proc) WaitUntilDMA(t sim.Time) { p.waitUntil(t, ledger.DMAWait) }
 
 func (p *Proc) waitUntil(t sim.Time, c ledger.Class) {
 	if now := p.task.Time(); t > now {
-		p.bd.Sync += t - now
-		p.charge(c, t-now)
+		p.led.Charge(c, t-now)
 		p.span("sync-wait", now, t-now)
 		p.task.SetTime(t)
 	}
@@ -339,17 +328,11 @@ func (p *Proc) waitUntil(t sim.Time, c ledger.Class) {
 // AddSync charges d of synchronization time without advancing the clock
 // (used when a primitive has already moved the task's clock, e.g. after
 // an Unblock).
-func (p *Proc) AddSync(d sim.Time) {
-	p.bd.Sync += d
-	p.charge(ledger.SyncWait, d)
-}
+func (p *Proc) AddSync(d sim.Time) { p.led.Charge(ledger.SyncWait, d) }
 
 // AddDMAWait is AddSync with the ledger class ledger.DMAWait (a DMA
 // completion wait whose clock movement already happened via Unblock).
-func (p *Proc) AddDMAWait(d sim.Time) {
-	p.bd.Sync += d
-	p.charge(ledger.DMAWait, d)
-}
+func (p *Proc) AddDMAWait(d sim.Time) { p.led.Charge(ledger.DMAWait, d) }
 
 // Load issues one load instruction to address a and blocks until the
 // data is available.
@@ -359,11 +342,10 @@ func (p *Proc) Load(a mem.Addr) {
 	p.stats.Loads++
 	done := p.memory.Load(p, a)
 	if now := p.task.Time(); done > now {
-		p.bd.LoadStall += done - now
 		if p.pfShadow {
-			p.charge(ledger.PrefetchShadow, done-now)
+			p.led.Charge(ledger.PrefetchShadow, done-now)
 		} else {
-			p.charge(ledger.LoadStall, done-now)
+			p.led.Charge(ledger.LoadStall, done-now)
 		}
 		p.span("load-stall", now, done-now)
 		p.task.SetTime(done)
@@ -394,8 +376,7 @@ func (p *Proc) store(a mem.Addr, nbytes uint64, pfs bool) {
 	}
 	if p.sbLen == depth {
 		oldest := p.storeBuf[p.sbHead]
-		p.bd.StoreStall += oldest - now
-		p.charge(ledger.StoreStall, oldest-now)
+		p.led.Charge(ledger.StoreStall, oldest-now)
 		p.span("store-stall", now, oldest-now)
 		p.task.SetTime(oldest)
 		p.sbHead = (p.sbHead + 1) % depth
@@ -508,20 +489,18 @@ func (p *Proc) Finish() {
 		p.sbHead = (p.sbHead + 1) % len(p.storeBuf)
 		p.sbLen--
 		if done > now {
-			p.bd.StoreStall += done - now
-			p.charge(ledger.StoreStall, done-now)
+			p.led.Charge(ledger.StoreStall, done-now)
 			p.task.SetTime(done)
 			now = done
 		}
 	}
 	if d := p.memory.Flush(p); d > p.task.Time() {
 		wait := d - p.task.Time()
-		p.bd.Sync += wait
 		c := ledger.SyncWait
 		if fc, ok := p.memory.(FlushClasser); ok {
 			c = fc.FlushClass()
 		}
-		p.charge(c, wait)
+		p.led.Charge(c, wait)
 		p.task.SetTime(d)
 	}
 	p.finished = true

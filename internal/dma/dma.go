@@ -10,7 +10,6 @@ package dma
 import (
 	"fmt"
 
-	"repro/internal/ledger"
 	"repro/internal/lstore"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -68,6 +67,7 @@ type Stats struct {
 	PutBytes    uint64
 	Beats       uint64 // 32-byte line beats
 	SparseElems uint64 // strided/indexed elements
+	SparseGets  uint64 // of which read: one uncore ReadSparse each
 	BusyTime    sim.Time
 
 	// Per-direction command counts and queue-to-completion latency
@@ -157,7 +157,6 @@ type Engine struct {
 	la, lbase, lend mem.Addr
 
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
 	txn   *txntrace.Tracer // nil = transaction tracing disabled
 	core  int              // owning core, stamped on traced commands
 }
@@ -197,10 +196,6 @@ func (e *Engine) Spawn(eng *sim.Engine, start sim.Time) {
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (e *Engine) SetLatency(l *ledger.Latency) { e.lat = l }
-
 // SetTxnTrace attaches the run's transaction tracer (nil disables it);
 // core is the owning core, stamped on each traced command.
 func (e *Engine) SetTxnTrace(t *txntrace.Tracer, core int) {
@@ -225,6 +220,7 @@ func (s *Stats) Add(src Stats) {
 	s.PutBytes += src.PutBytes
 	s.Beats += src.Beats
 	s.SparseElems += src.SparseElems
+	s.SparseGets += src.SparseGets
 	s.BusyTime += src.BusyTime
 	s.GetCommands += src.GetCommands
 	s.PutCommands += src.PutCommands
@@ -522,6 +518,7 @@ func (e *Engine) countSparse() {
 	e.ls.CountDMABeat()
 	if e.cur.dir == Get {
 		e.stats.GetBytes += e.cur.elemBytes
+		e.stats.SparseGets++
 	} else {
 		e.stats.PutBytes += e.cur.elemBytes
 	}
@@ -557,15 +554,9 @@ func (e *Engine) finishCmd(done sim.Time) {
 	if e.cur.dir == Get {
 		e.stats.GetCommands++
 		e.stats.GetLatency += cmdLat
-		if e.lat != nil {
-			e.lat.DMAGet.Record(uint64(cmdLat))
-		}
 	} else {
 		e.stats.PutCommands++
 		e.stats.PutLatency += cmdLat
-		if e.lat != nil {
-			e.lat.DMAPut.Record(uint64(cmdLat))
-		}
 	}
 	e.txn.EndDetached(e.cur.ctx, done)
 	e.cur.ctx = nil // the tracer may recycle the ended transaction

@@ -3,7 +3,6 @@ package incoher
 import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -98,7 +97,7 @@ func (s Stats) Snapshot(put func(name string, value float64)) {
 // L1 is one core's private write-back, write-allocate data cache: the
 // front end every memory model's first level is built on. It owns the
 // hit path, the miss accounting (transaction trace, miss counts and
-// service times, latency histograms) and the line install with its
+// service times) and the line install with its
 // dirty-victim write-back; the Protocol, if any, supplies the rest.
 //
 // Sync audit (engine fast path): hits touch only this core's
@@ -113,7 +112,6 @@ type L1 struct {
 	unc     *uncore.Uncore
 	proto   Protocol // nil: misses go straight to the L2
 	stats   Stats
-	lat     *ledger.Latency  // nil = latency histograms disabled
 	txn     *txntrace.Tracer // nil = transaction tracing disabled
 }
 
@@ -131,20 +129,12 @@ func (f *L1) Cache() *cache.Cache { return f.c }
 // Stats returns the miss accounting.
 func (f *L1) Stats() Stats { return f.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (f *L1) SetLatency(l *ledger.Latency) { f.lat = l }
-
 // SetTxnTrace attaches the run's transaction tracer (nil disables it).
 func (f *L1) SetTxnTrace(t *txntrace.Tracer) { f.txn = t }
 
 // Tag annotates the active transaction with an outcome (no-op when
 // tracing is off or nothing is active).
-func (f *L1) Tag(s string) {
-	if f.txn != nil {
-		f.txn.Active().AddTag(s)
-	}
-}
+func (f *L1) Tag(s string) { f.txn.Tag(s) }
 
 // Load implements cpu.ProcMem.
 func (f *L1) Load(p *cpu.Proc, a mem.Addr) sim.Time {
@@ -247,15 +237,9 @@ func (f *L1) Miss(class txntrace.Class, at sim.Time, a mem.Addr) sim.Time {
 	case txntrace.ReadMiss:
 		f.stats.ReadMisses++
 		f.stats.ReadMissLatency += done - at
-		if f.lat != nil {
-			f.lat.ReadMiss.Record(uint64(done - at))
-		}
 	case txntrace.WriteMiss:
 		f.stats.WriteMisses++
 		f.stats.WriteMissLatency += done - at
-		if f.lat != nil {
-			f.lat.WriteMiss.Record(uint64(done - at))
-		}
 	}
 	f.txn.End(done)
 	if f.proto == nil {

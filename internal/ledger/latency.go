@@ -7,41 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Latency is one run's set of service-time histograms, shared by every
-// layer of the memory system. Each recording site holds a *Latency that
-// is nil when the ledger is disabled — the same sentinel compare as the
-// per-core cycle ledger. All values are femtoseconds.
-type Latency struct {
-	// ReadMiss / WriteMiss are demand misses of the first-level storage:
-	// the CC and INC L1s, or the STR 8 KB stack/globals cache — issue to
-	// data-available, as seen by the core.
-	ReadMiss  stats.Histogram
-	WriteMiss stats.Histogram
-	// L2Hit / DRAMFill split uncore line reads by where the data came
-	// from: the shared L2's port, or a DRAM fill (request leaving the
-	// cluster to data back at the cluster).
-	L2Hit    stats.Histogram
-	DRAMFill stats.Histogram
-	// DMAGet / DMAPut are whole DMA command latencies: enqueue by the
-	// core to last beat complete, queuing included.
-	DMAGet stats.Histogram
-	DMAPut stats.Histogram
-	// NoCAcquire is the arbitration wait of every bus and crossbar
-	// transfer: grant time minus arrival at the link.
-	NoCAcquire stats.Histogram
-}
-
-// Each calls f for every histogram in fixed export order.
-func (l *Latency) Each(f func(name string, h *stats.Histogram)) {
-	f("read_miss", &l.ReadMiss)
-	f("write_miss", &l.WriteMiss)
-	f("l2_hit", &l.L2Hit)
-	f("dram_fill", &l.DRAMFill)
-	f("dma_get", &l.DMAGet)
-	f("dma_put", &l.DMAPut)
-	f("noc_acquire", &l.NoCAcquire)
-}
-
 // Bucket is one non-empty power-of-two histogram bucket.
 type Bucket struct {
 	LoFS  sim.Time `json:"lo_fs"`
@@ -62,9 +27,10 @@ type Dist struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// distOf summarizes a histogram; nil when it recorded nothing, so empty
-// metrics vanish from JSON instead of reading as all-zero distributions.
-func distOf(h *stats.Histogram) *Dist {
+// DistOf summarizes a histogram of femtosecond values; nil when it
+// recorded nothing, so empty metrics vanish from JSON instead of
+// reading as all-zero distributions.
+func DistOf(h *stats.Histogram) *Dist {
 	if h.Count() == 0 {
 		return nil
 	}
@@ -82,29 +48,28 @@ func distOf(h *stats.Histogram) *Dist {
 	return d
 }
 
-// LatencySummary is the Report's latency block, one Dist per metric
-// (nil = no observations in this run).
+// LatencySummary is the Report's latency block: the memory system's
+// service-time distributions, one Dist per metric (nil = no
+// observations in this run). The transaction tracer builds it
+// (txntrace.Tracer.Latency).
 type LatencySummary struct {
-	ReadMiss   *Dist `json:"read_miss,omitempty"`
-	WriteMiss  *Dist `json:"write_miss,omitempty"`
-	L2Hit      *Dist `json:"l2_hit,omitempty"`
-	DRAMFill   *Dist `json:"dram_fill,omitempty"`
-	DMAGet     *Dist `json:"dma_get,omitempty"`
-	DMAPut     *Dist `json:"dma_put,omitempty"`
+	// ReadMiss / WriteMiss are demand misses of the first-level storage:
+	// the CC and INC L1s, or the STR 8 KB stack/globals cache — issue to
+	// data-available, as seen by the core.
+	ReadMiss  *Dist `json:"read_miss,omitempty"`
+	WriteMiss *Dist `json:"write_miss,omitempty"`
+	// L2Hit / DRAMFill split uncore line reads by where the data came
+	// from: the shared L2's port, or a DRAM fill (request leaving the
+	// cluster to data back at the cluster).
+	L2Hit    *Dist `json:"l2_hit,omitempty"`
+	DRAMFill *Dist `json:"dram_fill,omitempty"`
+	// DMAGet / DMAPut are whole DMA command latencies: enqueue by the
+	// core to last beat complete, queuing included.
+	DMAGet *Dist `json:"dma_get,omitempty"`
+	DMAPut *Dist `json:"dma_put,omitempty"`
+	// NoCAcquire is the arbitration wait of every bus and crossbar
+	// transfer: grant time minus arrival at the link.
 	NoCAcquire *Dist `json:"noc_acquire,omitempty"`
-}
-
-// Summary converts the histograms to the report block.
-func (l *Latency) Summary() *LatencySummary {
-	return &LatencySummary{
-		ReadMiss:   distOf(&l.ReadMiss),
-		WriteMiss:  distOf(&l.WriteMiss),
-		L2Hit:      distOf(&l.L2Hit),
-		DRAMFill:   distOf(&l.DRAMFill),
-		DMAGet:     distOf(&l.DMAGet),
-		DMAPut:     distOf(&l.DMAPut),
-		NoCAcquire: distOf(&l.NoCAcquire),
-	}
 }
 
 // Each calls f for every non-nil distribution in fixed export order.

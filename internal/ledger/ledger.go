@@ -1,22 +1,22 @@
 // Package ledger is the cross-layer cycle-accounting subsystem: a
 // per-core ledger that attributes every core cycle to a fixed taxonomy
-// of classes, plus service-time histograms for the memory system's
-// latency distributions (latency.go).
+// of classes, plus the report types of the memory system's latency
+// distributions (latency.go), which the transaction tracer fills.
 //
-// The ledger refines the Figure 2 breakdown (cpu.Breakdown) without
-// replacing it: every site in internal/cpu that charges a breakdown
-// bucket also charges exactly one ledger class covering the same span
-// of simulated time, so the non-idle classes sum to the core's finish
-// time by construction, and — with Idle defined as wall minus finish —
-// all classes sum exactly to the run's wall time. That conservation
-// invariant is what makes stacked breakdown figures trustworthy: no
-// cycle is counted twice, none is dropped. Summary.Check enforces it
-// and the repo's property test runs it across every shipped workload.
+// The ledger is each core's only account of its time. Every site in
+// internal/cpu that moves a core's clock charges exactly one class for
+// the same span of simulated time, so the non-idle classes sum to the
+// core's finish time by construction, and — with Idle defined as wall
+// minus finish — all classes sum exactly to the run's wall time. That
+// conservation invariant is what makes stacked breakdown figures
+// trustworthy: no cycle is counted twice, none is dropped.
+// Summary.Check enforces it and the repo's property test runs it across
+// every shipped workload. The Figure 2 breakdown (cpu.Breakdown) is a
+// coarser view of the same account, summed from its classes.
 //
-// Cost discipline: a Proc's ledger pointer is nil when accounting is
-// disabled, so the only cost on the disabled hot path is a nil compare
-// per charge site — the same sentinel pattern the probe layer uses for
-// its epoch check (BenchmarkLedgerDisabled gates it).
+// Cost: a charge is one array add, always on (BenchmarkLedgerEnabled).
+// Config.CycleLedger only decides whether the report carries the
+// ledger's blocks.
 package ledger
 
 import (

@@ -9,7 +9,6 @@ package noc
 import (
 	"fmt"
 
-	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/txntrace"
 )
@@ -62,7 +61,6 @@ type Network struct {
 	toL2  []*sim.Pipe // per-cluster crossbar output port (towards L2)
 	frL2  []*sim.Pipe // per-cluster crossbar input port (from L2)
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
 	txn   *txntrace.Tracer // nil = transaction tracing disabled
 }
 
@@ -86,28 +84,14 @@ func (n *Network) Config() Config { return n.cfg }
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (n *Network) SetLatency(l *ledger.Latency) { n.lat = l }
-
 // SetTxnTrace attaches the run's transaction tracer (nil disables it).
 func (n *Network) SetTxnTrace(t *txntrace.Tracer) { n.txn = t }
 
-// xfer runs one tracked transfer, recording the arbitration wait into
-// the NoC-acquire histogram and a hop on the active transaction when
-// either observer is enabled.
+// xfer runs one tracked transfer and reports it to the tracer, which
+// records the arbitration wait and a hop on the active transaction.
 func (n *Network) xfer(p *sim.Pipe, at sim.Time, nbytes uint64, op string) sim.Time {
 	done, wait := p.TransferTracked(at, nbytes)
-	if n.lat != nil {
-		n.lat.NoCAcquire.Record(uint64(wait))
-	}
-	if n.txn != nil {
-		if wait > 0 {
-			n.txn.HopNum("noc", op, at, done, txntrace.TagWait, uint64(wait))
-		} else {
-			n.txn.Hop("noc", op, at, done)
-		}
-	}
+	n.txn.Transfer(op, at, done, wait)
 	return done
 }
 

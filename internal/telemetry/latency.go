@@ -1,6 +1,11 @@
 package telemetry
 
-import "repro/internal/stats"
+import (
+	"repro/internal/ledger"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/txntrace"
+)
 
 // LatencyClasses are the per-class campaign latency histograms exported
 // as the memsim_latency_cycles family, in render order. They mirror the
@@ -33,6 +38,27 @@ func (c *Campaign) RecordLatency(class string, cycles, count uint64) {
 	c.mu.Lock()
 	c.latency[i].RecordN(cycles, count)
 	c.mu.Unlock()
+}
+
+// RecordRun folds one finished run into the campaign: each bucket of
+// its latency block (nil without the cycle ledger) replays into the
+// per-class histograms, converted to core cycles of the given clock
+// period so runs at different clocks aggregate on one axis, and the
+// tracer's class digests (none for a nil tracer) into the txn rollup.
+func (c *Campaign) RecordRun(lat *ledger.LatencySummary, period sim.Time, tr *txntrace.Tracer) {
+	if c == nil {
+		return
+	}
+	if lat != nil && period > 0 {
+		lat.Each(func(class string, d *ledger.Dist) {
+			for _, b := range d.Buckets {
+				c.RecordLatency(class, uint64(b.HiFS)/uint64(period), b.Count)
+			}
+		})
+	}
+	for _, s := range tr.Summary() {
+		c.RecordTxnClass(s.Class, s.Count, s.Exemplars, s.SlowestID, s.SlowestFS)
+	}
 }
 
 // txnAgg aggregates one transaction class across runs (guarded by mu).

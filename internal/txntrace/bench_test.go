@@ -7,18 +7,18 @@ import (
 )
 
 // traceOneMiss is the charge-site shape of one CC read miss: a root
-// Begin, a handful of hops across the hierarchy, one nested fill, and
-// the End that finalizes attribution. The benchmarks drive this exact
+// Begin, two NoC transfers and an L2 hop, one nested fill, and the End
+// that finalizes attribution and records the latency histograms. The benchmarks drive this exact
 // sequence so the measured cost is the per-transaction price the model
 // pays, not a synthetic single hook.
 func traceOneMiss(t *Tracer, i int) {
 	at := sim.Time(i) * 1000
 	t.Begin(ReadMiss, i&7, uint64(i)*64, at)
-	t.Hop("noc", "bus_control", at, at+10)
+	t.Transfer("bus_control", at, at+10, 0)
 	t.Begin(L2Hit, i&7, uint64(i)*64, at+10)
 	t.Hop("l2", "access", at+10, at+20)
 	t.End(at + 20)
-	t.HopNum("noc", "bus_data", at+20, at+30, TagWait, 5000)
+	t.Transfer("bus_data", at+20, at+30, 5000)
 	t.End(at + 30)
 }
 
@@ -41,6 +41,19 @@ func BenchmarkTxnTraceDisabled(b *testing.B) {
 // their K trees, every transaction is recycled: 0 allocs/op.
 func BenchmarkTxnTraceEnabled(b *testing.B) {
 	t := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		traceOneMiss(t, i)
+	}
+}
+
+// BenchmarkTxnTraceLatencyOnly is the same sequence on a tracer that
+// can keep no tree (no exemplars, no sampling): the tracer the cycle
+// ledger arms for its latency histograms. It must not build trees, so
+// bench-check bounds it against the same-run BenchmarkTxnTraceEnabled.
+func BenchmarkTxnTraceLatencyOnly(b *testing.B) {
+	t := &Tracer{K: -1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,10 +31,11 @@ func (t *Tracer) Summary() []ClassSummary {
 	}
 	var out []ClassSummary
 	for _, c := range Classes() {
-		if t.counts[c] == 0 {
+		n := t.Count(c)
+		if n == 0 {
 			continue
 		}
-		s := ClassSummary{Class: c.String(), Count: t.counts[c], Exemplars: len(t.reservoirs[c].txs)}
+		s := ClassSummary{Class: c.String(), Count: n, Exemplars: len(t.reservoirs[c].txs)}
 		if s.Exemplars > 0 {
 			worst := t.reservoirs[c].txs[0]
 			s.SlowestID = worst.ID
@@ -183,7 +184,7 @@ func (t *Tracer) WriteExplainTail(w io.Writer, period sim.Time) {
 		if len(exs) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "worst-%d %s exemplars (%d observed)\n", len(exs), c, t.counts[c])
+		fmt.Fprintf(w, "worst-%d %s exemplars (%d observed)\n", len(exs), c, t.Count(c))
 		for _, x := range exs {
 			writeTxnTree(w, x, period, "  ")
 		}

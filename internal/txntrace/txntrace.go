@@ -15,12 +15,21 @@
 //     complete trees per latency class, so the tail of every histogram
 //     is explained without tracing everything.
 //
-// Like the ledger and the probe, a Tracer is a run-scoped observer
-// behind the repo's nil-sentinel pattern: every hook is safe on a nil
-// receiver, costs one nil compare when tracing is off, and only ever
-// reads simulated clocks — attaching a Tracer never changes a report.
-// Model code runs single-threaded in event order, so the Tracer needs
-// no locks; reading results is safe once the run has finished.
+// The Tracer is the memory system's only observer. The report's latency
+// histograms are a view of it: each transaction records its latency
+// into its class histogram when it ends, and every NoC transfer records
+// its arbitration wait, inside a transaction or not. A Tracer that can
+// keep no tree (K < 0 and no sampling) records only those histograms:
+// it keeps each open transaction's class and start, and records no
+// hops, attaches no children and finalizes nothing. core.New arms such
+// a tracer when the cycle ledger is on and no tracer is attached.
+//
+// A Tracer is a run-scoped observer behind the repo's nil-sentinel
+// pattern: every hook is safe on a nil receiver, costs one nil compare
+// when tracing is off, and only ever reads simulated clocks — attaching
+// a Tracer never changes a report. Model code runs single-threaded in
+// event order, so the Tracer needs no locks; reading results is safe
+// once the run has finished.
 //
 // Armed capture allocates nothing in steady state: a transaction that
 // no retained tree references when it ends (or that a reservoir later
@@ -36,12 +45,14 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/ledger"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-// Class is a transaction latency class. The classes mirror the cycle
-// ledger's latency histograms, plus Prefetch for hardware-prefetch
-// fills that the ledger deliberately excludes from ReadMiss.
+// Class is a transaction latency class. Each has a latency histogram;
+// all but Prefetch (hardware-prefetch fills, which are not demand
+// misses) are exported in the report's latency block.
 type Class uint8
 
 // The transaction latency classes.
@@ -316,7 +327,8 @@ type Tracer struct {
 	nextID     uint64
 	stack      []*Txn
 	reservoirs [numClasses]reservoir
-	counts     [numClasses]uint64
+	hist       [numClasses]stats.Histogram // latency per class
+	nocWait    stats.Histogram             // arbitration wait per NoC transfer
 	kept       []*Txn
 	dropped    uint64
 	// Recycled shells. Detached roots (DMA commands) record hundreds of
@@ -339,6 +351,10 @@ func (t *Tracer) kOrDefault() int {
 	}
 	return DefaultK
 }
+
+// keepsTrees reports whether any tree can be retained, by a reservoir
+// or by the sampler. A tracer that can keep none builds no trees.
+func (t *Tracer) keepsTrees() bool { return t.K >= 0 || t.SampleEvery != 0 }
 
 func (t *Tracer) keptCapOrDefault() int {
 	if t.KeptCap > 0 {
@@ -368,7 +384,9 @@ func (t *Tracer) sampleRoot() bool {
 }
 
 // newTxn takes a shell from the matching free list, keeping its
-// backing arrays, or allocates one when the list is empty.
+// backing arrays, or allocates one when the list is empty. A tracer
+// that keeps no trees reads only a shell's class and start, so a
+// recycled one is not cleared.
 func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time, detached bool) *Txn {
 	free := &t.free
 	if detached {
@@ -378,6 +396,10 @@ func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time, detache
 	if n := len(*free); n > 0 {
 		x = (*free)[n-1]
 		*free = (*free)[:n-1]
+		if !t.keepsTrees() {
+			x.Class, x.StartFS = class, at
+			return x
+		}
 		*x = Txn{Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0], ancestors: x.ancestors[:0]}
 	} else {
 		x = new(Txn)
@@ -417,13 +439,15 @@ func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 		return nil
 	}
 	x := t.newTxn(class, core, addr, at, false)
-	if n := len(t.stack); n > 0 {
-		p := t.stack[n-1]
-		x.parent = p
-		x.sampled = p.sampled
-		x.ancestors = append(append(x.ancestors, p.ancestors...), p.ID)
-	} else {
-		x.sampled = t.sampleRoot()
+	if t.keepsTrees() {
+		if n := len(t.stack); n > 0 {
+			p := t.stack[n-1]
+			x.parent = p
+			x.sampled = p.sampled
+			x.ancestors = append(append(x.ancestors, p.ancestors...), p.ID)
+		} else {
+			x.sampled = t.sampleRoot()
+		}
 	}
 	t.stack = append(t.stack, x)
 	return x
@@ -439,7 +463,9 @@ func (t *Tracer) BeginDetached(class Class, core int, addr uint64, at sim.Time) 
 		return nil
 	}
 	x := t.newTxn(class, core, addr, at, true)
-	x.sampled = t.sampleRoot()
+	if t.keepsTrees() {
+		x.sampled = t.sampleRoot()
+	}
 	return x
 }
 
@@ -484,12 +510,44 @@ func (t *Tracer) HopNum(component, op string, start, end sim.Time, kind TagKind,
 	}
 }
 
-// hop adds a hop to the active transaction, if any. Hop, HopTag and
-// HopNum test only for a nil Tracer and call it, which keeps them small
-// enough to inline: a disabled tracer costs their callers one compare.
+// hop adds a hop to the active transaction, if any and if its tree can
+// be kept. Hop, HopTag and HopNum test only for a nil Tracer and call
+// it, which keeps them small enough to inline: a disabled tracer costs
+// their callers one compare.
 func (t *Tracer) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
-	if len(t.stack) > 0 {
+	if len(t.stack) > 0 && t.keepsTrees() {
 		t.stack[len(t.stack)-1].addHop(component, op, start, end, text, num, kind)
+	}
+}
+
+// Tag annotates the active transaction with an outcome tag (see
+// Txn.AddTag); a no-op when none is active or no tree can be kept.
+func (t *Tracer) Tag(tag string) {
+	if t != nil && len(t.stack) > 0 && t.keepsTrees() {
+		t.stack[len(t.stack)-1].AddTag(tag)
+	}
+}
+
+// Transfer records one NoC transfer that arrived at start, waited wait
+// for arbitration and delivered at end: the wait goes into the
+// noc_acquire histogram, and a "noc" hop, tagged with a nonzero wait,
+// onto the active transaction. Like Hop, it inlines to one compare on a
+// nil Tracer.
+func (t *Tracer) Transfer(op string, start, end, wait sim.Time) {
+	if t != nil {
+		t.transfer(op, start, end, wait)
+	}
+}
+
+func (t *Tracer) transfer(op string, start, end, wait sim.Time) {
+	t.nocWait.Record(uint64(wait))
+	if !t.keepsTrees() {
+		return
+	}
+	if wait > 0 {
+		t.hop("noc", op, start, end, "", uint64(wait), TagWait)
+	} else {
+		t.hop("noc", op, start, end, "", 0, tagText)
 	}
 }
 
@@ -527,11 +585,16 @@ func (t *Tracer) EndDetached(x *Txn, at sim.Time) {
 	t.finish(x, at)
 }
 
-// finish retains x wherever it belongs — its class reservoir, its
-// parent's Kids, the sampled list — and recycles it if nothing did.
+// finish records x's latency in its class histogram, retains x
+// wherever it belongs — its class reservoir, its parent's Kids, the
+// sampled list — and recycles it if nothing did.
 func (t *Tracer) finish(x *Txn, at sim.Time) {
+	t.hist[x.Class].Record(uint64(at - x.StartFS))
+	if !t.keepsTrees() {
+		t.release(x)
+		return
+	}
 	x.finalize(at)
-	t.counts[x.Class]++
 	if k := t.kOrDefault(); k > 0 {
 		r := &t.reservoirs[x.Class]
 		r.k = k
@@ -577,7 +640,21 @@ func (t *Tracer) Count(c Class) uint64 {
 	if t == nil || c >= numClasses {
 		return 0
 	}
-	return t.counts[c]
+	return t.hist[c].Count()
+}
+
+// Latency returns the report's latency block: the exported classes'
+// histograms and the NoC arbitration waits.
+func (t *Tracer) Latency() *ledger.LatencySummary {
+	return &ledger.LatencySummary{
+		ReadMiss:   ledger.DistOf(&t.hist[ReadMiss]),
+		WriteMiss:  ledger.DistOf(&t.hist[WriteMiss]),
+		L2Hit:      ledger.DistOf(&t.hist[L2Hit]),
+		DRAMFill:   ledger.DistOf(&t.hist[DRAMFill]),
+		DMAGet:     ledger.DistOf(&t.hist[DMAGet]),
+		DMAPut:     ledger.DistOf(&t.hist[DMAPut]),
+		NoCAcquire: ledger.DistOf(&t.nocWait),
+	}
 }
 
 // Kept returns the sampled transaction trees in (start, ID) order.

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dram"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -81,7 +80,6 @@ type Uncore struct {
 	l2Ports []*sim.Server
 	drams   []*dram.Channel
 	stats   Stats
-	lat     *ledger.Latency  // nil = latency histograms disabled
 	txn     *txntrace.Tracer // nil = transaction tracing disabled
 
 	// bankSel and chanSel interleave line addresses across the L2 banks
@@ -215,10 +213,6 @@ func (u *Uncore) AvgChannelUtilization(end sim.Time) float64 {
 // Stats returns a snapshot of the uncore counters.
 func (u *Uncore) Stats() Stats { return u.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (u *Uncore) SetLatency(l *ledger.Latency) { u.lat = l }
-
 // SetTxnTrace attaches the run's transaction tracer (nil disables it).
 func (u *Uncore) SetTxnTrace(t *txntrace.Tracer) { u.txn = t }
 
@@ -276,22 +270,16 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 			t = ln.FillDone
 		}
 		done = u.net.FromGlobal(t, cluster, mem.LineSize)
-		if u.lat != nil {
-			u.lat.L2Hit.Record(uint64(done - at))
-		}
-		x.AddTag("l2=hit")
+		u.txn.Tag("l2=hit")
 		u.txn.End(done)
 		return done, true
 	}
 	x.SetClass(txntrace.DRAMFill)
-	x.AddTag("l2=miss")
+	u.txn.Tag("l2=miss")
 	t = u.dramAccess(t, a.Line(), mem.LineSize, false)
 	_, ev := u.l2For(a).Insert(a, cache.Exclusive, t)
 	u.evictL2(t, ev)
 	done = u.net.FromGlobal(t, cluster, mem.LineSize)
-	if u.lat != nil {
-		u.lat.DRAMFill.Record(uint64(done - at))
-	}
 	u.txn.End(done)
 	return done, false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	memsys "repro"
+	"repro/internal/txntrace"
 )
 
 // TestLedgerConservation is the cycle-accounting layer's property test:
@@ -122,4 +123,98 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestLatencyCountsMatchCounters pins the latency histograms to the
+// model counters they observe: every workload on every model, with the
+// ledger armed, must record exactly one read_miss or write_miss per
+// first-level demand miss, one l2_hit or dram_fill per uncore line read
+// and one dma_get or dma_put per DMA command. A charge site that stops
+// emitting into the tracer fails here. With a tracer armed as well, its
+// per-class counts must equal the histograms.
+func TestLatencyCountsMatchCounters(t *testing.T) {
+	for _, name := range memsys.Workloads() {
+		for _, model := range []memsys.Model{memsys.CC, memsys.STR, memsys.INC} {
+			name, model := name, model
+			t.Run(name+"-"+model.String(), func(t *testing.T) {
+				t.Parallel()
+				for _, traced := range []bool{false, true} {
+					cfg := memsys.DefaultConfig(model, 4)
+					cfg.CycleLedger = true
+					var tr *memsys.TxnTrace
+					if traced {
+						tr = memsys.NewTxnTrace()
+						cfg.TxnTrace = tr
+					}
+					checkLatencyCounts(t, cfg, name, tr)
+				}
+			})
+		}
+	}
+}
+
+func checkLatencyCounts(t *testing.T, cfg memsys.Config, name string, tr *memsys.TxnTrace) {
+	t.Helper()
+	w, err := memsys.NewWorkload(name, memsys.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := memsys.NewSystem(cfg)
+	rep, err := sys.Run(w)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var readMisses, writeMisses, gets, puts, sparseGets uint64
+	for i := 0; i < cfg.Cores; i++ {
+		st := sys.L1(i).Stats()
+		readMisses += st.ReadMisses
+		writeMisses += st.WriteMisses
+		if cfg.Model == memsys.STR {
+			ds := sys.StreamMem(i).DMA().Stats()
+			gets += ds.GetCommands
+			puts += ds.PutCommands
+			sparseGets += ds.SparseGets
+		}
+	}
+	count := func(d *memsys.LatencyDist) uint64 {
+		if d == nil {
+			return 0
+		}
+		return d.Count
+	}
+	lat := rep.Latency
+	for _, c := range []struct {
+		what      string
+		hist, ctr uint64
+	}{
+		{"read_miss vs L1 ReadMisses", count(lat.ReadMiss), readMisses},
+		{"write_miss vs L1 WriteMisses", count(lat.WriteMiss), writeMisses},
+		// Sparse DMA gathers read single elements, not lines: they count
+		// as uncore read requests but are not line-read transactions.
+		{"l2_hit+dram_fill vs Unc.ReadRequests-SparseGets", count(lat.L2Hit) + count(lat.DRAMFill), rep.Unc.ReadRequests - sparseGets},
+		{"dma_get vs GetCommands", count(lat.DMAGet), gets},
+		{"dma_put vs PutCommands", count(lat.DMAPut), puts},
+	} {
+		if c.hist != c.ctr {
+			t.Errorf("traced=%v: %s: histogram %d, counter %d", tr != nil, c.what, c.hist, c.ctr)
+		}
+	}
+	if tr == nil {
+		return
+	}
+	for _, c := range []struct {
+		class txntrace.Class
+		d     *memsys.LatencyDist
+	}{
+		{txntrace.ReadMiss, lat.ReadMiss},
+		{txntrace.WriteMiss, lat.WriteMiss},
+		{txntrace.L2Hit, lat.L2Hit},
+		{txntrace.DRAMFill, lat.DRAMFill},
+		{txntrace.DMAGet, lat.DMAGet},
+		{txntrace.DMAPut, lat.DMAPut},
+	} {
+		if got := tr.Count(c.class); got != count(c.d) {
+			t.Errorf("%s: tracer count %d, histogram %d", c.class, got, count(c.d))
+		}
+	}
 }
