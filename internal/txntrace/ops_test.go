@@ -255,6 +255,44 @@ func opInputs() [][]byte {
 	return append(in, retainedChildOps, detachedOps)
 }
 
+// TestTreelessTracerKeepsHistograms replays every op input twice: on
+// the tracer its config bytes describe, and on one that can keep no
+// tree (K -1, no sampling), the kind a ledger-only run arms. The
+// latency block and the class counts must match, and the tree-less
+// tracer must hold no tree and no hop.
+func TestTreelessTracerKeepsHistograms(t *testing.T) {
+	for i, src := range opInputs() {
+		full := newOpReplay(src).run()
+		d := newOpReplay(src)
+		d.tr.K, d.tr.SampleEvery = -1, 0
+		bare := d.run()
+		want, err := json.Marshal(full.Latency())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(bare.Latency())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("input %d: tree-less latency block\n%s\nwant\n%s", i, got, want)
+		}
+		for _, c := range Classes() {
+			if bare.Count(c) != full.Count(c) {
+				t.Errorf("input %d: %s count %d, want %d", i, c, bare.Count(c), full.Count(c))
+			}
+		}
+		if bare.Trees() != 0 {
+			t.Errorf("input %d: tree-less tracer holds %d trees", i, bare.Trees())
+		}
+		for _, x := range append(append([]*Txn(nil), bare.free...), bare.freeDetached...) {
+			if len(x.Hops) != 0 || len(x.Kids) != 0 {
+				t.Errorf("input %d: tree-less tracer recorded %d hops and %d children", i, len(x.Hops), len(x.Kids))
+			}
+		}
+	}
+}
+
 // TestTracerOpGoldens replays randomized op sequences — nested
 // Begin/End, detached roots with Resume/Suspend/EndDetached, hop and
 // child cap overflows, reservoir churn at K=1..4, sampling with a small

@@ -1,10 +1,9 @@
 // Package txntrace is request-scoped causal tracing for individual
 // memory transactions: one sampled CC/INC miss, STR queue access or DMA
-// command gets a trace ID and a tree of hops recorded at the same
-// charge sites the cycle ledger instruments — L1 miss issue, snoop
-// fan-out, owner intervention or L2 access, NoC transfers, DRAM channel
-// service — each hop carrying its sim-time interval, component, and
-// outcome tag.
+// command gets a trace ID and a tree of hops recorded at the memory
+// system's charge sites — L1 miss issue, snoop fan-out, owner
+// intervention or L2 access, NoC transfers, DRAM channel service — each
+// hop carrying its sim-time interval, component, and outcome tag.
 //
 // Two capture modes run together, both deterministic:
 //
@@ -541,14 +540,11 @@ func (t *Tracer) Transfer(op string, start, end, wait sim.Time) {
 
 func (t *Tracer) transfer(op string, start, end, wait sim.Time) {
 	t.nocWait.Record(uint64(wait))
-	if !t.keepsTrees() {
-		return
-	}
+	kind := tagText
 	if wait > 0 {
-		t.hop("noc", op, start, end, "", uint64(wait), TagWait)
-	} else {
-		t.hop("noc", op, start, end, "", 0, tagText)
+		kind = TagWait
 	}
+	t.hop("noc", op, start, end, "", uint64(wait), kind)
 }
 
 // Active returns the transaction currently receiving hops (nil when
