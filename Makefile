@@ -34,9 +34,15 @@ fault:
 # fuzz replays random tracer op sequences (nested and detached
 # transactions, cap overflows, reservoir churn, sampling past the
 # retention cap) against the exported trees' invariants and the
-# recycling bookkeeping. The seed corpus also runs in every go test.
+# recycling bookkeeping, then feeds arbitrary bytes to the result
+# store's recovery scan as a journal (Open never fails on content, hits
+# are only reports that were put, the scan accounts for every byte).
+# Interesting store inputs are kilobytes long, so their minimization is
+# capped to keep the 20 s mostly fuzzing. The seed corpora also run in
+# every go test.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzTracerOps$$' -fuzztime 20s ./internal/txntrace/
+	go test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/resultstore/
 
 # bench-engine regenerates the event-engine numbers tracked in
 # BENCH_engine.json (Sync fast path, scheduler dispatch and its channel

@@ -12,11 +12,13 @@
 //	memsim -list
 //
 // With -store DIR the run first looks its exact configuration up in the
-// crash-safe result store shared with paperbench; a hit prints the
+// crash-safe result store (the format paperbench uses); a hit prints the
 // stored report byte-identically and skips the simulation, a miss
 // simulates and persists the fresh report. Store keys include the
-// dataset -scale, so one store directory can hold results at every
-// scale without ever serving one as another. One process owns a store
+// dataset -scale and the SHA-256 of the running memsim executable, so
+// one store directory can hold results at every scale and from every
+// build without ever serving one as another (nor a paperbench record:
+// that is another executable). One process owns a store
 // directory at a time (a concurrent open fails with "in use"). Runs
 // that collect artifacts only a live simulation can produce (-trace,
 // -sample) always simulate, but still persist their reports.
@@ -37,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 
 	memsys "repro"
@@ -49,16 +50,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/warnonce"
 )
-
-// gitDescribe identifies the running code for the result store's record
-// keys; "unknown" outside a checkout (matching paperbench).
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
 
 // flagOf maps Config fields validated by Config.Validate to the memsim
 // flags that set them.
@@ -336,9 +327,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var store *resultstore.Store
 	if *storeDir != "" {
 		var serr error
-		store, serr = resultstore.Open(resultstore.Options{
-			Dir: *storeDir, Version: gitDescribe(), MaxBytes: *storeMax, Log: stderr,
-		})
+		store, serr = resultstore.Open(resultstore.Options{Dir: *storeDir, MaxBytes: *storeMax, Log: stderr})
 		if serr != nil {
 			fmt.Fprintf(stderr, "memsim: -store: %v\n", serr)
 			return 1
@@ -379,17 +368,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sp = tele.Enqueue(*name, fmt.Sprintf("%v %d cores @%d MHz bw=%d pf=%d",
 			cfg.Model, cfg.Cores, cfg.CoreMHz, cfg.DRAMBandwidthMBps, cfg.PrefetchDepth))
 		if store != nil {
-			tele.SetStoreStats(func() telemetry.StoreStats {
-				st := store.Stats()
-				return telemetry.StoreStats{
-					Records: st.Records, Bytes: st.Bytes,
-					Hits: st.Hits, Misses: st.Misses,
-					Puts: st.Puts, PutErrors: st.PutErrors,
-					Evictions: st.Evictions, Compactions: st.Compactions,
-					Recovered: st.Recovered, Corrupt: st.Corrupt,
-					TruncatedBytes: st.TruncatedBytes,
-				}
-			})
+			tele.SetStoreStats(store.Stats)
 		}
 	}
 

@@ -20,19 +20,24 @@
 // A failing simulation does not kill the campaign: its cells render as
 // ERR, the figure gains a "N ok / M failed" summary line, and the
 // manifest records the typed failure with the engine's state dump.
-// -resume replays an existing manifest.jsonl (requires -artifacts),
-// seeding every previously successful run so only missing and failed
-// jobs simulate again.
 //
 // -store DIR attaches a persistent, crash-safe result store shared
 // across campaigns: each job probes it before simulating and a verified
-// hit (matching config hash, workload, dataset -scale and code version)
-// is recalled instead of re-run, while fresh results are journaled back
-// with CRC32C checksums. Corrupt or stale records are quarantined to
-// quarantine.jsonl and re-simulated — never served; results stored at
-// one -scale never answer a campaign at another. One process owns a
-// store directory at a time (a concurrent open fails with "in use").
-// Figure output is byte-identical with or without the store.
+// hit (matching config hash, workload, dataset -scale and the SHA-256 of
+// this executable) is recalled instead of re-run, while fresh results
+// are journaled back with CRC32C checksums. Corrupt or stale records
+// are quarantined to quarantine.jsonl and re-simulated — never served;
+// results stored at one -scale, or by another build, never answer this
+// campaign. One process owns a store directory at a time (a concurrent
+// open fails with "in use"). Figure output is byte-identical with or
+// without the store.
+//
+// -artifacts DIR without -store journals results into DIR/store, which
+// a campaign starts empty (as it does manifest.jsonl). -resume keeps
+// DIR/store instead, so only jobs missing from it (never run, failed,
+// or lost to a crash) simulate again; it cannot be combined with -store.
+// manifest.jsonl is write-only: it lists the simulations this
+// invocation ran and is never read back.
 //
 // -http serves live campaign telemetry while the figures run: GET
 // /metrics (Prometheus text), GET /progress (JSON span table with
@@ -51,8 +56,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -77,9 +80,10 @@ import (
 	"repro/internal/workload"
 )
 
-// gitDescribe identifies the tree the artifacts were produced from;
-// "unknown" when git or the repository is unavailable (e.g. a released
-// binary run outside a checkout).
+// gitDescribe labels the manifest header with the tree the artifacts
+// were produced from; "unknown" when git or the repository is
+// unavailable (e.g. a released binary run outside a checkout). It is a
+// label only: result-store records are keyed by the executable.
 func gitDescribe() string {
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
@@ -114,18 +118,13 @@ type manifestWriter struct {
 	failed   bool
 }
 
-// newManifestWriter opens dir/manifest.jsonl and writes this
-// invocation's header. With resume the journal is appended to, keeping
-// the prior campaign's records; otherwise it is truncated.
-func newManifestWriter(dir string, scale string, resume, syncEach bool, stderr io.Writer) (*manifestWriter, error) {
+// newManifestWriter truncates dir/manifest.jsonl and writes this
+// invocation's header.
+func newManifestWriter(dir string, scale string, syncEach bool, stderr io.Writer) (*manifestWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	if resume {
-		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "manifest.jsonl"), mode, 0o644)
+	f, err := os.Create(filepath.Join(dir, "manifest.jsonl"))
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,7 @@ func (m *manifestWriter) close() error {
 // end: per run a header line (workload, config, tail_exemplars digest)
 // followed by that run's retained transaction trees. Runs are sorted by
 // (workload, config) so the file is byte-identical at any -j; store
-// hits and resume-seeded jobs carry no tracer and are skipped.
+// hits carry no tracer and are skipped.
 type txnSink struct {
 	mu   sync.Mutex
 	recs []bench.Record
@@ -248,51 +247,6 @@ func (s *txnSink) write(path string) error {
 	return f.Close()
 }
 
-// seedFromManifest replays a previous campaign's journal into the
-// runner's memo table: every "run" record that completed cleanly is
-// seeded (first record wins), so the resumed campaign simulates only
-// missing and failed jobs. Replay is per line and skip-and-warn: a
-// malformed record anywhere in the journal costs that record, never the
-// valid ones after it. A torn final line — a campaign killed mid-write —
-// is tolerated with its own warning, matching append-only journal
-// semantics (a torn line that still parses is seeded normally).
-func seedFromManifest(path string, r *bench.Runner, stderr io.Writer) (seeded, failed int, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for line := 1; ; line++ {
-		raw, rerr := br.ReadBytes('\n')
-		if len(bytes.TrimSpace(raw)) > 0 {
-			var rec manifestRun
-			if jerr := json.Unmarshal(raw, &rec); jerr != nil {
-				if rerr == nil {
-					fmt.Fprintf(stderr, "# paperbench: resume: skipping malformed manifest line %d: %v\n", line, jerr)
-				} else {
-					fmt.Fprintf(stderr, "# paperbench: resume: ignoring torn final manifest line %d (campaign killed mid-write?)\n", line)
-				}
-			} else if rec.Kind == "run" {
-				if rec.Err != "" || rec.Report == nil {
-					failed++
-				} else if r.Seed(rec.Cfg, rec.Name, rec.Report) {
-					seeded++
-				}
-			}
-		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				return seeded, failed, rerr
-			}
-			return seeded, failed, nil
-		}
-	}
-}
-
 // run is the testable entry point; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
@@ -306,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (output is identical at any -j)")
 	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per simulation (0 = off); timed-out jobs fail with a progress dump")
 	retries := fs.Int("retries", 0, "retry budget per job for retryable failures (timeouts, panics)")
-	resume := fs.Bool("resume", false, "seed completed jobs from an existing manifest.jsonl (requires -artifacts) and re-run only missing/failed ones")
+	resume := fs.Bool("resume", false, "keep the -artifacts DIR/store result store of an earlier campaign of this binary, so only missing and failed jobs simulate (requires -artifacts, excludes -store)")
 	storeDir := fs.String("store", "", "persistent cross-campaign result store directory: verified results are recalled instead of re-simulated (crash-safe; corrupt records are quarantined and re-run)")
 	storeMax := fs.Int64("store-max-bytes", 0, "cap the -store journal at this many bytes via LRU compaction (0 = unbounded)")
 	manifestSync := fs.Bool("manifest-sync", false, "fsync manifest.jsonl after every record (slower; survives powerloss, not just process death)")
@@ -341,7 +295,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *resume && *artifactsDir == "" {
-		fmt.Fprintln(stderr, "paperbench: -resume requires -artifacts (the manifest.jsonl to replay)")
+		fmt.Fprintln(stderr, "paperbench: -resume requires -artifacts (its DIR/store holds the results to reuse)")
+		return 2
+	}
+	if *resume && *storeDir != "" {
+		fmt.Fprintln(stderr, "paperbench: -resume reuses -artifacts DIR/store and cannot be combined with -store")
 		return 2
 	}
 	if *httpLinger < 0 {
@@ -500,16 +458,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The persistent result store: verified results from any previous
-	// campaign of this code version are recalled instead of re-simulated.
+	// campaign of this executable are recalled instead of re-simulated.
 	// Opening recovers from whatever a crash left behind (torn tails are
-	// truncated, corrupt records quarantined), so -store after a SIGKILL
-	// just works.
+	// truncated, corrupt records quarantined), so -store or -resume after
+	// a SIGKILL just works. -artifacts without -store journals into
+	// DIR/store, emptied first unless this campaign resumes.
 	var store *resultstore.Store
-	if *storeDir != "" {
+	storePath := *storeDir
+	if storePath == "" && *artifactsDir != "" {
+		storePath = filepath.Join(*artifactsDir, "store")
+		if !*resume {
+			if err := os.RemoveAll(storePath); err != nil {
+				fmt.Fprintf(stderr, "paperbench: %v\n", err)
+				return 1
+			}
+		}
+	}
+	if storePath != "" {
 		var err error
-		store, err = resultstore.Open(resultstore.Options{
-			Dir: *storeDir, Version: gitDescribe(), MaxBytes: *storeMax, Log: stderr,
-		})
+		store, err = resultstore.Open(resultstore.Options{Dir: storePath, MaxBytes: *storeMax, Log: stderr})
 		if err != nil {
 			fmt.Fprintf(stderr, "paperbench: -store: %v\n", err)
 			return 1
@@ -528,15 +495,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tele = telemetry.NewCampaign()
 		r.Telemetry = tele
 		if store != nil {
-			tele.SetStoreStats(func() telemetry.StoreStats {
-				s := store.Stats()
-				return telemetry.StoreStats{
-					Records: s.Records, Bytes: s.Bytes,
-					Hits: s.Hits, Misses: s.Misses, Puts: s.Puts, PutErrors: s.PutErrors,
-					Evictions: s.Evictions, Compactions: s.Compactions,
-					Recovered: s.Recovered, Corrupt: s.Corrupt, TruncatedBytes: s.TruncatedBytes,
-				}
-			})
+			tele.SetStoreStats(store.Stats)
 		}
 	}
 	var srv *telemetry.Server
@@ -561,19 +520,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			r.Progress = stderr
 		}
 	}
-	if *resume {
-		seeded, prevFailed, err := seedFromManifest(filepath.Join(*artifactsDir, "manifest.jsonl"), r, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "paperbench: resume: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "# paperbench: resume: %d completed jobs seeded, %d prior failures will re-run\n",
-			seeded, prevFailed)
-	}
 	var manifest *manifestWriter
 	if *artifactsDir != "" {
 		var err error
-		if manifest, err = newManifestWriter(*artifactsDir, *scaleFlag, *resume, *manifestSync, stderr); err != nil {
+		if manifest, err = newManifestWriter(*artifactsDir, *scaleFlag, *manifestSync, stderr); err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1
 		}

@@ -2,114 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 )
-
-// manifestPath runs a clean fig2/fir campaign into dir and returns the
-// manifest path plus the campaign's stdout for byte comparisons.
-func manifestCampaign(t *testing.T, dir string) (string, string) {
-	t.Helper()
-	var out, errs bytes.Buffer
-	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-artifacts", dir}
-	if code := run(args, &out, &errs); code != 0 {
-		t.Fatalf("campaign exit %d: %s", code, errs.String())
-	}
-	return filepath.Join(dir, "manifest.jsonl"), out.String()
-}
-
-// TestResumeSkipsMalformedManifestLine: a corrupt record in the middle
-// of the journal costs exactly that record — every valid record after
-// it still seeds, the skip is warned once, and the resumed campaign
-// reproduces the figure byte-identically.
-func TestResumeSkipsMalformedManifestLine(t *testing.T) {
-	dir := t.TempDir()
-	path, want := manifestCampaign(t, dir)
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	// Line 1 is the header; clobber the third run record so both earlier
-	// and later records must survive the damage.
-	lines[3] = "{\"kind\":\"run\", this is not json}\n"
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errs bytes.Buffer
-	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-artifacts", dir, "-resume"}
-	if code := run(args, &out, &errs); code != 0 {
-		t.Fatalf("resume over damaged manifest exit %d: %s", code, errs.String())
-	}
-	if !strings.Contains(errs.String(), "skipping malformed manifest line 4") {
-		t.Fatalf("no skip warning: %s", errs.String())
-	}
-	if !strings.Contains(errs.String(), "resume: 8 completed jobs seeded") {
-		t.Fatalf("records after the damage were not seeded: %s", errs.String())
-	}
-	if out.String() != want {
-		t.Errorf("resumed output differs:\n--- want\n%s\n--- got\n%s", want, out.String())
-	}
-	// Exactly the one clobbered cell re-simulated. The malformed line is
-	// still in the journal (resume appends), so count parseable records.
-	raw, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	for _, line := range strings.Split(string(raw), "\n") {
-		var rec struct {
-			Kind string `json:"kind"`
-		}
-		if json.Unmarshal([]byte(line), &rec) == nil && rec.Kind == "run" {
-			runs++
-		}
-	}
-	if runs != 9 {
-		t.Fatalf("manifest has %d parseable runs after resume, want 9 (8 surviving + 1 re-run)", runs)
-	}
-}
-
-// TestResumeToleratesTornFinalLine: a campaign killed mid-write leaves
-// a partial last line with no newline; resume warns, drops it, and
-// seeds everything before it.
-func TestResumeToleratesTornFinalLine(t *testing.T) {
-	dir := t.TempDir()
-	path, want := manifestCampaign(t, dir)
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final record: cut the trailing newline and half the line.
-	last := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
-	torn := raw[:last+1+(len(raw)-last)/2]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errs bytes.Buffer
-	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-artifacts", dir, "-resume"}
-	if code := run(args, &out, &errs); code != 0 {
-		t.Fatalf("resume over torn manifest exit %d: %s", code, errs.String())
-	}
-	if !strings.Contains(errs.String(), "ignoring torn final manifest line") {
-		t.Fatalf("no torn-tail warning: %s", errs.String())
-	}
-	if !strings.Contains(errs.String(), "resume: 8 completed jobs seeded") {
-		t.Fatalf("intact records were not seeded: %s", errs.String())
-	}
-	if out.String() != want {
-		t.Errorf("resumed output differs after torn tail")
-	}
-}
 
 // TestManifestSyncFlag: -manifest-sync needs -artifacts, and with it
 // the campaign still produces a complete, byte-identical manifest.
@@ -136,7 +34,7 @@ func TestManifestSyncFlag(t *testing.T) {
 // not one per simulation, and still fails the campaign at close.
 func TestManifestWriteErrorSurfacesOnce(t *testing.T) {
 	var errs bytes.Buffer
-	m, err := newManifestWriter(t.TempDir(), "small", false, false, &errs)
+	m, err := newManifestWriter(t.TempDir(), "small", false, &errs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestLiveTelemetryEndpoints(t *testing.T) {
 		Retrying int  `json:"retrying"`
 		Done     int  `json:"done"`
 		Failed   int  `json:"failed"`
-		Memo     int  `json:"memo_seeded"`
+		Stored   int  `json:"store_hits_spans"`
 		Figures  []struct {
 			Figure string `json:"figure"`
 			Total  int    `json:"total"`
@@ -108,7 +108,7 @@ func TestLiveTelemetryEndpoints(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &p); err != nil {
 			t.Fatalf("/progress not JSON: %v\n%s", err, body)
 		}
-		if p.Enqueued != p.Queued+p.Running+p.Retrying+p.Done+p.Failed+p.Memo {
+		if p.Enqueued != p.Queued+p.Running+p.Retrying+p.Done+p.Failed+p.Stored {
 			t.Fatalf("conservation broken in live snapshot: %+v", p)
 		}
 		if p.Complete {

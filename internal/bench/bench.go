@@ -47,9 +47,8 @@ type cfgKey struct {
 func keyOf(cfg core.Config, name string) cfgKey {
 	// Config.Normalize strips the run-scoped observers (tracer, probe,
 	// flight recorder): they are not part of the machine's identity, so
-	// the struct stays comparable, observed runs memoize against
-	// unobserved ones (and manifests written before the recorder existed
-	// still seed -resume). The persistent result store hashes the same
+	// the struct stays comparable and observed runs memoize against
+	// unobserved ones. The persistent result store hashes the same
 	// normalized config, so memo identity and store identity agree.
 	return cfgKey{name: name, cfg: cfg.Normalize()}
 }
@@ -58,8 +57,7 @@ func keyOf(cfg core.Config, name string) cfgKey {
 // artifacts (paperbench's manifest.jsonl): the full configuration, the
 // measurement report, and how long the simulation took on the host.
 // Memoized cache hits do not produce records — a record is one actual
-// engine run; neither do results seeded from a previous manifest
-// (Runner.Seed).
+// engine run; neither do results recalled from the Store.
 type Record struct {
 	Name   string       `json:"workload"`
 	Cfg    core.Config  `json:"config"`
@@ -75,7 +73,7 @@ type Record struct {
 	// Pool-residency diagnostics: how long the job waited for a worker
 	// slot after admission, and each attempt's wall time (len > 1 means
 	// the watchdog or a panic forced retries). Together with HostNS they
-	// let -resume analysis distinguish queue pressure from slow sims.
+	// let manifest analysis distinguish queue pressure from slow sims.
 	QueueWaitNS int64   `json:"queue_wait_ns"`
 	AttemptsNS  []int64 `json:"attempts_ns,omitempty"`
 	// TailExemplars is the run's transaction-tracer digest — per latency
@@ -145,10 +143,11 @@ type Runner struct {
 	// Runner needs no guards.
 	Telemetry *telemetry.Campaign
 	// Store, when non-nil, is the persistent cross-campaign result store
-	// (-store): each admitted job probes it before simulating and a hit
-	// resolves the flight without running the engine — no Record, no
-	// ok/failed movement, a "(store)" progress marker — while a miss
-	// simulates normally and writes the verified report back. Store keys
+	// (paperbench -store, or -resume's DIR/store): each admitted job
+	// probes it before simulating and a hit resolves the flight without
+	// running the engine — no Record, no ok/failed movement, a "(store)"
+	// progress marker — while a miss simulates normally and writes the
+	// verified report back. Store keys
 	// include the Runner's dataset Scale, so campaigns sharing one store
 	// directory at different -scale values never serve each other's
 	// reports. Corrupt or version-mismatched records are misses by
@@ -418,29 +417,9 @@ func (r *Runner) attempt(cfg core.Config, name string) (*core.Report, *txntrace.
 	return rep, tr, nil
 }
 
-// Seed inserts an already-known result into the memo table (paperbench
-// -resume replays successful manifest records through it). Seeded keys
-// count as cache hits: they produce no Record, no progress line, and do
-// not move the ok/failed counters. Returns false when the key is
-// already present (first writer wins). Call before Run/Prefetch.
-func (r *Runner) Seed(cfg core.Config, name string, rep *core.Report) bool {
-	r.init()
-	key := keyOf(cfg, name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.cache[key]; ok {
-		return false
-	}
-	fl := &flight{done: make(chan struct{}), rep: rep, enqueuedAt: time.Now()}
-	close(fl.done)
-	r.cache[key] = fl
-	r.Telemetry.Seed(name, cfgLabel(cfg))
-	return true
-}
-
 // Outcome returns how many fresh simulations succeeded and failed so
-// far. Seeded, memoized and store-served results are not counted: they
-// reflect work a previous campaign already did.
+// far. Memoized and store-served results are not counted: they reflect
+// work already done.
 func (r *Runner) Outcome() (ok, failed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -272,16 +272,14 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestRunnerFeedsTelemetry proves the runner walks spans through the
-// campaign table: fresh simulations open and close spans, duplicate
-// requests count as memo hits without opening one, and seeded results
-// arrive in the memo-hit terminal state.
+// campaign table: fresh simulations open and close spans, and duplicate
+// requests count as memo hits without opening one.
 func TestRunnerFeedsTelemetry(t *testing.T) {
 	c := telemetry.NewCampaign()
 	c.BeginGroup("fig2")
 	r := NewRunner(workload.ScaleSmall)
 	r.Workers = 2
 	r.Telemetry = c
-	r.Seed(core.DefaultConfig(core.CC, 2), "fir", &core.Report{})
 	cfg := core.DefaultConfig(core.CC, 1)
 	if _, err := r.Run(cfg, "fir"); err != nil {
 		t.Fatal(err)
@@ -292,7 +290,7 @@ func TestRunnerFeedsTelemetry(t *testing.T) {
 	r.Close()
 
 	s := c.Snapshot(true)
-	if s.Enqueued != 2 || s.Done != 1 || s.MemoSpan != 1 || s.MemoHits != 1 || s.MemoMisses != 1 {
+	if s.Enqueued != 1 || s.Done != 1 || s.MemoHits != 1 || s.MemoMisses != 1 {
 		t.Fatalf("campaign snapshot: %+v", s)
 	}
 	if s.Queued+s.Running+s.Retrying != 0 {

@@ -129,24 +129,18 @@ func TestStoreCorruptRecordResimulates(t *testing.T) {
 	}
 }
 
-// TestStoreHitsFeedTelemetryConsistently is the Seed/Outcome/store-hit
-// counting contract: seeded, store-hit, memo-hit and fresh jobs must
-// all satisfy the span-conservation invariant, roll up per figure, and
+// TestStoreHitsFeedTelemetryConsistently is the Outcome/store-hit
+// counting contract: store-hit, memo-hit and fresh jobs must all
+// satisfy the span-conservation invariant, roll up per figure, and
 // leave the ETA to real simulations only.
 func TestStoreHitsFeedTelemetryConsistently(t *testing.T) {
 	dir := t.TempDir()
 
-	// Campaign 1: populate the store with one job's result, and keep a
-	// copy of the report to seed campaign 2 with.
+	// Campaign 1: populate the store with one job's result.
 	pre := NewRunner(workload.ScaleSmall)
 	pre.Store = openStore(t, dir, "v1")
 	hitCfg := core.DefaultConfig(core.CC, 2)
 	hitRep, err := pre.Run(hitCfg, "fir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedCfg := core.DefaultConfig(core.CC, 4)
-	seedRep, err := pre.Run(seedCfg, "fir")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +149,17 @@ func TestStoreHitsFeedTelemetryConsistently(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Campaign 2: one seeded job, one store hit, one fresh simulation,
-	// plus a memo-hit duplicate of each.
+	// Campaign 2: one store hit, one fresh simulation, plus a memo-hit
+	// duplicate of each.
 	st := openStore(t, dir, "v1")
 	c := telemetry.NewCampaign()
-	c.SetStoreStats(func() telemetry.StoreStats {
-		s := st.Stats()
-		return telemetry.StoreStats{Hits: s.Hits, Misses: s.Misses}
-	})
+	c.SetStoreStats(st.Stats)
 	r := NewRunner(workload.ScaleSmall)
 	r.Store = st
 	r.Telemetry = c
 	c.BeginGroup("fig2")
-	if !r.Seed(seedCfg, "fir", seedRep) {
-		t.Fatal("seed rejected")
-	}
 	freshCfg := core.DefaultConfig(core.STR, 2)
-	for _, job := range []Job{{seedCfg, "fir"}, {hitCfg, "fir"}, {freshCfg, "fir"}} {
+	for _, job := range []Job{{hitCfg, "fir"}, {freshCfg, "fir"}} {
 		for i := 0; i < 2; i++ { // second pass = memo hit
 			rep, err := r.Run(job.Cfg, job.Name)
 			if err != nil {
@@ -200,23 +188,22 @@ func TestStoreHitsFeedTelemetryConsistently(t *testing.T) {
 	}
 
 	s := c.Snapshot(true)
-	if s.Enqueued != s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.MemoSpan+s.StoreSpan {
+	if s.Enqueued != s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.StoreSpan {
 		t.Fatalf("span conservation broken: %+v", s)
 	}
-	if s.Enqueued != 3 || s.MemoSpan != 1 || s.StoreSpan != 1 || s.Done != 1 {
-		t.Fatalf("span states: enq=%d memo=%d store=%d done=%d, want 3/1/1/1",
-			s.Enqueued, s.MemoSpan, s.StoreSpan, s.Done)
+	if s.Enqueued != 2 || s.StoreSpan != 1 || s.Done != 1 {
+		t.Fatalf("span states: enq=%d store=%d done=%d, want 2/1/1", s.Enqueued, s.StoreSpan, s.Done)
 	}
-	if s.MemoHits < 3 {
-		t.Fatalf("memo hits = %d, want >= 3 (the duplicate passes)", s.MemoHits)
+	if s.MemoHits < 2 {
+		t.Fatalf("memo hits = %d, want >= 2 (the duplicate passes)", s.MemoHits)
 	}
 	if s.ETASeconds != 0 {
 		t.Fatalf("ETA = %v, want 0 with nothing remaining", s.ETASeconds)
 	}
-	if s.Store == nil || s.Store.Hits < 1 {
-		t.Fatalf("store stats block missing or empty: %+v", s.Store)
+	if s.Store == nil || s.Store.Hits != 1 || s.Store.Misses != 1 {
+		t.Fatalf("store stats block: %+v", s.Store)
 	}
-	if len(s.Figures) != 1 || s.Figures[0].StoreHits != 1 || s.Figures[0].MemoHits != 1 || s.Figures[0].Done != 1 {
+	if len(s.Figures) != 1 || s.Figures[0].StoreHits != 1 || s.Figures[0].Done != 1 || s.Figures[0].Total != 2 {
 		t.Fatalf("figure rollup: %+v", s.Figures)
 	}
 
@@ -224,9 +211,8 @@ func TestStoreHitsFeedTelemetryConsistently(t *testing.T) {
 	for _, sp := range s.Spans {
 		spanStates = append(spanStates, sp.State)
 	}
-	joined := strings.Join(spanStates, ",")
-	if !strings.Contains(joined, "store-hit") || !strings.Contains(joined, "memo-hit") || !strings.Contains(joined, "done") {
-		t.Fatalf("span states missing a terminal kind: %s", joined)
+	if joined := strings.Join(spanStates, ","); joined != "store-hit,done" {
+		t.Fatalf("span states = %s, want store-hit,done", joined)
 	}
 }
 

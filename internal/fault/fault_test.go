@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -327,27 +328,30 @@ func TestFigureRendersWithErrCells(t *testing.T) {
 	}
 }
 
-// TestSeedSkipsSimulation proves resume: a seeded result is a cache hit
-// — returned as-is, no fresh simulation, no record, no counter change.
-func TestSeedSkipsSimulation(t *testing.T) {
+// TestStoreHitSkipsSimulation proves resume: a result already in the
+// store is a cache hit — returned as stored, no fresh simulation, no
+// record, no counter change.
+func TestStoreHitSkipsSimulation(t *testing.T) {
+	st, err := resultstore.Open(resultstore.Options{Dir: t.TempDir(), Version: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	rec := &recorder{}
 	r := newRunner(rec)
+	r.Store = st
 	defer r.Close()
 	cfg := core.DefaultConfig(core.CC, 4)
-	seeded := &core.Report{Wall: 12345}
-	if !r.Seed(cfg, fault.Deadlock, seeded) {
-		t.Fatal("first Seed rejected")
-	}
-	if r.Seed(cfg, fault.Deadlock, &core.Report{}) {
-		t.Fatal("second Seed for the same key accepted")
+	if err := st.Put(cfg, fault.Deadlock, r.Scale.String(), &core.Report{Wall: 12345}); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := r.Run(cfg, fault.Deadlock) // would deadlock if simulated
-	if err != nil || rep != seeded {
-		t.Fatalf("rep=%v err=%v, want the seeded report", rep, err)
+	if err != nil || rep == nil || rep.Wall != 12345 {
+		t.Fatalf("rep=%v err=%v, want the stored report", rep, err)
 	}
 	ok, failed := r.Outcome()
-	if ok != 0 || failed != 0 || len(rec.recs) != 0 {
-		t.Fatalf("seeded hit produced side effects: ok=%d failed=%d recs=%d", ok, failed, len(rec.recs))
+	if ok != 0 || failed != 0 || len(rec.recs) != 0 || r.StoreHits() != 1 {
+		t.Fatalf("stored hit produced side effects: ok=%d failed=%d recs=%d hits=%d", ok, failed, len(rec.recs), r.StoreHits())
 	}
 }
 

@@ -6,13 +6,14 @@
 // Layout: one append-only journal (store.journal) of length-prefixed,
 // CRC32C-checksummed records, each carrying the canonical key — a
 // SHA-256 over the normalized core.Config, the workload name, the
-// dataset scale, and a version string (git describe + schema version;
-// see core.Config.Hash) — plus the full config, workload, scale and
-// report for belt-and-braces verification on read. A fixed header
-// identifies the file and its schema; records whose key version differs
-// from the running binary's simply never match a lookup, so a stale
-// store cannot poison a new build, and records written at one -scale
-// never answer a lookup at another.
+// dataset scale, and a version string (by default the SHA-256 of the
+// running executable, plus the schema version; see core.Config.Hash) —
+// plus the full config, workload, scale and report for belt-and-braces
+// verification on read. A fixed header identifies the file and its
+// schema; records whose key version differs from the running binary's
+// simply never match a lookup, so a store written by any other build
+// cannot poison this one, and records written at one -scale never
+// answer a lookup at another.
 //
 // Durability: writes go through an injectable positional File (the
 // fault package wraps it to inject torn writes, bit flips, short reads
@@ -44,8 +45,10 @@
 package resultstore
 
 import (
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -129,10 +132,12 @@ type Options struct {
 	// Dir is the store directory (created if missing): store.journal
 	// plus quarantine.jsonl live here.
 	Dir string
-	// Version is the code identity mixed into every record key,
-	// typically `git describe`. The schema version is appended
-	// automatically. Records keyed under any other version are invisible
-	// to this store instance.
+	// Version is the code identity mixed into every record key. Empty
+	// means the running binary itself: the SHA-256 of the file at
+	// os.Executable(), computed once here, so a rebuilt binary that
+	// computes anything differently never sees this one's records. The
+	// schema version is appended automatically. Records keyed under any
+	// other version are invisible to this store instance.
 	Version string
 	// MaxBytes caps the journal size; exceeding it triggers an LRU
 	// compaction pass. 0 = unbounded.
@@ -150,22 +155,23 @@ type Options struct {
 	Log io.Writer
 }
 
-// Stats is the store's counter snapshot.
+// Stats is the store's counter snapshot, also served as the "store"
+// block of campaign telemetry's /progress JSON.
 type Stats struct {
-	Records int   // live records in the index
-	Bytes   int64 // journal size on disk
+	Records int   `json:"records"` // live records in the index
+	Bytes   int64 `json:"bytes"`   // journal size on disk
 
-	Hits      uint64 // lookups answered from the journal
-	Misses    uint64 // lookups not present (or failing verification)
-	Puts      uint64 // records appended
-	PutErrors uint64 // appends that failed (e.g. ENOSPC); journal rolled back
+	Hits      uint64 `json:"hits"`       // lookups answered from the journal
+	Misses    uint64 `json:"misses"`     // lookups not present (or failing verification)
+	Puts      uint64 `json:"puts"`       // records appended
+	PutErrors uint64 `json:"put_errors"` // appends that failed (e.g. ENOSPC); journal rolled back
 
-	Evictions   uint64 // records dropped by LRU compaction
-	Compactions uint64 // compaction passes completed
+	Evictions   uint64 `json:"evictions"`   // records dropped by LRU compaction
+	Compactions uint64 `json:"compactions"` // compaction passes completed
 
-	Recovered      uint64 // records restored by the opening scan
-	Corrupt        uint64 // corrupt records/runs detected and quarantined (open + read)
-	TruncatedBytes int64  // torn-tail bytes truncated at open or rolled back on a failed append
+	Recovered      uint64 `json:"recovered"`       // records restored by the opening scan
+	Corrupt        uint64 `json:"corrupt"`         // corrupt records/runs detected and quarantined (open + read)
+	TruncatedBytes int64  `json:"truncated_bytes"` // torn-tail bytes truncated at open or rolled back on a failed append
 }
 
 // entry locates one live record in the journal.
@@ -221,14 +227,21 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
+	version := opts.Version
+	if version == "" {
+		var err error
+		if version, err = executableDigest(); err != nil {
+			return nil, fmt.Errorf("resultstore: key by executable: %w", err)
+		}
+	}
 	lock, err := lockDir(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		lock: lock,
+		lock:     lock,
 		dir:      opts.Dir,
-		version:  fmt.Sprintf("%s+schema%d", opts.Version, SchemaVersion),
+		version:  fmt.Sprintf("%s+schema%d", version, SchemaVersion),
 		maxBytes: opts.MaxBytes,
 		syncEach: opts.SyncEvery,
 		openFile: opts.OpenFile,
@@ -246,6 +259,25 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// executableDigest names the running binary by content: "exe-" plus
+// the hex SHA-256 of the file at os.Executable().
+func executableDigest() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return "exe-" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func (s *Store) logf(format string, args ...any) {

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func testCfg(i int) core.Config {
 	return cfg
 }
 
-func mustOpen(t *testing.T, opts Options) *Store {
+func mustOpen(t testing.TB, opts Options) *Store {
 	t.Helper()
 	s, err := Open(opts)
 	if err != nil {
@@ -45,7 +46,7 @@ func mustOpen(t *testing.T, opts Options) *Store {
 }
 
 // fill puts n records and flushes.
-func fill(t *testing.T, s *Store, n int) {
+func fill(t testing.TB, s *Store, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if err := s.Put(testCfg(i), "fir", "small", testReport(i)); err != nil {
@@ -115,6 +116,56 @@ func TestVersionMismatchIsAMiss(t *testing.T) {
 	}
 }
 
+// TestEmptyVersionKeysByExecutable: with no Version, records are keyed
+// by the SHA-256 of the running binary. The key does not depend on the
+// working directory, and a record written under it answers no other
+// version (a different build, or a label such as a git describe).
+func TestEmptyVersionKeysByExecutable(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bin)
+	want := fmt.Sprintf("exe-%x+schema%d", sum, SchemaVersion)
+
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	if s.version != want {
+		t.Fatalf("version = %q, want %q", s.version, want)
+	}
+	fill(t, s, 1)
+	s.Close()
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	s = mustOpen(t, Options{Dir: dir})
+	if s.version != want {
+		t.Fatalf("version from another cwd = %q, want %q", s.version, want)
+	}
+	if rep, ok := s.Get(testCfg(0), "fir", "small"); !ok || rep.Wall != testReport(0).Wall {
+		t.Fatal("same binary from another cwd missed its own record")
+	}
+	s.Close()
+
+	for _, other := range []string{"v1", "unknown", fmt.Sprintf("exe-%x", sha256.Sum256(nil))} {
+		s := mustOpen(t, Options{Dir: dir, Version: other})
+		if _, ok := s.Get(testCfg(0), "fir", "small"); ok {
+			t.Fatalf("version %q served the executable-keyed record", other)
+		}
+		s.Close()
+	}
+}
+
 // TestObserversDoNotPerturbKeys: a config carrying run-scoped observers
 // hits a record stored from a bare one.
 func TestObserversDoNotPerturbKeys(t *testing.T) {
@@ -132,15 +183,8 @@ func TestObserversDoNotPerturbKeys(t *testing.T) {
 // prefix of a journal, reopening recovers without error, restores
 // exactly the records wholly inside the prefix, and serves them.
 func TestTruncateAtEveryByte(t *testing.T) {
-	master := t.TempDir()
-	s := mustOpen(t, Options{Dir: master, Version: "v1", SyncEvery: 1})
 	const n = 4
-	fill(t, s, n)
-	s.Close()
-	journal, err := os.ReadFile(filepath.Join(master, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal := masterJournal(t, n)
 
 	// Locate each record's end offset by a reference scan.
 	ends := recordEnds(t, journal)
@@ -188,9 +232,24 @@ func TestTruncateAtEveryByte(t *testing.T) {
 	}
 }
 
+// masterJournal returns the bytes of a clean journal holding records
+// 0..n-1 (testCfg(i), "fir", "small", testReport(i)) under version v1.
+func masterJournal(t testing.TB, n int) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
+	fill(t, s, n)
+	s.Close()
+	journal, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journal
+}
+
 // recordEnds scans a well-formed journal and returns each record's end
 // offset, independently of the store's own recovery code path.
-func recordEnds(t *testing.T, journal []byte) []int64 {
+func recordEnds(t testing.TB, journal []byte) []int64 {
 	t.Helper()
 	var ends []int64
 	off := int64(headerLen)
@@ -215,15 +274,8 @@ func recordEnds(t *testing.T, journal []byte) []int64 {
 // format, so the whole file is archived intact (never parsed, never
 // destroyed) and the store starts fresh.
 func TestBitFlipAtEveryByteNeverServesBadData(t *testing.T) {
-	master := t.TempDir()
-	s := mustOpen(t, Options{Dir: master, Version: "v1", SyncEvery: 1})
 	const n = 3
-	fill(t, s, n)
-	s.Close()
-	journal, err := os.ReadFile(filepath.Join(master, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal := masterJournal(t, n)
 
 	dir := t.TempDir()
 	for pos := 0; pos < len(journal); pos++ {

@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resultstore"
 )
 
 // get fetches a path from the server, returning status, content type
@@ -33,6 +37,7 @@ func get(t *testing.T, s *Server, path string) (int, string, string) {
 func TestServeEndpoints(t *testing.T) {
 	c, _ := testCampaign()
 	c.SetWorkers(2)
+	c.SetStoreStats(func() resultstore.Stats { return resultstore.Stats{Hits: 2} })
 	c.BeginGroup("fig2")
 	sp := c.Enqueue("fir", "cfg")
 	sp.Start()
@@ -66,6 +71,23 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if snap.Spans[0].Workload != "fir" || snap.Spans[0].State != "done" {
 		t.Fatalf("/progress span: %+v", snap.Spans[0])
+	}
+	// The store block's wire keys are resultstore.Stats' JSON tags.
+	var raw struct {
+		Store map[string]any `json:"store"`
+	}
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range raw.Store {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	wantKeys := []string{"bytes", "compactions", "corrupt", "evictions", "hits", "misses",
+		"put_errors", "puts", "records", "recovered", "truncated_bytes"}
+	if !reflect.DeepEqual(keys, wantKeys) || raw.Store["hits"] != 2.0 {
+		t.Fatalf("/progress store block: %v", raw.Store)
 	}
 
 	if code, _, _ := get(t, s, "/debug/pprof/cmdline"); code != 200 {

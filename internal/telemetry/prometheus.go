@@ -90,15 +90,13 @@ func (c *Campaign) WriteMetrics(w io.Writer) error {
 	snap := c.Snapshot(false)
 	m := &metricWriter{w: w}
 
-	m.header("memsim_jobs_enqueued_total", "Jobs admitted to the campaign (fresh simulations plus manifest-seeded results).", "counter")
+	m.header("memsim_jobs_enqueued_total", "Jobs admitted to the campaign (fresh simulations plus store hits).", "counter")
 	m.metric("memsim_jobs_enqueued_total", snap.Enqueued)
 	m.header("memsim_jobs_done_total", "Jobs whose simulation completed successfully in this campaign.", "counter")
 	m.metric("memsim_jobs_done_total", snap.Done)
 	m.header("memsim_jobs_failed_total", "Jobs that failed after exhausting retries.", "counter")
 	m.metric("memsim_jobs_failed_total", snap.Failed)
-	m.header("memsim_jobs_memo_seeded_total", "Jobs answered by replaying a previous campaign's manifest (-resume).", "counter")
-	m.metric("memsim_jobs_memo_seeded_total", snap.MemoSpan)
-	m.header("memsim_jobs_store_hit_total", "Jobs answered by the persistent result store (-store) without simulating.", "counter")
+	m.header("memsim_jobs_store_hit_total", "Jobs answered by the persistent result store (-store, -resume) without simulating.", "counter")
 	m.metric("memsim_jobs_store_hit_total", snap.StoreSpan)
 
 	m.header("memsim_memo_hits_total", "Run requests answered from the in-campaign memo table.", "counter")
@@ -181,12 +179,11 @@ func (c *Campaign) WriteMetrics(w io.Writer) error {
 		for _, f := range figs {
 			m.metric("memsim_figure_jobs_total", f.Done, "figure", f.Figure, "state", "done")
 			m.metric("memsim_figure_jobs_total", f.Failed, "figure", f.Figure, "state", "failed")
-			m.metric("memsim_figure_jobs_total", f.MemoHits, "figure", f.Figure, "state", "memo-hit")
 			m.metric("memsim_figure_jobs_total", f.StoreHits, "figure", f.Figure, "state", "store-hit")
 		}
 		m.header("memsim_figure_jobs_pending", "Jobs attributed to each figure not yet in a terminal state.", "gauge")
 		for _, f := range figs {
-			m.metric("memsim_figure_jobs_pending", f.Total-f.Done-f.Failed-f.MemoHits-f.StoreHits, "figure", f.Figure)
+			m.metric("memsim_figure_jobs_pending", f.Total-f.Done-f.Failed-f.StoreHits, "figure", f.Figure)
 		}
 		m.header("memsim_figure_err_cells_total", "ERR cells rendered per figure.", "counter")
 		for _, f := range figs {

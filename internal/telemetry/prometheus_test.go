@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resultstore"
 )
 
 // TestEscapeLabel pins the three escapes of the exposition format.
@@ -24,8 +26,8 @@ func TestWriteMetricsGolden(t *testing.T) {
 	c, fc := testCampaign()
 	c.SetWorkers(4)
 
-	c.SetStoreStats(func() StoreStats {
-		return StoreStats{Records: 7, Bytes: 4096, Hits: 1, Misses: 2, Puts: 3,
+	c.SetStoreStats(func() resultstore.Stats {
+		return resultstore.Stats{Records: 7, Bytes: 4096, Hits: 1, Misses: 2, Puts: 3,
 			Evictions: 4, Compactions: 1, Recovered: 5, Corrupt: 1, TruncatedBytes: 12}
 	})
 
@@ -33,7 +35,6 @@ func TestWriteMetricsGolden(t *testing.T) {
 	spA := c.Enqueue("fir", "CC 4 cores @800 MHz bw=1600 pf=0")
 	spB := c.Enqueue("aes", "STR 8 cores @3200 MHz bw=6400 pf=0")
 	spC := c.Enqueue("fem", "CC 2 cores @800 MHz bw=1600 pf=0")
-	c.Seed("fir", "CC 1 cores @800 MHz bw=1600 pf=0")
 	c.MemoHit()
 
 	fc.advance(1 * time.Second)
@@ -68,19 +69,16 @@ func TestWriteMetricsGolden(t *testing.T) {
 	if err := c.WriteMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP memsim_jobs_enqueued_total Jobs admitted to the campaign (fresh simulations plus manifest-seeded results).
+	want := `# HELP memsim_jobs_enqueued_total Jobs admitted to the campaign (fresh simulations plus store hits).
 # TYPE memsim_jobs_enqueued_total counter
-memsim_jobs_enqueued_total 4
+memsim_jobs_enqueued_total 3
 # HELP memsim_jobs_done_total Jobs whose simulation completed successfully in this campaign.
 # TYPE memsim_jobs_done_total counter
 memsim_jobs_done_total 1
 # HELP memsim_jobs_failed_total Jobs that failed after exhausting retries.
 # TYPE memsim_jobs_failed_total counter
 memsim_jobs_failed_total 1
-# HELP memsim_jobs_memo_seeded_total Jobs answered by replaying a previous campaign's manifest (-resume).
-# TYPE memsim_jobs_memo_seeded_total counter
-memsim_jobs_memo_seeded_total 1
-# HELP memsim_jobs_store_hit_total Jobs answered by the persistent result store (-store) without simulating.
+# HELP memsim_jobs_store_hit_total Jobs answered by the persistent result store (-store, -resume) without simulating.
 # TYPE memsim_jobs_store_hit_total counter
 memsim_jobs_store_hit_total 1
 # HELP memsim_memo_hits_total Run requests answered from the in-campaign memo table.
@@ -183,11 +181,9 @@ memsim_txn_slowest_id{class="dma_get"} 99
 # TYPE memsim_figure_jobs_total counter
 memsim_figure_jobs_total{figure="fig2",state="done"} 1
 memsim_figure_jobs_total{figure="fig2",state="failed"} 1
-memsim_figure_jobs_total{figure="fig2",state="memo-hit"} 1
 memsim_figure_jobs_total{figure="fig2",state="store-hit"} 1
 memsim_figure_jobs_total{figure="tbl\"3\\x\ny",state="done"} 0
 memsim_figure_jobs_total{figure="tbl\"3\\x\ny",state="failed"} 0
-memsim_figure_jobs_total{figure="tbl\"3\\x\ny",state="memo-hit"} 0
 memsim_figure_jobs_total{figure="tbl\"3\\x\ny",state="store-hit"} 0
 # HELP memsim_figure_jobs_pending Jobs attributed to each figure not yet in a terminal state.
 # TYPE memsim_figure_jobs_pending gauge

@@ -1,6 +1,10 @@
 package telemetry
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/resultstore"
+)
 
 // SpanSnapshot is one job's lifecycle record as served by /progress.
 // Times are nanoseconds; zero means "not yet" (e.g. StartedNS while
@@ -26,7 +30,6 @@ type FigureSnapshot struct {
 	Total     int    `json:"total"`
 	Done      int    `json:"done"`
 	Failed    int    `json:"failed"`
-	MemoHits  int    `json:"memo_hits"`
 	StoreHits int    `json:"store_hits"`
 	ErrCells  int    `json:"err_cells"`
 }
@@ -39,13 +42,12 @@ type Snapshot struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 	Workers   int   `json:"workers,omitempty"`
 
-	Enqueued int `json:"enqueued"` // spans opened (fresh + seeded)
-	Queued   int `json:"queued"`
-	Running  int `json:"running"`
-	Retrying int `json:"retrying"`
+	Enqueued  int `json:"enqueued"` // spans opened, one per admitted job
+	Queued    int `json:"queued"`
+	Running   int `json:"running"`
+	Retrying  int `json:"retrying"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
-	MemoSpan  int `json:"memo_seeded"`
 	StoreSpan int `json:"store_hits_spans"`
 
 	MemoHits       uint64 `json:"memo_hits"`
@@ -61,7 +63,7 @@ type Snapshot struct {
 
 	// Store holds the persistent result store's counters while one is
 	// attached (-store); absent otherwise.
-	Store *StoreStats `json:"store,omitempty"`
+	Store *resultstore.Stats `json:"store,omitempty"`
 
 	// TxnClasses is the transaction tracer's per-class rollup (counts,
 	// retained exemplars, campaign-wide slowest transaction) while any
@@ -102,13 +104,12 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 		ElapsedNS: elapsed.Nanoseconds(),
 		Workers:   c.workers,
 
-		Enqueued: len(c.spans),
-		Queued:   c.byState[StateQueued],
-		Running:  c.byState[StateRunning],
-		Retrying: c.byState[StateRetrying],
+		Enqueued:  len(c.spans),
+		Queued:    c.byState[StateQueued],
+		Running:   c.byState[StateRunning],
+		Retrying:  c.byState[StateRetrying],
 		Done:      c.byState[StateDone],
 		Failed:    c.byState[StateFailed],
-		MemoSpan:  c.byState[StateMemoHit],
 		StoreSpan: c.byState[StateStoreHit],
 
 		MemoHits:       c.memoHits,
@@ -123,9 +124,9 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 		snap.Store = &st
 	}
 
-	// The ETA extrapolates only real simulations: memo-seeded and
-	// store-hit spans are terminal the moment they resolve and would
-	// otherwise inflate the completion rate toward zero ETA.
+	// The ETA extrapolates only real simulations: store-hit spans are
+	// terminal the moment they resolve and would otherwise inflate the
+	// completion rate toward zero ETA.
 	finished := snap.Done + snap.Failed
 	remaining := snap.Queued + snap.Running + snap.Retrying
 	switch {
@@ -158,7 +159,6 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 			Total:     f.total,
 			Done:      f.done,
 			Failed:    f.failed,
-			MemoHits:  f.memo,
 			StoreHits: f.store,
 			ErrCells:  f.errCells,
 		})

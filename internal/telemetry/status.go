@@ -26,7 +26,7 @@ func IsTerminal(w io.Writer) bool {
 }
 
 // StatusLine maintains a single in-place line at the bottom of a
-// terminal summarizing the campaign (done/total, running, queued, memo
+// terminal summarizing the campaign (done/total, running, queued, store
 // hits, failures, ETA), redrawn on a ticker. Progress lines from the
 // runner go through Writer, which lifts the status line out of the way
 // so ordinary output scrolls above it.
@@ -112,9 +112,9 @@ func (l *StatusLine) draw() {
 		return
 	}
 	snap := l.c.Snapshot(false)
-	finished := snap.Done + snap.Failed + snap.MemoSpan
-	line := fmt.Sprintf("# %d/%d done · %d running · %d queued · %d memo",
-		finished, snap.Enqueued, snap.Running, snap.Queued, snap.MemoSpan)
+	finished := snap.Done + snap.Failed + snap.StoreSpan
+	line := fmt.Sprintf("# %d/%d done · %d running · %d queued · %d stored",
+		finished, snap.Enqueued, snap.Running, snap.Queued, snap.StoreSpan)
 	if snap.Failed > 0 {
 		line += fmt.Sprintf(" · %d FAILED", snap.Failed)
 	}

@@ -1,7 +1,7 @@
 // Package telemetry is the campaign observability core: a lock-cheap
 // span table the experiment runner (internal/bench) feeds with per-job
 // lifecycle transitions — enqueued → running → retrying → done / failed
-// / memo-hit — plus pool gauges (workers busy, queue depth, inflight
+// / store-hit — plus pool gauges (workers busy, queue depth, inflight
 // singleflight keys) and campaign counters (memo hits and misses,
 // retries, watchdog aborts, ERR cells), aggregated per figure and
 // campaign-wide. The table is exposed three ways: Prometheus text
@@ -23,12 +23,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/resultstore"
 	"repro/internal/stats"
 )
 
 // State is a span's position in the job lifecycle. A span is in exactly
 // one state, which is what makes the conservation invariant —
-// enqueued == queued + running + retrying + done + failed + memo-hit —
+// enqueued == queued + running + retrying + done + failed + store-hit —
 // hold at every instant (TestConservationUnderScrape pins it under the
 // race detector while a campaign runs).
 type State uint8
@@ -45,9 +46,6 @@ const (
 	StateDone
 	// StateFailed: the job failed for good (after any retries).
 	StateFailed
-	// StateMemoHit: the result was seeded from a previous campaign's
-	// manifest (resume); no simulation ran in this campaign.
-	StateMemoHit
 	// StateStoreHit: the result was served by the persistent result
 	// store (-store); the job was admitted but never simulated here.
 	StateStoreHit
@@ -55,7 +53,7 @@ const (
 )
 
 var stateNames = [numStates]string{
-	"queued", "running", "retrying", "done", "failed", "memo-hit", "store-hit",
+	"queued", "running", "retrying", "done", "failed", "store-hit",
 }
 
 // String returns the state's wire name ("queued", "running", ...).
@@ -97,28 +95,8 @@ type figureAgg struct {
 	total    int // spans attributed to this figure
 	done     int
 	failed   int
-	memo     int
 	store    int
 	errCells int
-}
-
-// StoreStats is the persistent result store's counter block as exposed
-// through /progress and /metrics. telemetry deliberately does not
-// import internal/resultstore (the dependency points the other way for
-// every other consumer); the runner or CLI bridges the two with a
-// provider closure via SetStoreStats.
-type StoreStats struct {
-	Records        int    `json:"records"`
-	Bytes          int64  `json:"bytes"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	Puts           uint64 `json:"puts"`
-	PutErrors      uint64 `json:"put_errors"`
-	Evictions      uint64 `json:"evictions"`
-	Compactions    uint64 `json:"compactions"`
-	Recovered      uint64 `json:"recovered"`
-	Corrupt        uint64 `json:"corrupt"`
-	TruncatedBytes int64  `json:"truncated_bytes"`
 }
 
 // Campaign is the span table plus the campaign-wide counters. The zero
@@ -156,9 +134,9 @@ type Campaign struct {
 
 	// storeStats, when set, is polled at snapshot time for the result
 	// store's counters. The provider must not call back into telemetry
-	// (it runs under the campaign mutex); resultstore.Stats satisfies
-	// that trivially.
-	storeStats func() StoreStats
+	// (it runs under the campaign mutex); (*resultstore.Store).Stats
+	// satisfies that trivially.
+	storeStats func() resultstore.Stats
 }
 
 // NewCampaign returns an empty campaign whose clock starts now.
@@ -181,7 +159,7 @@ func (c *Campaign) SetWorkers(n int) {
 // counters; snapshots and metrics include a store block while one is
 // attached. Call it before serving. The provider is invoked under the
 // campaign mutex and must not call back into this package.
-func (c *Campaign) SetStoreStats(provider func() StoreStats) {
+func (c *Campaign) SetStoreStats(provider func() resultstore.Stats) {
 	if c == nil {
 		return
 	}
@@ -245,34 +223,8 @@ func (c *Campaign) Enqueue(workload, config string) *Span {
 	return &Span{c: c, s: s}
 }
 
-// Seed opens a span already in the memo-hit terminal state: a result
-// replayed from a previous campaign's manifest, which this campaign
-// will never simulate.
-func (c *Campaign) Seed(workload, config string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := &span{
-		id:       len(c.spans),
-		workload: workload,
-		config:   config,
-		figure:   c.group,
-		state:    StateMemoHit,
-		enqueued: c.now(),
-	}
-	s.ended = s.enqueued
-	c.spans = append(c.spans, s)
-	c.byState[StateMemoHit]++
-	if f := c.figureOf(s.figure); f != nil {
-		f.total++
-		f.memo++
-	}
-}
-
 // MemoHit counts a request answered from the memo table (a duplicate of
-// an admitted or seeded key). No span opens: the one simulation already
+// an admitted key). No span opens: the one simulation already
 // has one.
 func (c *Campaign) MemoHit() {
 	if c == nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/resultstore"
 )
 
 // fakeClock is the injectable campaign clock: tests advance it by hand
@@ -40,15 +42,15 @@ func testCampaign() (*Campaign, *fakeClock) {
 // conserved checks the span-conservation invariant on a snapshot:
 // every opened span is in exactly one state.
 func conserved(s Snapshot) bool {
-	return s.Enqueued == s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.MemoSpan+s.StoreSpan
+	return s.Enqueued == s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.StoreSpan
 }
 
 // TestStoreHitSpanAndStats pins the store-hit terminal state: it
 // conserves spans, rolls up per figure, stays out of the ETA rate, and
-// the attached StoreStats provider surfaces in snapshots.
+// the attached store-stats provider surfaces in snapshots.
 func TestStoreHitSpanAndStats(t *testing.T) {
 	c, fc := testCampaign()
-	c.SetStoreStats(func() StoreStats { return StoreStats{Hits: 3, Misses: 1, Puts: 1} })
+	c.SetStoreStats(func() resultstore.Stats { return resultstore.Stats{Hits: 3, Misses: 1, Puts: 1} })
 	c.BeginGroup("fig2")
 	hit := c.Enqueue("fir", "cfg")
 	sim := c.Enqueue("aes", "cfg")
@@ -164,25 +166,24 @@ func TestFailCountsWatchdogAborts(t *testing.T) {
 	}
 }
 
-// TestSeedAndMemoHit pins the two memo paths: Seed opens a terminal
-// memo-hit span (a resume replay), MemoHit only bumps the counter (an
-// in-campaign duplicate).
-func TestSeedAndMemoHit(t *testing.T) {
+// TestMemoHitOpensNoSpan pins the in-campaign memo path: a duplicate
+// request only bumps the counter, while the admitted job keeps its one
+// span.
+func TestMemoHitOpensNoSpan(t *testing.T) {
 	c, _ := testCampaign()
 	c.BeginGroup("table3")
-	c.Seed("fir", "cfg")
+	sp := c.Enqueue("fir", "cfg")
 	c.MemoHit()
 	c.MemoHit()
+	sp.Start()
+	sp.Done()
 
 	s := c.Snapshot(true)
-	if s.Enqueued != 1 || s.MemoSpan != 1 || s.MemoHits != 2 || s.MemoMisses != 0 {
+	if s.Enqueued != 1 || s.Done != 1 || s.MemoHits != 2 || s.MemoMisses != 1 {
 		t.Fatalf("snapshot: %+v", s)
 	}
-	if s.Spans[0].State != "memo-hit" || s.Spans[0].EndedNS != s.Spans[0].EnqueuedNS {
-		t.Fatalf("seeded span: %+v", s.Spans[0])
-	}
-	if s.Figures[0].MemoHits != 1 {
-		t.Fatalf("figure memo rollup: %+v", s.Figures[0])
+	if len(s.Spans) != 1 || s.Figures[0].Total != 1 || s.Figures[0].Done != 1 {
+		t.Fatalf("memo hits opened spans: %+v", s)
 	}
 	if !conserved(s) {
 		t.Fatalf("conservation broken: %+v", s)
@@ -255,7 +256,6 @@ func TestNilCampaignIsNoOp(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil campaign returned a non-nil span")
 	}
-	c.Seed("fir", "cfg")
 	c.MemoHit()
 	c.ErrCell()
 	c.SetComplete()
@@ -298,8 +298,8 @@ func TestConservationUnderScrape(t *testing.T) {
 			}
 			s := c.Snapshot(true)
 			if !conserved(s) {
-				t.Errorf("conservation broken: enq=%d q=%d r=%d rt=%d d=%d f=%d m=%d",
-					s.Enqueued, s.Queued, s.Running, s.Retrying, s.Done, s.Failed, s.MemoSpan)
+				t.Errorf("conservation broken: enq=%d q=%d r=%d rt=%d d=%d f=%d st=%d",
+					s.Enqueued, s.Queued, s.Running, s.Retrying, s.Done, s.Failed, s.StoreSpan)
 				return
 			}
 			if err := c.WriteMetrics(&bytes.Buffer{}); err != nil {
@@ -317,7 +317,7 @@ func TestConservationUnderScrape(t *testing.T) {
 			for j := 0; j < jobsPer; j++ {
 				sp := c.Enqueue("fir", "cfg")
 				sp.Start()
-				switch j % 3 {
+				switch j % 4 {
 				case 0:
 					sp.Done()
 				case 1:
@@ -326,6 +326,8 @@ func TestConservationUnderScrape(t *testing.T) {
 					sp.Done()
 				case 2:
 					sp.Fail("timeout")
+				case 3:
+					sp.StoreHit()
 				}
 				c.MemoHit()
 			}
@@ -339,7 +341,8 @@ func TestConservationUnderScrape(t *testing.T) {
 	if s.Enqueued != writers*jobsPer || !conserved(s) {
 		t.Fatalf("final snapshot: %+v", s)
 	}
-	if s.Done != writers*(jobsPer-jobsPer/3) && s.Failed == 0 {
+	// j%4 over 0..49: 13 + 13 done, 12 failed, 12 store hits per writer.
+	if s.Done != writers*26 || s.Failed != writers*12 || s.StoreSpan != writers*12 {
 		t.Fatalf("final tallies: %+v", s)
 	}
 }
@@ -373,6 +376,29 @@ func TestStatusLine(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\r\x1b[K") {
 		t.Fatalf("Stop did not clear the line: %q", out)
+	}
+}
+
+// TestStatusLineCountsStoreHits: a store hit is finished work, so a
+// campaign whose jobs all resolved, some from the store, reads N/N.
+func TestStatusLineCountsStoreHits(t *testing.T) {
+	c, _ := testCampaign()
+	hit := c.Enqueue("fir", "cfg")
+	hit.Start()
+	hit.StoreHit()
+	sim := c.Enqueue("aes", "cfg")
+	sim.Start()
+	sim.Done()
+
+	var buf bytes.Buffer
+	sl := NewStatusLine(&buf, c)
+	sl.Start(time.Hour)
+	if _, err := sl.Writer().Write([]byte("row\n")); err != nil {
+		t.Fatal(err)
+	}
+	sl.Stop()
+	if want := "# 2/2 done · 0 running · 0 queued · 1 stored"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("status line %q, want %q", buf.String(), want)
 	}
 }
 
