@@ -41,14 +41,14 @@ func (s State) String() string {
 	return "?"
 }
 
-// Line is one cache line's bookkeeping. The fields are ordered so a
-// line packs into 32 bytes. Callers may change State between valid
-// states, Dirty and Prefetched; validity itself changes only through
-// Insert, Invalidate and FlushAll, which keep the tag index in step.
+// Line is one cache line's bookkeeping, 16 bytes, so four share a
+// 64-byte host cache line and none straddles one. Its address and LRU
+// stamp live beside the set's other tags and stamps (Cache.meta).
+// Callers may change State between valid states, Dirty and Prefetched;
+// validity itself changes only through Insert, Invalidate and FlushAll,
+// which keep the tags in step.
 type Line struct {
-	Addr       mem.Addr // line-aligned address; valid only when State != Invalid
 	FillDone   sim.Time // time the fill completes; accesses before it wait
-	lastUse    uint64
 	State      State
 	Dirty      bool
 	Prefetched bool // brought in by a prefetcher and not yet demanded
@@ -114,15 +114,21 @@ type Config struct {
 // count is a power of two (it always is for the study's Table 2
 // geometries), keeping the per-access lookup free of divisions and
 // pointer chasing — it is the hottest path of the whole simulator.
-// A parallel array packs each way's tag into one word, so a lookup
-// scans 8 bytes per way (128 B for a 16-way L2 set) instead of the
-// whole lines.
+// A parallel array holds, per set, one block of the set's packed tags
+// followed by its LRU stamps, so a lookup scans 8 bytes per way and a
+// hit's stamp update lands in the block it just read (one host line for
+// a 2-way L1 set), while victim selection in a 16-way L2 set reads
+// 256 B of tags and stamps instead of walking 16 lines.
 type Cache struct {
 	cfg   Config
 	lines []Line // nsets * assoc entries, set-major
-	// tags[i] is lines[i].Addr|1 while line i is valid and 0 while it is
-	// Invalid (line addresses are 32-byte aligned, so bit 0 is free).
-	tags    []uint64
+	// meta holds 2*assoc words per set: the set's tags, then its stamps.
+	// Way w of the set whose lines start at lines[b] has its tag at
+	// meta[2*b+w] and its stamp at meta[2*b+assoc+w]. A tag is the
+	// line's address with bit 0 set while the line is valid, and 0 while
+	// it is Invalid (line addresses are 32-byte aligned, so bit 0 is
+	// free); a stamp is the tick of the way's last fill or demand hit.
+	meta    []uint64
 	assoc   uint64
 	nsets   uint64
 	setMask uint64 // nsets-1; valid only when pow2
@@ -150,7 +156,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		lines:   make([]Line, nlines),
-		tags:    make([]uint64, nlines),
+		meta:    make([]uint64, 2*nlines),
 		assoc:   uint64(cfg.Assoc),
 		nsets:   nsets,
 		setMask: nsets - 1,
@@ -178,23 +184,37 @@ func (c *Cache) setBase(a mem.Addr) uint64 {
 // tagOf returns the packed tag of the line holding a.
 func tagOf(a mem.Addr) uint64 { return uint64(a.Line()) | 1 }
 
-// find returns the index of the valid line holding a, or -1.
-func (c *Cache) find(a mem.Addr) int {
+// find returns the index of the first line of a's set and the way of
+// the valid line holding a, or way -1. The way's tag is meta[2*base+way]
+// and its stamp meta[2*base+assoc+way].
+func (c *Cache) find(a mem.Addr) (base uint64, way int) {
 	tag := tagOf(a)
-	base := c.setBase(a)
-	for i, t := range c.tags[base : base+c.assoc] {
+	base = c.setBase(a)
+	for i, t := range c.meta[2*base : 2*base+c.assoc] {
 		if t == tag {
-			return int(base) + i
+			return base, i
 		}
 	}
-	return -1
+	return base, -1
+}
+
+// eachValid calls fn with the index and address of every valid line,
+// in set order.
+func (c *Cache) eachValid(fn func(i int, a mem.Addr)) {
+	for b := 0; b < len(c.lines); b += int(c.assoc) {
+		for w, t := range c.meta[2*b : 2*b+int(c.assoc)] {
+			if t != 0 {
+				fn(b+w, mem.Addr(t&^1))
+			}
+		}
+	}
 }
 
 // Lookup probes the tag array for the line holding a, without updating
 // statistics. It returns nil on miss.
 func (c *Cache) Lookup(a mem.Addr) *Line {
-	if i := c.find(a); i >= 0 {
-		return &c.lines[i]
+	if b, w := c.find(a); w >= 0 {
+		return &c.lines[b+uint64(w)]
 	}
 	return nil
 }
@@ -210,15 +230,16 @@ func (c *Cache) Access(a mem.Addr, write bool) *Line {
 // on a line installed by a prefetcher and not yet demanded (the "tag"
 // that advances a tagged prefetcher's stream).
 func (c *Cache) AccessTagged(a mem.Addr, write bool) (ln *Line, wasPrefetched bool) {
-	ln = c.Lookup(a)
+	b, w := c.find(a)
 	if write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
-	if ln == nil {
+	if w < 0 {
 		return nil, false
 	}
+	ln = &c.lines[b+uint64(w)]
 	if write {
 		c.stats.WriteHits++
 	} else {
@@ -230,7 +251,7 @@ func (c *Cache) AccessTagged(a mem.Addr, write bool) (ln *Line, wasPrefetched bo
 		c.stats.PrefetchHits++
 	}
 	c.tick++
-	ln.lastUse = c.tick
+	c.meta[2*b+c.assoc+uint64(w)] = c.tick
 	return ln, wasPrefetched
 }
 
@@ -258,7 +279,8 @@ func (c *Cache) Insert(a mem.Addr, st State, fillDone sim.Time) (*Line, Evicted)
 	}
 	la, tag := a.Line(), tagOf(a)
 	base := c.setBase(a)
-	set, tags := c.lines[base:base+c.assoc], c.tags[base:base+c.assoc]
+	tags := c.meta[2*base : 2*base+c.assoc]
+	stamps := c.meta[2*base+c.assoc : 2*base+2*c.assoc]
 	v := 0
 	for i, t := range tags {
 		if t == tag {
@@ -268,22 +290,23 @@ func (c *Cache) Insert(a mem.Addr, st State, fillDone sim.Time) (*Line, Evicted)
 			v = i
 			break
 		}
-		if set[i].lastUse < set[v].lastUse {
+		if stamps[i] < stamps[v] {
 			v = i
 		}
 	}
-	victim := &set[v]
+	victim := &c.lines[int(base)+v]
 	var ev Evicted
 	if tags[v] != 0 {
-		ev = Evicted{Addr: victim.Addr, Dirty: victim.Dirty, Valid: true, Prefetched: victim.Prefetched}
+		ev = Evicted{Addr: mem.Addr(tags[v] &^ 1), Dirty: victim.Dirty, Valid: true, Prefetched: victim.Prefetched}
 		c.stats.Evictions++
 		if victim.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.tick++
-	*victim = Line{Addr: la, State: st, FillDone: fillDone, lastUse: c.tick}
+	*victim = Line{State: st, FillDone: fillDone}
 	tags[v] = tag
+	stamps[v] = c.tick
 	c.stats.Fills++
 	return victim, ev
 }
@@ -303,14 +326,15 @@ func (c *Cache) InsertPFS(a mem.Addr, at sim.Time) (*Line, Evicted) {
 // was present and whether it was dirty (the caller decides if the dirty
 // data must be transferred).
 func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
-	i := c.find(a)
-	if i < 0 {
+	b, w := c.find(a)
+	if w < 0 {
 		return false, false
 	}
+	i := b + uint64(w)
 	present, dirty = true, c.lines[i].Dirty
 	c.stats.Invalidates++
 	c.lines[i] = Line{}
-	c.tags[i] = 0
+	c.meta[2*b+uint64(w)] = 0 // an empty way is a victim before any stamp is compared
 	return present, dirty
 }
 
@@ -330,38 +354,27 @@ func (c *Cache) Downgrade(a mem.Addr) *Line {
 // model cache cleaning.
 func (c *Cache) FlushAll() []mem.Addr {
 	var dirty []mem.Addr
-	for i, t := range c.tags {
-		if t == 0 {
-			continue
-		}
-		if ln := &c.lines[i]; ln.Dirty {
-			dirty = append(dirty, ln.Addr)
+	c.eachValid(func(i int, a mem.Addr) {
+		if c.lines[i].Dirty {
+			dirty = append(dirty, a)
 		}
 		c.lines[i] = Line{}
-	}
-	clear(c.tags)
+	})
+	clear(c.meta)
 	return dirty
 }
 
 // Lines returns the addresses of all valid lines, in set order.
 func (c *Cache) Lines() []mem.Addr {
 	var out []mem.Addr
-	for i, t := range c.tags {
-		if t != 0 {
-			out = append(out, c.lines[i].Addr)
-		}
-	}
+	c.eachValid(func(_ int, a mem.Addr) { out = append(out, a) })
 	return out
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
+	c.eachValid(func(int, mem.Addr) { n++ })
 	return n
 }
 

@@ -114,17 +114,18 @@ func TestStatsBalance(t *testing.T) {
 	}
 }
 
-// checkTags verifies the packed tag index against the lines: a way's tag
-// is its address with bit 0 set exactly while the line is valid, and 0
-// while it is Invalid.
+// checkTags verifies the packed tags against the lines: a way's tag is
+// nonzero exactly while its line is valid, and then it is a line
+// address with bit 0 set that maps to the way's own set.
 func checkTags(c *Cache) error {
 	for i, ln := range c.lines {
-		want := uint64(0)
-		if ln.State != Invalid {
-			want = uint64(ln.Addr) | 1
+		set, way := i/int(c.assoc), i%int(c.assoc)
+		tag := c.meta[2*set*int(c.assoc)+way]
+		if (tag != 0) != (ln.State != Invalid) {
+			return fmt.Errorf("way %d: tag %#x, line %+v", i, tag, ln)
 		}
-		if c.tags[i] != want {
-			return fmt.Errorf("way %d: tag %#x, line %+v wants %#x", i, c.tags[i], ln, want)
+		if a := mem.Addr(tag &^ 1); tag != 0 && (tag&1 == 0 || a != a.Line() || c.setBase(a) != uint64(set)*c.assoc) {
+			return fmt.Errorf("way %d of set %d: tag %#x is not a line of that set", i, set, tag)
 		}
 	}
 	return nil
@@ -173,7 +174,7 @@ func TestTagIndexConsistency(t *testing.T) {
 			var scan *Line
 			base := c.setBase(a)
 			for i := base; i < base+c.assoc; i++ {
-				if ln := &c.lines[i]; ln.State != Invalid && ln.Addr == a.Line() {
+				if ln := &c.lines[i]; ln.State != Invalid && c.meta[base+i] == uint64(a.Line())|1 {
 					scan = ln
 				}
 			}
@@ -189,10 +190,11 @@ func TestTagIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestLineIs32Bytes pins the packed line layout: two lines per 64-byte
-// host cache line.
-func TestLineIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 32 {
-		t.Fatalf("Line is %d bytes, want 32", n)
+// TestLineIs16Bytes pins the packed line layout: with the address and
+// the LRU stamp beside the set's tags, four lines share a 64-byte host
+// cache line and none straddles one.
+func TestLineIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Fatalf("Line is %d bytes, want 16", n)
 	}
 }

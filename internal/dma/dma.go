@@ -345,7 +345,10 @@ func (e *Engine) Stop() {
 // up to Outstanding in flight, catch up to the last completion —
 // flattened so every yield point (the per-beat Sync, the idle BlockOn,
 // the final AdvanceTo) becomes a return. The yield placement is fixed:
-// moving one would change the schedule and the paperbench output.
+// moving one would change the schedule and the paperbench output. At a
+// StatusRunning yield the engine first asks Task.Spin, so while it stays
+// globally minimal its next beat runs inside this call instead of
+// through another dispatch.
 func (e *Engine) Step(t *sim.Task) sim.Status {
 	for {
 		switch e.pc {
@@ -371,8 +374,11 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			e.slot = 0
 			e.last = 0
 			e.startIter()
-			if s, yield := e.issueNext(t); yield {
-				return s
+			if e.issueNext(t) {
+				if t.Spin() {
+					continue
+				}
+				return sim.StatusRunning
 			}
 		case dmaBeat:
 			// Past the beat's sync: perform the access at the synced time.
@@ -389,8 +395,11 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			if e.slot++; e.slot == len(e.ring) {
 				e.slot = 0
 			}
-			if s, yield := e.issueNext(t); yield {
-				return s
+			if e.issueNext(t) {
+				if t.Spin() {
+					continue
+				}
+				return sim.StatusRunning
 			}
 		case dmaTail:
 			e.finishCmd(t.Time())
@@ -402,19 +411,19 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 // issueNext advances the beat iterator: it either issues the next beat
 // (advance one network cycle, clamp to the outstanding window, yield
 // for the beat's sync) or ends the command (yielding once more if the
-// engine must catch up to the last outstanding completion). The bool
-// result reports whether Step must return s now.
-func (e *Engine) issueNext(t *sim.Task) (sim.Status, bool) {
+// engine must catch up to the last outstanding completion). It reports
+// whether Step must yield with StatusRunning now.
+func (e *Engine) issueNext(t *sim.Task) bool {
 	b, ok := e.nextBeat()
 	if !ok {
 		if e.last > t.Time() {
 			t.SetTime(e.last)
 			e.pc = dmaTail
-			return sim.StatusRunning, true
+			return true
 		}
 		e.finishCmd(t.Time())
 		e.pc = dmaIdle
-		return 0, false
+		return false
 	}
 	e.pending = b
 	// Engine issues one access per network cycle.
@@ -425,11 +434,11 @@ func (e *Engine) issueNext(t *sim.Task) (sim.Status, bool) {
 	}
 	// The per-beat yield cannot convert to a local charge: the access
 	// touches the shared uncore servers. While the DMA task streams
-	// behind its blocked core it is globally minimal, so the dispatcher
-	// re-steps it without touching the heap (the inline spin, the
-	// state-machine analog of the Sync fast path).
+	// behind its blocked core it is globally minimal, so Step spins
+	// into the beat without returning (Task.Spin, the state-machine
+	// analog of the Sync fast path).
 	e.pc = dmaBeat
-	return sim.StatusRunning, true
+	return true
 }
 
 // startIter resets the beat iterator for e.cur: element 0, and for the

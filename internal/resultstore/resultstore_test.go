@@ -181,7 +181,10 @@ func TestObserversDoNotPerturbKeys(t *testing.T) {
 
 // TestTruncateAtEveryByte is the crash-safety property: for EVERY
 // prefix of a journal, reopening recovers without error, restores
-// exactly the records wholly inside the prefix, and serves them.
+// exactly the records wholly inside the prefix, and serves them. The
+// journal opens through a no-op Sync (openUnsynced, as FuzzStoreOpen
+// does): this suite tests recovery, not durability, and the fsyncs of
+// every torn tail would otherwise dominate its run time.
 func TestTruncateAtEveryByte(t *testing.T) {
 	const n = 4
 	journal := masterJournal(t, n)
@@ -199,7 +202,7 @@ func TestTruncateAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, journalName), journal[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(Options{Dir: dir, Version: "v1"})
+		st, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
 		if err != nil {
 			t.Fatalf("cut=%d: Open failed: %v", cut, err)
 		}
@@ -222,9 +225,9 @@ func TestTruncateAtEveryByte(t *testing.T) {
 			t.Fatalf("cut=%d: pure truncation quarantined %d records", cut, stats.Corrupt)
 		}
 		// A second open of the repaired journal must be clean: recovery
-		// converges (the torn tail was truncated away durably).
+		// converges (the torn tail was truncated away).
 		st.Close()
-		st2, err := Open(Options{Dir: dir, Version: "v1"})
+		st2, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
 		if err != nil || st2.Len() != wantComplete || st2.Stats().TruncatedBytes != 0 {
 			t.Fatalf("cut=%d: second open not clean: err=%v len=%d stats=%+v", cut, err, st2.Len(), st2.Stats())
 		}
@@ -272,7 +275,8 @@ func recordEnds(t testing.TB, journal []byte) []int64 {
 // flip loses availability rather than a single record: a changed schema
 // version is indistinguishable from a genuinely different journal
 // format, so the whole file is archived intact (never parsed, never
-// destroyed) and the store starts fresh.
+// destroyed) and the store starts fresh. Like TestTruncateAtEveryByte,
+// it opens through a no-op Sync.
 func TestBitFlipAtEveryByteNeverServesBadData(t *testing.T) {
 	const n = 3
 	journal := masterJournal(t, n)
@@ -286,7 +290,7 @@ func TestBitFlipAtEveryByteNeverServesBadData(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, journalName), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(Options{Dir: dir, Version: "v1"})
+		st, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
 		if err != nil {
 			t.Fatalf("pos=%d: Open failed: %v", pos, err)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -51,6 +52,10 @@ type Engine struct {
 	// noFastPath forces every Sync through Run's loop; only the
 	// determinism tests set it (the fast path must be unobservable).
 	noFastPath bool
+	// noSpin makes Task.Spin always decline, so an inline Step returns
+	// to the dispatcher after every step; only the Spin equivalence
+	// tests set it.
+	noSpin bool
 
 	// Cooperative cancellation (Abort). abortFlag is atomic because Abort
 	// may come from any goroutine (a watchdog timer); Run reads it once
@@ -358,7 +363,7 @@ func (t *Task) Advance(d Time) { t.time += d }
 func (t *Task) Sync() {
 	e := t.engine
 	if !e.noFastPath && (e.MaxTime == 0 || t.time <= e.MaxTime) &&
-		(e.queue.len() == 0 || t.before(e.queue.peek())) && e.abortPollOK() {
+		e.queue.precedesAll(t) && e.abortPollOK() {
 		e.met.SyncFast++
 		e.now = t.time
 		if e.now >= e.nextEpoch {
@@ -440,44 +445,97 @@ func (t *Task) Unblock(at Time) {
 	t.engine.push(t)
 }
 
-// before reports whether t precedes u in dispatch order: earlier local
-// time, with the spawn id breaking ties so dispatch is deterministic.
-func (t *Task) before(u *Task) bool {
-	if t.time != u.time {
-		return t.time < u.time
-	}
-	return t.id < u.id
+// heapSlot is one scheduler-heap entry: the queued task with its
+// (time, id) key copied inline, so a sift compares keys without loading
+// a task. The copy stays exact because a queued task's clock never
+// changes: only the running task moves its own clock, and Unblock sets
+// a blocked task's clock before pushing it.
+type heapSlot struct {
+	time Time
+	id   int
+	t    *Task
 }
 
-// taskHeap is a 4-ary min-heap of tasks ordered by (time, id). It is
+// less reports whether a precedes b under (time, id).
+func (a *heapSlot) less(b *heapSlot) bool { return a.lessBit(b) != 0 }
+
+// lessBit is less as 1 or 0: the borrow of a - b with the keys read as
+// one 128-bit number. It lets siftDown pick the least child by
+// arithmetic instead of a branch that mispredicts about half the time.
+func (a *heapSlot) lessBit(b *heapSlot) uint64 {
+	_, borrow := bits.Sub64(uint64(a.id), uint64(b.id), 0)
+	_, borrow = bits.Sub64(uint64(a.time), uint64(b.time), borrow)
+	return borrow
+}
+
+// taskHeap is a 4-ary min-heap of tasks ordered by (time, id): earlier
+// local time, with the spawn id breaking ties so dispatch is
+// deterministic. It is
 // hand-specialized rather than using container/heap: no interface boxing
-// on push/pop, and the sift loops compare the (time, id) key directly.
-// 4-ary halves the tree depth of the binary heap, which matters because
-// the heap is touched on every slow-path dispatch.
+// on push/pop, and the sift loops compare the inline (time, id) keys
+// directly. 4-ary halves the tree depth of the binary heap, which
+// matters because the heap is touched on every slow-path dispatch.
 type taskHeap struct {
-	s []*Task
+	s []heapSlot
 }
 
 const heapArity = 4
 
 func (h *taskHeap) len() int { return len(h.s) }
 
-// peek returns the minimum without removing it. Caller checks len > 0.
-func (h *taskHeap) peek() *Task { return h.s[0] }
+// precedesAll reports whether t, which is not queued, precedes every
+// queued task: the condition under which Run's next pop would return t.
+func (h *taskHeap) precedesAll(t *Task) bool {
+	if len(h.s) == 0 {
+		return true
+	}
+	m := &h.s[0]
+	if t.time != m.time {
+		return t.time < m.time
+	}
+	return t.id < m.id
+}
 
 func (h *taskHeap) push(t *Task) {
-	h.s = append(h.s, t)
+	x := heapSlot{t.time, t.id, t}
+	h.s = append(h.s, x)
 	s := h.s
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !t.before(s[p]) {
+		if !x.less(&s[p]) {
 			break
 		}
 		s[i] = s[p]
 		i = p
 	}
-	s[i] = t
+	s[i] = x
+}
+
+// siftDown places x at slot i or below, moving smaller children up.
+func (h *taskHeap) siftDown(i int, x heapSlot) {
+	s := h.s
+	n := len(s)
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		min := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			min += (c - min) & -int(s[c].lessBit(&s[min]))
+		}
+		if !s[min].less(&x) {
+			break
+		}
+		s[i] = s[min]
+		i = min
+	}
+	s[i] = x
 }
 
 // replaceMin pushes t and pops the global minimum in a single sift, Run's
@@ -490,72 +548,23 @@ func (h *taskHeap) push(t *Task) {
 // order — is identical to push(t) followed by pop() regardless of the
 // differing internal heap shape.
 func (h *taskHeap) replaceMin(t *Task) *Task {
-	s := h.s
-	n := len(s)
-	if n == 0 || t.before(s[0]) {
+	if h.precedesAll(t) {
 		return t
 	}
-	top := s[0]
-	i := 0
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if s[c].before(s[min]) {
-				min = c
-			}
-		}
-		if !s[min].before(t) {
-			break
-		}
-		s[i] = s[min]
-		i = min
-	}
-	s[i] = t
+	top := h.s[0].t
+	h.siftDown(0, heapSlot{t.time, t.id, t})
 	return top
 }
 
 func (h *taskHeap) pop() *Task {
 	s := h.s
-	top := s[0]
+	top := s[0].t
 	n := len(s) - 1
 	last := s[n]
-	s[n] = nil
+	s[n] = heapSlot{}
 	h.s = s[:n]
-	if n == 0 {
-		return top
+	if n > 0 {
+		h.siftDown(0, last) // the former tail, from the root
 	}
-	s = h.s
-	// Sift the former tail down from the root.
-	i := 0
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if s[c].before(s[min]) {
-				min = c
-			}
-		}
-		if !s[min].before(last) {
-			break
-		}
-		s[i] = s[min]
-		i = min
-	}
-	s[i] = last
 	return top
 }

@@ -304,7 +304,10 @@ func TestTaskHeapOrdering(t *testing.T) {
 	var h taskHeap
 	var ref []*Task
 	popRef := func() *Task {
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].before(ref[j]) })
+		sort.SliceStable(ref, func(i, j int) bool {
+			a, b := ref[i], ref[j]
+			return a.time < b.time || a.time == b.time && a.id < b.id
+		})
 		m := ref[0]
 		ref = ref[1:]
 		return m
@@ -318,7 +321,7 @@ func TestTaskHeapOrdering(t *testing.T) {
 			ref = append(ref, tk)
 		} else {
 			want := popRef()
-			if got := h.peek(); got != want {
+			if got := h.s[0].t; got != want {
 				t.Fatalf("round %d: peek = (%d,%d), want (%d,%d)", round, got.time, got.id, want.time, want.id)
 			}
 			if got := h.pop(); got != want {

@@ -10,7 +10,9 @@ import "runtime/debug"
 // Step call is measurably cheaper than a coroutine round trip
 // (BenchmarkDispatchInline against BenchmarkDispatch). Coroutine and
 // inline tasks interleave freely in one scheduler heap under the same
-// (time, id) total order.
+// (time, id) total order. A Step that would return StatusRunning may
+// first call Task.Spin and, while its task stays globally minimal, go
+// straight on into its next step (the Spin contract is on Task.Spin).
 
 // Status is what a Runnable's Step reports about the task's state.
 type Status uint8
@@ -59,47 +61,65 @@ func (e *Engine) SpawnInline(name string, start Time, r Runnable) *Task {
 // only takes effect through the next StatusBlocked.
 func (t *Task) WillBlockOn(label string) { t.blockLabel = label }
 
-// runStep executes one Step of inline task t. A panic out of Step is
-// routed like a coroutine body's panic: it surfaces out of Run as a
-// *TaskPanicError naming t.
-func (e *Engine) runStep(t *Task) Status {
+// spin starts the next step of inline task t in place when t is still
+// globally minimal, reporting whether it did: the engine clock and the
+// epoch hook advance to t's time and the step is counted and recorded
+// exactly as a dispatched one. The condition is the Sync fast path's,
+// kept out of line so Sync's copy stays inlined.
+func (e *Engine) spin(t *Task) bool {
+	if e.noFastPath || (e.MaxTime != 0 && t.time > e.MaxTime) ||
+		!e.queue.precedesAll(t) || !e.abortPollOK() {
+		return false
+	}
+	e.now = t.time
+	if e.now >= e.nextEpoch {
+		e.epochTick()
+	}
 	e.met.InlineSteps++
 	e.record(flightInlineStep, t)
-	t.waitingOn = ""
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		t.done = true
-		e.live--
-		panic(&TaskPanicError{TaskName: t.name, Value: r, Stack: string(debug.Stack()), State: e.snapshotState()})
-	}()
-	return t.inline.Step(t)
+	return true
 }
 
-// inlineSpinOK reports whether inline task t, which just returned
-// StatusRunning, may be stepped again at once: the Sync fast path's
-// condition, kept out of line so Sync's copy stays inlined.
-func (e *Engine) inlineSpinOK(t *Task) bool {
-	return !e.noFastPath && (e.MaxTime == 0 || t.time <= e.MaxTime) &&
-		(e.queue.len() == 0 || t.before(e.queue.peek())) && e.abortPollOK()
+// Spin lets an inline task's Step continue into its next step instead
+// of returning StatusRunning. Call it from Step, on Step's own task, at
+// the point where Step would return StatusRunning. When it reports true
+// the task was still globally minimal under (time, id), so the
+// dispatcher would have stepped it again at once; the engine clock, the
+// epoch hook, Metrics.InlineSteps and the flight recorder have advanced
+// as for that step, and Step must go on as if newly called. When it
+// reports false nothing has changed and Step must return
+// StatusRunning. Spin moves no yield: it skips only a return the
+// dispatcher would immediately undo, so the schedule, every simulated
+// timestamp and the engine's metrics are identical whether a Step
+// spins or returns (TestDMASpinEquivalence).
+func (t *Task) Spin() bool {
+	e := t.engine
+	return !e.noSpin && e.spin(t)
 }
 
 // stepInline dispatches inline task t (popped, clock advanced) and
 // reports whether it wants to run again. While t stays globally minimal
 // it is re-stepped without touching the heap (the inline spin), which is
-// schedule-invisible for the same reason the Sync fast path is.
-func (e *Engine) stepInline(t *Task) bool {
+// schedule-invisible for the same reason the Sync fast path is. A panic
+// out of Step is routed like a coroutine body's panic: it surfaces out
+// of Run as a *TaskPanicError naming t. The recover is deferred once
+// per dispatch, not once per step.
+func (e *Engine) stepInline(t *Task) (again bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.done = true
+			e.live--
+			panic(&TaskPanicError{TaskName: t.name, Value: r, Stack: string(debug.Stack()), State: e.snapshotState()})
+		}
+	}()
+	e.met.InlineSteps++
+	e.record(flightInlineStep, t)
 	for {
-		switch e.runStep(t) {
+		t.waitingOn = ""
+		switch t.inline.Step(t) {
 		case StatusRunning:
-			if !e.inlineSpinOK(t) {
+			if !e.spin(t) {
 				return true
-			}
-			e.now = t.time
-			if e.now >= e.nextEpoch {
-				e.epochTick()
 			}
 		case StatusBlocked:
 			t.blocked = true

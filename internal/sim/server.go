@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Server models a contended resource (a bus, a cache port, a DRAM
@@ -27,26 +28,47 @@ import (
 // that books in the past fails loudly instead of silently changing
 // results.
 type Server struct {
-	name string
+	// The fields every Acquire reads come first and fill exactly one
+	// 64-byte host cache line; NewServer and NewPipe allocate servers
+	// in 128-byte size classes, so that line is aligned
+	// (TestServerLayout).
+	//
 	// busy[head:] holds the live, non-overlapping reservations sorted by
 	// start time; busy[:head] is pruned garbage awaiting compaction.
-	busy    []interval
-	head    int
-	busyAcc Time // total reserved time, for utilization
-	uses    uint64
+	busy []interval
+	head int
 	// lastEnd is the end of the latest-ending reservation ever granted.
 	// Unlike the calendar it survives pruning, so NextFree stays truthful
 	// after old bookings are discarded.
 	lastEnd Time
+	busyAcc Time // total reserved time, for utilization
 	// eng is the engine whose clock the horizon follows; nil (a server
 	// outside any engine) keeps the horizon at 0, which prunes nothing.
 	eng *Engine
 	// limit caps the horizon for owners that book lazily in the past.
 	limit Time
+
+	// Cold fields, and a Pipe's link parameters after them.
+	uses uint64
+	name string
 	// Calendar-maintenance counters (see ServerMetrics): how many
-	// reservations pruning discarded and how often the slice compacted.
+	// reservations pruning discarded and how often the slice compacted
+	// (at most once per 64 prunes, so 32 bits suffice).
 	pruned      uint64
-	compactions uint64
+	compactions uint32
+	// widthShift is log2 of a Pipe's width when the width is a power of
+	// two (every Table 2 link), so its occupancy needs no division, and
+	// -1 otherwise. It lives here, in the Server's padding, so a Pipe
+	// stays 128 bytes.
+	widthShift int8
+}
+
+// paddedServer rounds a lone Server up to the 128-byte size class,
+// whose allocations are 64-byte aligned (a Server alone is 104 bytes,
+// which would land in the unaligned 112-byte class).
+type paddedServer struct {
+	Server
+	_ [128 - unsafe.Sizeof(Server{})]byte
 }
 
 // ServerMetrics aggregates calendar-maintenance counters across a set of
@@ -62,7 +84,7 @@ type ServerMetrics struct {
 // AddMetrics accumulates this server's calendar counters into m.
 func (s *Server) AddMetrics(m *ServerMetrics) {
 	m.Pruned += s.pruned
-	m.Compactions += s.compactions
+	m.Compactions += uint64(s.compactions)
 }
 
 // Snapshot emits the aggregated counters in a fixed order (probe layer).
@@ -73,8 +95,15 @@ func (m ServerMetrics) Snapshot(put func(name string, value float64)) {
 
 type interval struct{ start, end Time }
 
+// tailScan is how many reservations Acquire's search steps back from
+// the calendar's tail before it falls back to a binary search.
+const tailScan = 4
+
 // NewServer returns a named idle server.
-func NewServer(name string) *Server { return &Server{name: name, limit: ^Time(0)} }
+func NewServer(name string) *Server {
+	p := &paddedServer{Server: Server{name: name, limit: ^Time(0)}}
+	return &p.Server
+}
 
 // Name returns the server's name.
 func (s *Server) Name() string { return s.name }
@@ -135,20 +164,10 @@ func (s *Server) Acquire(at, dur Time) (start Time) {
 		s.grow(at + dur)
 		return at
 	}
-	// General path: find the first gap of length dur at or after `at`.
-	// Binary search the live window for the first interval ending after
-	// `at`.
-	lo, hi := s.head, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.busy[mid].end <= at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	// General path: find the first gap of length dur at or after `at`,
+	// starting from the first interval ending after `at`.
 	start = at
-	idx := lo
+	idx := s.firstEndingAfter(at)
 	for idx < n {
 		iv := s.busy[idx]
 		if start+dur <= iv.start {
@@ -162,6 +181,36 @@ func (s *Server) Acquire(at, dur Time) (start Time) {
 	s.insert(idx, interval{start, start + dur})
 	s.grow(start + dur)
 	return start
+}
+
+// firstEndingAfter returns the index of the first live reservation
+// that ends after at, for an arrival that the last one does. A late
+// arrival usually has only the last reservation or two ending after
+// it, so the search scans back from the tail, and binary searches the
+// rest of the live window only when the scan runs tailScan steps
+// without reaching it.
+func (s *Server) firstEndingAfter(at Time) int {
+	lo := len(s.busy) - 1 // busy[lo].end > at
+	stop := lo - tailScan
+	if stop < s.head {
+		stop = s.head
+	}
+	for lo > stop && s.busy[lo-1].end > at {
+		lo--
+	}
+	if lo == stop && lo > s.head && s.busy[lo-1].end > at {
+		l, h := s.head, lo-1 // busy[lo-1].end > at
+		for l < h {
+			mid := int(uint(l+h) >> 1)
+			if s.busy[mid].end <= at {
+				l = mid + 1
+			} else {
+				h = mid
+			}
+		}
+		lo = l
+	}
+	return lo
 }
 
 // pastArrival reports an Acquire below the horizon. Out of line so the
@@ -262,25 +311,21 @@ func (s *Server) Reservations() [][2]Time {
 type Pipe struct {
 	Server
 	// BytesPerCycle is the link width; Clock gives the cycle time. Both
-	// are fixed after NewPipe.
+	// are fixed after NewPipe. They share the Server's second host cache
+	// line with its use count, so a transfer touches two lines.
 	BytesPerCycle uint64
 	Clock         Clock
 	// Latency is the pipeline depth: time from service start to delivery.
 	Latency Time
-	// widthShift is log2(BytesPerCycle) when the width is a power of two
-	// (every Table 2 link), so the occupancy needs no division; -1
-	// otherwise.
-	widthShift int8
 }
 
 // NewPipe returns a pipelined link.
 func NewPipe(name string, bytesPerCycle uint64, clock Clock, latency Time) *Pipe {
 	p := &Pipe{
-		Server:        Server{name: name, limit: ^Time(0)},
+		Server:        Server{name: name, limit: ^Time(0), widthShift: -1},
 		BytesPerCycle: bytesPerCycle,
 		Clock:         clock,
 		Latency:       latency,
-		widthShift:    -1,
 	}
 	if bytesPerCycle != 0 && bytesPerCycle&(bytesPerCycle-1) == 0 {
 		p.widthShift = int8(bits.TrailingZeros64(bytesPerCycle))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refCalendar is the oracle for Server: a calendar that never prunes
@@ -154,6 +155,77 @@ func TestPipeOccupancyNonPowerOfTwo(t *testing.T) {
 		p := NewPipe("x", c.width, MHz(800), 0)
 		if done := p.Transfer(0, c.bytes); done != MHz(800).Cycles(c.cycles) {
 			t.Errorf("%d bytes over %d-byte link: done %v, want %d cycles", c.bytes, c.width, done, c.cycles)
+		}
+	}
+}
+
+// TestServerLongWindowMatchesNeverPrunedCalendar drives windows far
+// longer than Acquire's tail scan: the horizon stands still while
+// dozens of short reservations with gaps between them pile up ahead of
+// it, and requests then arrive anywhere in that window, so the search
+// ends in the tail scan, at its last step, or in the binary-search
+// fallback, and must grant what a never-pruned calendar grants.
+func TestServerLongWindowMatchesNeverPrunedCalendar(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		s := NewServer("x")
+		s.SetHorizon(e)
+		var ref refCalendar
+		deep := 0
+		for op := 0; op < 600; op++ {
+			if rng.Intn(50) == 0 {
+				e.now += Time(rng.Intn(400))
+			}
+			var span Time
+			if s.NextFree() > e.now {
+				span = s.NextFree() - e.now
+			}
+			at := e.now + Time(rng.Intn(int(span)+1))
+			if rng.Intn(3) == 0 {
+				at = e.now + span + Time(1+rng.Intn(6)) // grow the window, leaving a gap
+			}
+			if live := s.Reservations(); len(live) > 0 {
+				behind := 0
+				for _, iv := range live {
+					if iv[1] > at {
+						behind++
+					}
+				}
+				if behind > tailScan+1 {
+					deep++
+				}
+			}
+			dur := Time(1 + rng.Intn(4))
+			if got, want := s.Acquire(at, dur), ref.acquire(at, dur); got != want {
+				t.Fatalf("seed %d op %d: Acquire(%d, %d) at horizon %d = %d, never-pruned calendar grants %d",
+					seed, op, at, dur, e.now, got, want)
+			}
+		}
+		if deep == 0 {
+			t.Fatalf("seed %d: no arrival had more than %d reservations ending after it; the fallback went untested", seed, tailScan+1)
+		}
+	}
+}
+
+// TestServerLayout pins the host layout Acquire relies on: the fields it
+// reads fill the first 64 bytes of a Server, and a lone Server and a
+// Pipe each land in the 128-byte allocation size class, whose objects
+// are 64-byte aligned.
+func TestServerLayout(t *testing.T) {
+	var s Server
+	if end := unsafe.Offsetof(s.limit) + unsafe.Sizeof(s.limit); end > 64 {
+		t.Fatalf("Acquire's fields end at byte %d, want at most 64", end)
+	}
+	if n := unsafe.Sizeof(paddedServer{}); n != 128 {
+		t.Fatalf("paddedServer is %d bytes, want 128", n)
+	}
+	if n := unsafe.Sizeof(Pipe{}); n != 128 {
+		t.Fatalf("Pipe is %d bytes, want 128", n)
+	}
+	for _, p := range []unsafe.Pointer{unsafe.Pointer(NewServer("a")), unsafe.Pointer(NewPipe("b", 8, MHz(1000), 0))} {
+		if uintptr(p)%64 != 0 {
+			t.Fatalf("server allocated at %p, not 64-byte aligned", p)
 		}
 	}
 }

@@ -437,6 +437,11 @@ func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 	if t == nil {
 		return nil
 	}
+	return t.begin(class, core, addr, at)
+}
+
+// begin is Begin on a live Tracer, out of line so the nil check inlines.
+func (t *Tracer) begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 	x := t.newTxn(class, core, addr, at, false)
 	if t.keepsTrees() {
 		if n := len(t.stack); n > 0 {
@@ -566,6 +571,12 @@ func (t *Tracer) End(at sim.Time) {
 	if t == nil || len(t.stack) == 0 {
 		return
 	}
+	t.end(at)
+}
+
+// end pops and finishes the active transaction, out of line so End's
+// checks inline.
+func (t *Tracer) end(at sim.Time) {
 	x := t.stack[len(t.stack)-1]
 	t.stack = t.stack[:len(t.stack)-1]
 	t.finish(x, at)

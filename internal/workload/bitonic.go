@@ -233,13 +233,15 @@ func (bt *bitonic) stageSTRContig(p *cpu.Proc, sm *stream.Mem, k, j, lo, hi int)
 }
 
 func (bt *bitonic) Verify() error {
-	want := make([]uint32, bt.n)
-	copy(want, bt.keys)
-	slices.Sort(want)
-	for i := range want {
-		if bt.data[i] != want[i] {
-			return fmt.Errorf("bitonicsort: data[%d] = %d, want %d", i, bt.data[i], want[i])
+	return verifyMemo(inputSum("bitonicsort", bt.keys), outputSum(bt.data), func() error {
+		want := make([]uint32, bt.n)
+		copy(want, bt.keys)
+		slices.Sort(want)
+		for i := range want {
+			if bt.data[i] != want[i] {
+				return fmt.Errorf("bitonicsort: data[%d] = %d, want %d", i, bt.data[i], want[i])
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }

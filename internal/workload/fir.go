@@ -153,14 +153,16 @@ func (f *fir) runSTR(p *cpu.Proc, sm *stream.Mem, lo, hi int) {
 }
 
 func (f *fir) Verify() error {
-	for i := range f.out {
-		var want float32
-		for j := 0; j < firTaps; j++ {
-			want += f.taps[j] * f.in[i+j]
+	return verifyMemo(inputSum("fir", f.in, f.taps[:]), outputSum(f.out), func() error {
+		for i := range f.out {
+			var want float32
+			for j := 0; j < firTaps; j++ {
+				want += f.taps[j] * f.in[i+j]
+			}
+			if f.out[i] != want {
+				return fmt.Errorf("fir: out[%d] = %v, want %v", i, f.out[i], want)
+			}
 		}
-		if f.out[i] != want {
-			return fmt.Errorf("fir: out[%d] = %v, want %v", i, f.out[i], want)
-		}
-	}
-	return nil
+		return nil
+	})
 }

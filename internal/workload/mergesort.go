@@ -227,13 +227,15 @@ func (m *mergeSort) Verify() error {
 	if m.final == nil {
 		return fmt.Errorf("mergesort: no result recorded")
 	}
-	want := make([]uint32, m.n)
-	copy(want, m.keys)
-	slices.Sort(want)
-	for i := range want {
-		if m.final[i] != want[i] {
-			return fmt.Errorf("mergesort: result[%d] = %d, want %d", i, m.final[i], want[i])
+	return verifyMemo(inputSum("mergesort", m.keys), outputSum(m.final), func() error {
+		want := make([]uint32, m.n)
+		copy(want, m.keys)
+		slices.Sort(want)
+		for i := range want {
+			if m.final[i] != want[i] {
+				return fmt.Errorf("mergesort: result[%d] = %d, want %d", i, m.final[i], want[i])
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
