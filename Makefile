@@ -47,12 +47,13 @@ fuzz:
 # bench-engine regenerates the event-engine numbers tracked in
 # BENCH_engine.json (Sync fast path, scheduler dispatch and its channel
 # switch control, server calendar, one streaming DMA beat through the
-# uncore and NoC, the cycle-ledger charge path, the
-# histogram record path, the transaction tracer disabled, armed and
-# latency-only, plus the end-to-end runner grid).
+# uncore and NoC, one 16-core coherent broadcast miss, the cycle-ledger
+# charge path, the histogram record path, the transaction tracer
+# disabled, armed and latency-only, plus the end-to-end runner grid).
 bench-engine:
 	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/
 	go test -bench BenchmarkDMABeat -run xxx ./internal/dma/
+	go test -bench BenchmarkCCBroadcastMiss -run xxx ./internal/coher/
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/
 	go test -bench BenchmarkHistogramRecord -run xxx ./internal/stats/
 	go test -bench BenchmarkTxnTrace -run xxx ./internal/txntrace/
@@ -67,6 +68,7 @@ bench-engine:
 bench-check:
 	go test -bench 'BenchmarkSyncFastPath|BenchmarkDispatch|BenchmarkChanSwitchFloor|BenchmarkServerAcquire|BenchmarkFlightRecorder' -run xxx ./internal/sim/ > /tmp/bench-engine-check.txt
 	go test -bench BenchmarkDMABeat -run xxx ./internal/dma/ >> /tmp/bench-engine-check.txt
+	go test -bench BenchmarkCCBroadcastMiss -run xxx ./internal/coher/ >> /tmp/bench-engine-check.txt
 	go test -bench BenchmarkLedger -run xxx ./internal/cpu/ >> /tmp/bench-engine-check.txt
 	go test -bench BenchmarkHistogramRecord -run xxx ./internal/stats/ >> /tmp/bench-engine-check.txt
 	go test -bench BenchmarkTxnTrace -run xxx ./internal/txntrace/ >> /tmp/bench-engine-check.txt

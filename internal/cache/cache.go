@@ -255,12 +255,11 @@ func (c *Cache) AccessTagged(a mem.Addr, write bool) (ln *Line, wasPrefetched bo
 	return ln, wasPrefetched
 }
 
-// Snoop probes on behalf of another agent (coherence, DMA), counting a
-// snoop lookup. It returns the line or nil.
-func (c *Cache) Snoop(a mem.Addr) *Line {
-	c.stats.SnoopLookups++
-	return c.Lookup(a)
-}
+// CountSnoop counts one probe of the tags on behalf of another agent
+// (coherence). The prober reads the tags with Lookup only when it cannot
+// tell otherwise whether the line is here, so the count is the probes
+// the modelled hardware makes, not the host's tag reads.
+func (c *Cache) CountSnoop() { c.stats.SnoopLookups++ }
 
 // Evicted describes a line displaced by Insert.
 type Evicted struct {

@@ -14,6 +14,7 @@ package coher
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -101,6 +102,23 @@ type Domain struct {
 	regions      []regionTable
 	regionOwners regionTable
 	regShift     uint // log2(RegionBytes), rounded up to a power of two
+	// holders is the sharer index (table.go): the cores holding each
+	// resident line, kept exact by Mem.Installed and invalidate, so a
+	// snoop or invalidation broadcast looks up only the tag arrays that
+	// hold the line. It is nil on a one-cluster machine, which has no
+	// remote broadcast to save; every core is then a possible holder.
+	holders    *holderTable
+	allCores   uint64 // bit c set for every core c
+	perCluster int    // cores per cluster
+}
+
+// holdersOf returns the mask of cores that may hold line a: exactly
+// its holders when the sharer index is kept, every core otherwise.
+func (d *Domain) holdersOf(a mem.Addr) uint64 {
+	if d.holders == nil {
+		return d.allCores
+	}
+	return d.holders.get(a)
 }
 
 // regionIndex returns the filter-region index of an address.
@@ -140,10 +158,15 @@ func (d *Domain) regionShared(self int, a mem.Addr) bool {
 
 // NewDomain builds the coherent L1 level for the given cores.
 func NewDomain(cfg Config, unc *uncore.Uncore, procs []*cpu.Proc) *Domain {
+	if len(procs) > 64 {
+		panic("coher: core masks hold at most 64 cores")
+	}
 	if cfg.RegionBytes == 0 {
 		cfg.RegionBytes = 1024
 	}
 	d := &Domain{cfg: cfg, net: unc.Network(), unc: unc, procs: procs}
+	d.allCores = 1<<uint(len(procs)) - 1 // all ones at 64 cores
+	d.perCluster = d.net.Config().CoresPerClust
 	for i, p := range procs {
 		m := &Mem{
 			L1: incoher.NewL1(i, p.Cluster(), cache.Config{
@@ -162,6 +185,9 @@ func NewDomain(cfg Config, unc *uncore.Uncore, procs []*cpu.Proc) *Domain {
 	if cfg.SnoopFilter {
 		d.regShift = regionShift(cfg.RegionBytes)
 		d.regions = make([]regionTable, len(procs))
+	}
+	if d.net.Clusters() > 1 {
+		d.holders = newHolderTable(len(procs) * int(cfg.L1Size/mem.LineSize))
 	}
 	return d
 }
@@ -202,7 +228,9 @@ func (d *Domain) Uncore() *uncore.Uncore { return d.unc }
 
 // snoopCluster probes every other L1 in cluster cl for line a, charging
 // snoop-probe occupancy to their cores. It returns the first owner found.
-func (d *Domain) snoopCluster(cl int, self int, a mem.Addr) (owner int, ln *cache.Line) {
+// Every probe counts as a snoop lookup; only the tags of the cores in
+// held, the line's possible holders (holdersOf), are read.
+func (d *Domain) snoopCluster(cl int, self int, a mem.Addr, held uint64) (owner int, ln *cache.Line) {
 	owner = -1
 	lo, hi := d.clusterRange(cl)
 	for i := lo; i < hi; i++ {
@@ -210,7 +238,11 @@ func (d *Domain) snoopCluster(cl int, self int, a mem.Addr) (owner int, ln *cach
 			continue
 		}
 		d.procs[i].AddSnoopProbe()
-		if l := d.l1s[i].Snoop(a); l != nil && owner == -1 {
+		d.l1s[i].CountSnoop()
+		if held>>uint(i)&1 == 0 {
+			continue
+		}
+		if l := d.l1s[i].Lookup(a); l != nil && owner == -1 {
 			owner, ln = i, l
 		}
 	}
@@ -218,14 +250,20 @@ func (d *Domain) snoopCluster(cl int, self int, a mem.Addr) (owner int, ln *cach
 }
 
 func (d *Domain) clusterRange(cl int) (lo, hi int) {
-	per := d.net.Config().CoresPerClust
-	return cl * per, (cl + 1) * per
+	return cl * d.perCluster, (cl + 1) * d.perCluster
+}
+
+// clusterMask returns the mask of cluster cl's cores.
+func (d *Domain) clusterMask(cl int) uint64 {
+	lo, hi := d.clusterRange(cl)
+	return 1<<uint(hi) - 1<<uint(lo)
 }
 
 // snoopRemote broadcasts to every cluster other than cl, probing all
-// their caches. It returns the owning core (-1 if none) and the time the
-// last snoop response is available at the global crossbar.
-func (d *Domain) snoopRemote(at sim.Time, cl int, a mem.Addr) (owner int, ln *cache.Line, done sim.Time) {
+// their caches as snoopCluster does. It returns the owning core (-1 if
+// none) and the time the last snoop response is available at the
+// global crossbar.
+func (d *Domain) snoopRemote(at sim.Time, cl int, a mem.Addr, held uint64) (owner int, ln *cache.Line, done sim.Time) {
 	d.stats.GlobalBroadcasts++
 	owner = -1
 	done = at
@@ -239,7 +277,11 @@ func (d *Domain) snoopRemote(at sim.Time, cl int, a mem.Addr) (owner int, ln *ca
 		lo, hi := d.clusterRange(oc)
 		for i := lo; i < hi && i < len(d.l1s); i++ {
 			d.procs[i].AddSnoopProbe()
-			if l := d.l1s[i].Snoop(a); l != nil && owner == -1 {
+			d.l1s[i].CountSnoop()
+			if held>>uint(i)&1 == 0 {
+				continue
+			}
+			if l := d.l1s[i].Lookup(a); l != nil && owner == -1 {
 				owner, ln = i, l
 			}
 		}
@@ -262,9 +304,10 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 	}
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
+	held := d.holdersOf(a)
 
 	// Step 1: snoop within the cluster.
-	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
+	if owner, oln := d.snoopCluster(cl, i, a, held); owner != -1 {
 		d.stats.C2CCluster++
 		d.tag(i, "src=c2c_cluster")
 		d.tag(i, mesiTags[oln.State][cache.Shared])
@@ -289,7 +332,7 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 		d.tag(i, "snoop=filtered")
 		owner = -1
 	} else {
-		owner, oln, tSnoop = d.snoopRemote(t, cl, a)
+		owner, oln, tSnoop = d.snoopRemote(t, cl, a, held)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		d.stats.C2CRemote++
@@ -323,32 +366,39 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 	return d.net.BusData(done, cl, mem.LineSize), newState
 }
 
-// invalidateOthers kills every other copy of line a. withinOnly limits
-// the broadcast to the requester's cluster (legal when the requester saw
-// a cluster-local E/M owner, which MESI guarantees is the only copy).
-// It returns the time ownership is granted.
-func (d *Domain) invalidateOthers(at sim.Time, i int, a mem.Addr, withinOnly bool) sim.Time {
+// invalidateOthers kills every other copy of line a, on the
+// requester's cluster bus and then by a global broadcast. It returns
+// the time ownership is granted.
+func (d *Domain) invalidateOthers(at sim.Time, i int, a mem.Addr) sim.Time {
 	cl := d.procs[i].Cluster()
+	held := d.holdersOf(a)
+	d.invalidateCluster(cl, i, a, held)
+	_, _, tSnoop := d.snoopRemote(at, cl, a, held)
+	d.invalidateHolders(a, held&^d.clusterMask(cl))
+	return tSnoop
+}
+
+// invalidateCluster probes every L1 of cluster cl but self's, charging
+// snoop-probe occupancy to its core, and invalidates line a in those
+// that mask held says may hold it.
+func (d *Domain) invalidateCluster(cl, self int, a mem.Addr, held uint64) {
 	lo, hi := d.clusterRange(cl)
 	for c := lo; c < hi && c < len(d.l1s); c++ {
-		if c == i {
+		if c == self {
 			continue
 		}
 		d.procs[c].AddSnoopProbe()
-		d.invalidate(c, a)
-	}
-	if withinOnly {
-		return at
-	}
-	_, _, tSnoop := d.snoopRemote(at, cl, a)
-	for c := range d.l1s {
-		clo, chi := d.clusterRange(cl)
-		if c >= clo && c < chi {
-			continue // already done above
+		if held>>uint(c)&1 != 0 {
+			d.invalidate(c, a)
 		}
-		d.invalidate(c, a)
 	}
-	return tSnoop
+}
+
+// invalidateHolders invalidates line a in every core of mask held.
+func (d *Domain) invalidateHolders(a mem.Addr, held uint64) {
+	for ; held != 0; held &= held - 1 {
+		d.invalidate(bits.TrailingZeros64(held), a)
+	}
 }
 
 // writeMiss runs the write-allocate transaction for core i's store
@@ -359,9 +409,10 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 	a = a.Line()
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
+	held := d.holdersOf(a)
 
 	// Cluster-local M/E owner: take the data and ownership locally.
-	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
+	if owner, oln := d.snoopCluster(cl, i, a, held); owner != -1 {
 		d.tag(i, "src=c2c_cluster")
 		d.tag(i, mesiTags[oln.State][cache.Modified])
 		exclusiveOwner := oln.State == cache.Modified || oln.State == cache.Exclusive
@@ -369,7 +420,7 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 		d.invalidate(owner, a)
 		if !exclusiveOwner {
 			// Shared: other copies may exist anywhere; broadcast.
-			t = max(t, d.invalidateOthers(t, i, a, false))
+			t = max(t, d.invalidateOthers(t, i, a))
 		}
 		return t
 	}
@@ -384,7 +435,7 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 		d.tag(i, "snoop=filtered")
 		owner = -1
 	} else {
-		owner, oln, tSnoop = d.snoopRemote(t, cl, a)
+		owner, oln, tSnoop = d.snoopRemote(t, cl, a, held)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		// Remote dirty owner transfers the line with ownership.
@@ -394,11 +445,10 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 		td = d.net.ToGlobal(td, ocl, mem.LineSize)
 		td = d.net.FromGlobal(td, cl, mem.LineSize)
 		td = d.net.BusData(td, cl, mem.LineSize)
-		d.invalidate(owner, a)
-		d.killRemaining(a, i)
+		d.killRemaining(a, held, i) // the owner's copy among them
 		return td
 	}
-	d.killRemaining(a, i)
+	d.killRemaining(a, held, i)
 	d.tag(i, "src=l2")
 	d.tag(i, mesiTags[cache.Invalid][cache.Modified])
 	done, _ := d.unc.ReadLine(t, cl, a)
@@ -408,24 +458,23 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 	return d.net.BusData(done, cl, mem.LineSize)
 }
 
-// killRemaining invalidates stray copies after a global broadcast has
-// already been charged.
-func (d *Domain) killRemaining(a mem.Addr, except int) {
-	for c := range d.l1s {
-		if c == except {
-			continue
-		}
-		d.invalidate(c, a)
-	}
+// killRemaining invalidates the copies of line a at the cores in held
+// but except after a global broadcast has already been charged.
+func (d *Domain) killRemaining(a mem.Addr, held uint64, except int) {
+	d.invalidateHolders(a, held&^(1<<uint(except)))
 }
 
-// invalidate removes core c's copy of line a, keeping the region filter
-// and statistics consistent.
+// invalidate removes core c's copy of line a, keeping the region filter,
+// the sharer index and statistics consistent.
 func (d *Domain) invalidate(c int, a mem.Addr) (present bool) {
 	present, _ = d.l1s[c].Invalidate(a)
 	if present {
 		d.stats.Invalidations++
-		d.regionTrack(c, a.Line(), -1)
+		a = a.Line()
+		d.regionTrack(c, a, -1)
+		if d.holders != nil {
+			d.holders.remove(a, c)
+		}
 	}
 	return present
 }
@@ -437,14 +486,7 @@ func (d *Domain) upgrade(at sim.Time, i int, a mem.Addr) sim.Time {
 	d.stats.Upgrades++
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
-	lo, hi := d.clusterRange(cl)
-	for c := lo; c < hi && c < len(d.l1s); c++ {
-		if c == i {
-			continue
-		}
-		d.procs[c].AddSnoopProbe()
-		d.invalidate(c, a)
-	}
+	d.invalidateCluster(cl, i, a, d.holdersOf(a))
 	// Upgrades always broadcast beyond the cluster ("the request cannot
 	// be satisfied within one cluster (e.g., upgrade request)") — unless
 	// the region filter proves no remote copies can exist.
@@ -452,7 +494,7 @@ func (d *Domain) upgrade(at sim.Time, i int, a mem.Addr) sim.Time {
 		d.stats.FilteredSnoops++
 		return t
 	}
-	return max(t, d.invalidateOthers(t, i, a, false))
+	return max(t, d.invalidateOthers(t, i, a))
 }
 
 // pfsMiss gains ownership of line a without data for core i's PFS
@@ -462,20 +504,32 @@ func (d *Domain) pfsMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 	d.stats.PFSMisses++
 	cl := d.procs[i].Cluster()
 	t := d.net.BusControl(at, cl)
-	return max(t, d.invalidateOthers(t, i, a, false))
+	return max(t, d.invalidateOthers(t, i, a))
 }
 
 // CheckInvariants verifies MESI invariants across all L1s: a line that is
-// Modified or Exclusive anywhere has exactly one copy. Tests call it
-// after workloads run.
+// Modified or Exclusive anywhere has exactly one copy. Where the sharer
+// index is kept, it must equal the tag arrays: every valid line has its
+// core's bit set, and no bit is set without a line. Tests call it after
+// workloads run.
 func (d *Domain) CheckInvariants() error {
 	total := 0
 	for _, c := range d.l1s {
 		total += c.Occupancy()
 	}
+	if d.holders != nil {
+		bitsSet := 0
+		d.holders.each(func(_ mem.Addr, held uint64) { bitsSet += bits.OnesCount64(held) })
+		if bitsSet != total {
+			return fmt.Errorf("sharer index holds %d copies, the L1s %d", bitsSet, total)
+		}
+	}
 	lines := newLineTable(total)
-	for _, c := range d.l1s {
+	for i, c := range d.l1s {
 		for _, a := range c.Lines() {
+			if d.holdersOf(a)>>uint(i)&1 == 0 {
+				return fmt.Errorf("line %v is in core %d's L1 but not in the sharer index", a, i)
+			}
 			switch c.Lookup(a).State {
 			case cache.Modified, cache.Exclusive:
 				lines.addOwner(a)

@@ -26,6 +26,7 @@ func newHarness(n int, cfg Config) *harness {
 	for i := 0; i < n; i++ {
 		h.procs = append(h.procs, cpu.New(i, net.ClusterOf(i), cpu.Config{Clock: sim.MHz(800)}))
 	}
+	unc.SetHorizon(h.eng)
 	h.dom = NewDomain(cfg, unc, h.procs)
 	return h
 }
@@ -296,6 +297,72 @@ func TestMESIInvariantsUnderRandomSharing(t *testing.T) {
 	h.run(bodies...)
 	if err := h.dom.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMESIInvariantsUnderRandomSharing16 is the 16-core, four-cluster
+// machine, where the domain keeps its sharer index: loads, stores and
+// PFS stores from every core to a pool of lines that also collide in the
+// L1 sets, so fills, victims, cluster and remote snoops, upgrades and
+// invalidations all reach the index. The invariants, the index's
+// agreement with the tag arrays among them, are checked while the cores
+// run as well as at the end.
+func TestMESIInvariantsUnderRandomSharing16(t *testing.T) {
+	const cores = 16
+	h := newHarness(cores, DefaultConfig())
+	if h.dom.holders == nil {
+		t.Fatal("a four-cluster domain keeps no sharer index")
+	}
+	var checkErr error
+	bodies := make([]func(*cpu.Proc), cores)
+	for i := range bodies {
+		seed := int64(i + 1)
+		bodies[i] = func(p *cpu.Proc) {
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 400; n++ {
+				// 64 lines in 16 sets, three ways' worth per set.
+				a := mem.Addr(0x20000 + rng.Intn(3)*16*1024 + rng.Intn(64)*32)
+				switch rng.Intn(5) {
+				case 0, 1:
+					p.Load(a)
+				case 2, 3:
+					p.Store(a)
+				default:
+					p.StorePFS(a)
+				}
+				p.Work(uint64(rng.Intn(20)))
+				if n%50 == 0 && checkErr == nil {
+					checkErr = h.dom.CheckInvariants()
+				}
+			}
+		}
+	}
+	h.run(bodies...)
+	if checkErr != nil {
+		t.Fatal(checkErr)
+	}
+	if err := h.dom.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.dom.Stats()
+	if st.C2CCluster == 0 || st.C2CRemote == 0 || st.Upgrades == 0 || st.Invalidations == 0 {
+		t.Fatalf("the run missed a protocol path: %+v", st)
+	}
+}
+
+// TestHarnessCalendarsPrune: the harness wires the calendars' horizon
+// as core.New does, so a run prunes them instead of growing them.
+func TestHarnessCalendarsPrune(t *testing.T) {
+	h := newHarness(4, DefaultConfig())
+	h.run(func(p *cpu.Proc) {
+		for i := 0; i < 256; i++ {
+			p.Load(mem.Addr(0x100000 + i*32))
+		}
+	})
+	var m sim.ServerMetrics
+	h.dom.Uncore().EachServer(func(s *sim.Server) { s.AddMetrics(&m) })
+	if m.Pruned == 0 {
+		t.Fatal("no calendar pruned a reservation")
 	}
 }
 

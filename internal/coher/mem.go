@@ -103,10 +103,16 @@ func (m *Mem) Upgrade(at sim.Time, a mem.Addr) (sim.Time, bool) {
 // PFSMiss implements incoher.Protocol.
 func (m *Mem) PFSMiss(at sim.Time, a mem.Addr) sim.Time { return m.d.pfsMiss(at, m.core, a) }
 
-// Installed implements incoher.Protocol: keep the region filter and the
-// victim counters in step with the L1's contents.
+// Installed implements incoher.Protocol: keep the region filter, the
+// sharer index and the victim counters in step with the L1's contents.
 func (m *Mem) Installed(a mem.Addr, ev cache.Evicted) {
 	m.d.regionTrack(m.core, a, 1)
+	if h := m.d.holders; h != nil {
+		h.add(a, m.core)
+		if ev.Valid {
+			h.remove(ev.Addr, m.core)
+		}
+	}
 	if !ev.Valid {
 		return
 	}
@@ -212,7 +218,7 @@ func (g *gatherBuffer) flushEntry(m *Mem, p *cpu.Proc, e *gatherEntry) {
 	cl := d.procs[m.core].Cluster()
 	now := p.Now()
 	t := d.net.BusControl(now, cl)
-	t = d.invalidateOthers(t, m.core, e.line, false)
+	t = d.invalidateOthers(t, m.core, e.line)
 	nbytes := uint64(bits.OnesCount32(e.mask))
 	full := e.mask == 0xFFFFFFFF
 	t = d.net.BusData(t, cl, nbytes)

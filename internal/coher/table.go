@@ -118,3 +118,96 @@ func (t *lineTable) each(fn func(a mem.Addr, owners, sharers uint16)) {
 		}
 	}
 }
+
+// holderTable is the domain's sharer index: for every line resident in
+// at least one L1, the mask of the cores that hold it. It is an
+// open-addressed table with linear probing and backward-shift deletion
+// (no tombstones), sized at construction to at least twice the
+// machine's total L1 lines. A line has an entry only while some L1
+// holds it, so the table is never more than half full and never grows.
+// A flat array indexed by line would need a slot for every line the
+// workload touches, not only the resident ones.
+type holderTable struct {
+	keys  []uint32 // line index + 1; 0 marks an empty slot
+	masks []uint64 // bit c set: core c holds the line
+	shift uint     // 32 - log2(len(keys)), for Fibonacci hashing
+}
+
+// newHolderTable returns an empty index for a machine whose L1s hold
+// lines lines in total.
+func newHolderTable(lines int) *holderTable {
+	sz := 16
+	for sz < 2*lines {
+		sz <<= 1
+	}
+	return &holderTable{
+		keys:  make([]uint32, sz),
+		masks: make([]uint64, sz),
+		shift: uint(32 - bits.TrailingZeros(uint(sz))),
+	}
+}
+
+// holderKey returns the table key of line a.
+func holderKey(a mem.Addr) uint32 {
+	idx := uint64(a) >> mem.LineShift
+	if idx >= 1<<32-1 {
+		panic("coher: line address beyond the sharer index's 32-bit line keys")
+	}
+	return uint32(idx) + 1
+}
+
+// home returns key k's home slot.
+func (t *holderTable) home(k uint32) uint32 { return k * 0x9E3779B9 >> t.shift }
+
+// find returns the slot holding key k, or the empty slot where it
+// would go.
+func (t *holderTable) find(k uint32) uint32 {
+	m := uint32(len(t.keys) - 1)
+	i := t.home(k)
+	for t.keys[i] != 0 && t.keys[i] != k {
+		i = (i + 1) & m
+	}
+	return i
+}
+
+// get returns the mask of cores holding line a (0 when none does).
+func (t *holderTable) get(a mem.Addr) uint64 {
+	return t.masks[t.find(holderKey(a))]
+}
+
+// add records that core c holds line a.
+func (t *holderTable) add(a mem.Addr, c int) {
+	k := holderKey(a)
+	i := t.find(k)
+	t.keys[i] = k
+	t.masks[i] |= 1 << uint(c)
+}
+
+// remove records that core c no longer holds line a, deleting the
+// line's entry once no core does.
+func (t *holderTable) remove(a mem.Addr, c int) {
+	i := t.find(holderKey(a))
+	if t.masks[i] &^= 1 << uint(c); t.masks[i] != 0 || t.keys[i] == 0 {
+		return
+	}
+	// Backward-shift deletion: walk the rest of the probe run and pull
+	// back every entry whose home slot does not lie after the hole, so
+	// each key stays reachable from its home without a gap.
+	m := uint32(len(t.keys) - 1)
+	for j := (i + 1) & m; t.keys[j] != 0; j = (j + 1) & m {
+		if (j-t.home(t.keys[j]))&m >= (j-i)&m {
+			t.keys[i], t.masks[i] = t.keys[j], t.masks[j]
+			i = j
+		}
+	}
+	t.keys[i], t.masks[i] = 0, 0
+}
+
+// each calls fn for every indexed line with its holder mask.
+func (t *holderTable) each(fn func(a mem.Addr, holders uint64)) {
+	for i, k := range t.keys {
+		if k != 0 {
+			fn(mem.Addr(k-1)<<mem.LineShift, t.masks[i])
+		}
+	}
+}

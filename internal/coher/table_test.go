@@ -1,6 +1,7 @@
 package coher
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -88,5 +89,61 @@ func BenchmarkRegionFilter(b *testing.B) {
 			_ = a
 		}
 		d.regionTrack(core, a, -1)
+	}
+}
+
+// TestHolderTableMatchesMap drives the sharer index with random holder
+// additions and removals against a map. The lines all hash to the
+// table's last two slots, so their probe runs wrap past its end and
+// backward-shift deletion moves entries back across it.
+func TestHolderTableMatchesMap(t *testing.T) {
+	ht := newHolderTable(8)
+	size := uint32(len(ht.keys))
+	var lines []mem.Addr
+	for idx := uint64(1 << 15); len(lines) < 7; idx++ {
+		if a := mem.Addr(idx << mem.LineShift); ht.home(holderKey(a)) >= size-2 {
+			lines = append(lines, a)
+		}
+	}
+	ref := map[mem.Addr]uint64{}
+	rng := rand.New(rand.NewSource(1))
+	wrapped, deleted := 0, 0
+	for step := 0; step < 20000; step++ {
+		a, c := lines[rng.Intn(len(lines))], rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			ht.add(a, c)
+			ref[a] |= 1 << c
+		} else {
+			ht.remove(a, c)
+			if ref[a] == 1<<c {
+				deleted++
+			}
+			if ref[a] &^= 1 << c; ref[a] == 0 {
+				delete(ref, a)
+			}
+		}
+		for _, l := range lines {
+			if got := ht.get(l); got != ref[l] {
+				t.Fatalf("step %d: holders of %v = %b, want %b", step, l, got, ref[l])
+			}
+		}
+		n := 0
+		ht.each(func(a mem.Addr, held uint64) {
+			if n++; ref[a] != held {
+				t.Fatalf("step %d: entry %v = %b, want %b", step, a, held, ref[a])
+			}
+		})
+		if n != len(ref) {
+			t.Fatalf("step %d: %d entries, want %d", step, n, len(ref))
+		}
+		for i, k := range ht.keys {
+			if k != 0 && ht.home(k) > uint32(i) {
+				wrapped++
+				break
+			}
+		}
+	}
+	if wrapped == 0 || deleted == 0 {
+		t.Fatalf("%d steps had an entry wrapped past the end, %d removals deleted an entry; want both", wrapped, deleted)
 	}
 }

@@ -205,9 +205,7 @@ func New(cfg Config) *System {
 		ucfg.Channels = cfg.DRAMChannels
 	}
 	s.unc = uncore.New(ucfg, s.net)
-	// Every arrival at a shared resource happens at or after the engine
-	// clock, so the calendars prune behind it (sim.Server.SetHorizon).
-	s.eachServer(func(sv *sim.Server) { sv.SetHorizon(s.eng) })
+	s.unc.SetHorizon(s.eng)
 
 	clock := sim.MHz(cfg.CoreMHz)
 	for i := 0; i < cfg.Cores; i++ {
@@ -253,13 +251,6 @@ func New(cfg Config) *System {
 		s.attachTxnTrace(s.txn)
 	}
 	return s
-}
-
-// eachServer calls fn on every shared-resource calendar of the machine:
-// the buses, crossbar ports, L2 ports and DRAM channel and bank servers.
-func (s *System) eachServer(fn func(*sim.Server)) {
-	s.net.EachServer(fn)
-	s.unc.EachServer(fn)
 }
 
 // attachTxnTrace arms the memory system's observer: every layer shares

@@ -160,7 +160,7 @@ func (s *System) report() *Report {
 	r.AvgWriteMissLatency = ms.AvgWriteMissLatency()
 	r.L1 = s.l1Stats()
 	r.Engine = s.eng.Metrics()
-	s.eachServer(func(sv *sim.Server) { sv.AddMetrics(&r.Servers) })
+	s.unc.EachServer(func(sv *sim.Server) { sv.AddMetrics(&r.Servers) })
 	r.Counts = s.energyCounts(r)
 	r.Energy = energy.Default90nm().Compute(r.Counts, r.Wall, s.cfg.Cores)
 	if r.Wall > 0 {

@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ledger"
 	"repro/internal/mem"
@@ -464,15 +465,23 @@ func (p *Proc) storeN(a mem.Addr, elemSize, count uint64, pfs bool) {
 }
 
 // elemsIn counts elements of size elemSize anchored at base whose first
-// byte lies in [lo, hi).
+// byte lies in [lo, hi). LoadN and storeN call it once per line, so a
+// power-of-two size, the common case, shifts instead of dividing.
 func elemsIn(lo, hi, base mem.Addr, elemSize uint64) uint64 {
 	if hi <= lo {
 		return 0
 	}
-	// First element index whose address >= lo.
-	first := (uint64(lo-base) + elemSize - 1) / elemSize
-	last := (uint64(hi-base) - 1) / elemSize // element containing hi-1
-	if fa := base + mem.Addr(first*elemSize); fa >= hi {
+	// first is the first element starting at or after lo, last the
+	// element containing hi-1; none starts in [lo, hi) if first > last.
+	from, to := uint64(lo-base)+elemSize-1, uint64(hi-base)-1
+	var first, last uint64
+	if elemSize&(elemSize-1) == 0 {
+		sh := uint(bits.TrailingZeros64(elemSize))
+		first, last = from>>sh, to>>sh
+	} else {
+		first, last = from/elemSize, to/elemSize
+	}
+	if first > last {
 		return 0
 	}
 	return last - first + 1

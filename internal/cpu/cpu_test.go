@@ -215,6 +215,47 @@ func TestElemsIn(t *testing.T) {
 	}
 }
 
+// elemsInDiv is elemsIn with two divisions for every element size, the
+// reference the shift path must match.
+func elemsInDiv(lo, hi, base mem.Addr, elemSize uint64) uint64 {
+	if hi <= lo {
+		return 0
+	}
+	first := (uint64(lo-base) + elemSize - 1) / elemSize
+	last := (uint64(hi-base) - 1) / elemSize
+	if base+mem.Addr(first*elemSize) >= hi {
+		return 0
+	}
+	return last - first + 1
+}
+
+// TestElemsInMatchesDivision walks every line of every LoadN/storeN
+// call with element sizes 1..32, start offsets 0..63 and counts 0..80,
+// as they do, and compares each line's count with the division
+// reference; the counts must also sum to the call's element count.
+func TestElemsInMatchesDivision(t *testing.T) {
+	for size := uint64(1); size <= mem.LineSize; size++ {
+		for off := mem.Addr(0); off < 64; off++ {
+			for count := uint64(0); count <= 80; count++ {
+				a := 0x10000 + off
+				end := a + mem.Addr(count*size)
+				var sum uint64
+				for la := a.Line(); la < end; la += mem.LineSize {
+					lo, hi := max(la, a), min(la+mem.LineSize, end)
+					got, want := elemsIn(lo, hi, a, size), elemsInDiv(lo, hi, a, size)
+					if got != want {
+						t.Fatalf("elemsIn(%#x, %#x, %#x, %d) = %d, division gives %d", lo, hi, a, size, got, want)
+					}
+					sum += got
+				}
+				if sum != count {
+					t.Fatalf("size %d offset %d: lines count %d elements, want %d", size, off, sum, count)
+				}
+			}
+		}
+	}
+}
+
 func TestStoreBufferDepthOne(t *testing.T) {
 	// Depth 1 approximates blocking stores: the second outstanding store
 	// stalls immediately.

@@ -22,9 +22,7 @@ func BenchmarkDMABeat(b *testing.B) {
 	eng := sim.NewEngine()
 	net := noc.New(noc.DefaultConfig(4))
 	unc := uncore.New(uncore.DefaultConfig(), net)
-	// Prune the calendars behind the engine clock, as core.New does.
-	net.EachServer(func(s *sim.Server) { s.SetHorizon(eng) })
-	unc.EachServer(func(s *sim.Server) { s.SetHorizon(eng) })
+	unc.SetHorizon(eng) // prune the calendars behind the engine clock, as core.New does
 	e := New("dma0", 0, unc, lstore.New(0))
 	e.Spawn(eng, 0)
 	eng.Spawn("core", 0, func(t *sim.Task) {

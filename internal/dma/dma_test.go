@@ -15,6 +15,7 @@ func runDMA(t *testing.T, body func(task *sim.Task, e *Engine)) (*Engine, *uncor
 	t.Helper()
 	eng := sim.NewEngine()
 	unc := uncore.New(uncore.DefaultConfig(), noc.New(noc.DefaultConfig(4)))
+	unc.SetHorizon(eng)
 	e := New("dma0", 0, unc, lstore.New(0))
 	e.Spawn(eng, 0)
 	eng.Spawn("driver", 0, func(task *sim.Task) {
@@ -23,6 +24,19 @@ func runDMA(t *testing.T, body func(task *sim.Task, e *Engine)) (*Engine, *uncor
 	})
 	eng.Run()
 	return e, unc
+}
+
+// TestHarnessCalendarsPrune: runDMA wires the calendars' horizon as
+// core.New does, so a run prunes them instead of growing them.
+func TestHarnessCalendarsPrune(t *testing.T) {
+	_, unc := runDMA(t, func(task *sim.Task, e *Engine) {
+		e.Wait(task, e.Queue(task.Time(), Get, 0x10000, 4096))
+	})
+	var m sim.ServerMetrics
+	unc.EachServer(func(s *sim.Server) { s.AddMetrics(&m) })
+	if m.Pruned == 0 {
+		t.Fatal("no calendar pruned a reservation")
+	}
 }
 
 func TestSequentialGet(t *testing.T) {

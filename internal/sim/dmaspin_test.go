@@ -38,8 +38,7 @@ func dmaSchedule(seed int64, noSpin bool) dmaRun {
 	eng.SetFlightRecorder(1 << 16)
 	net := noc.New(noc.DefaultConfig(cores))
 	unc := uncore.New(uncore.DefaultConfig(), net)
-	net.EachServer(func(s *sim.Server) { s.SetHorizon(eng) })
-	unc.EachServer(func(s *sim.Server) { s.SetHorizon(eng) })
+	unc.SetHorizon(eng)
 	tr := txntrace.New()
 	tr.SampleEvery = 1
 	net.SetTxnTrace(tr)

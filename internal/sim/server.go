@@ -184,12 +184,18 @@ func (s *Server) Acquire(at, dur Time) (start Time) {
 }
 
 // firstEndingAfter returns the index of the first live reservation
-// that ends after at, for an arrival that the last one does. A late
+// that ends after at, for an arrival that the last one does. Two
+// patterns dominate. Under CC, a miss books its response slots ahead
+// of later arrivals at the clock, which land before every live
+// reservation, so the head is checked first. Under STR, a late
 // arrival usually has only the last reservation or two ending after
-// it, so the search scans back from the tail, and binary searches the
-// rest of the live window only when the scan runs tailScan steps
+// it, so the search then scans back from the tail, and binary searches
+// the rest of the live window only when the scan runs tailScan steps
 // without reaching it.
 func (s *Server) firstEndingAfter(at Time) int {
+	if s.busy[s.head].end > at {
+		return s.head
+	}
 	lo := len(s.busy) - 1 // busy[lo].end > at
 	stop := lo - tailScan
 	if stop < s.head {

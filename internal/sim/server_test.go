@@ -41,46 +41,76 @@ func (r *refCalendar) acquire(at, dur Time) Time {
 
 // TestServerMatchesNeverPrunedCalendar: for random durations and
 // arrivals at or after a randomly advancing horizon, the pruned
-// calendar grants exactly what a never-pruned one does. Arrivals mix
-// the common near-horizon case with bookings far ahead of the clock,
-// so grants append, backfill gaps, merge with neighbors and queue
-// behind future reservations; the horizon sometimes holds still and
-// sometimes jumps past the whole calendar.
+// calendar grants exactly what a never-pruned one does. The horizon
+// sometimes holds still and sometimes jumps past the whole calendar.
+// Two arrival patterns pin the two ends of the search. In STR's, most
+// arrivals are near the horizon and some book far ahead, so grants
+// append, backfill gaps, merge with neighbors and queue behind future
+// reservations, and a late arrival is found by the tail scan. In CC's,
+// misses book slots well ahead and the arrivals between them come at
+// the clock, before every live reservation, where the head check finds
+// them.
 func TestServerMatchesNeverPrunedCalendar(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		s := NewServer("x")
-		s.SetHorizon(e)
-		var ref refCalendar
-		var busy Time
-		for op := 0; op < 400; op++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				e.now += Time(rng.Intn(20))
-			case r == 5:
-				e.now += Time(rng.Intn(2000))
-			}
-			at := e.now + Time(rng.Intn(40))
+	patterns := []struct {
+		name   string
+		arrive func(rng *rand.Rand, now Time) Time
+	}{
+		{"str", func(rng *rand.Rand, now Time) Time {
+			at := now + Time(rng.Intn(40))
 			if rng.Intn(8) == 0 {
 				at += Time(rng.Intn(500))
 			}
-			dur := Time(rng.Intn(12))
-			got, want := s.Acquire(at, dur), ref.acquire(at, dur)
-			if got != want {
-				t.Fatalf("seed %d op %d: Acquire(%d, %d) at horizon %d = %d, never-pruned calendar grants %d",
-					seed, op, at, dur, e.now, got, want)
+			return at
+		}},
+		{"cc", func(rng *rand.Rand, now Time) Time {
+			if rng.Intn(3) == 0 {
+				return now + 100 + Time(rng.Intn(400))
 			}
-			busy += dur
-			// After each Acquire the calendar holds nothing that ends
-			// at or before the horizon.
-			if live := s.Reservations(); len(live) > 0 && live[0][1] <= e.now {
-				t.Fatalf("seed %d op %d: reservation %v kept behind horizon %d", seed, op, live[0], e.now)
+			return now + Time(rng.Intn(3))
+		}},
+	}
+	for _, pat := range patterns {
+		atHead := 0 // grants ahead of every live reservation on the general path
+		for seed := int64(1); seed <= 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEngine()
+			s := NewServer("x")
+			s.SetHorizon(e)
+			var ref refCalendar
+			var busy Time
+			for op := 0; op < 400; op++ {
+				switch r := rng.Intn(10); {
+				case r < 5:
+					e.now += Time(rng.Intn(20))
+				case r == 5:
+					e.now += Time(rng.Intn(2000))
+				}
+				at := pat.arrive(rng, e.now)
+				dur := Time(rng.Intn(12))
+				live := s.Reservations()
+				got, want := s.Acquire(at, dur), ref.acquire(at, dur)
+				if got != want {
+					t.Fatalf("%s seed %d op %d: Acquire(%d, %d) at horizon %d = %d, never-pruned calendar grants %d",
+						pat.name, seed, op, at, dur, e.now, got, want)
+				}
+				if n := len(live); dur > 0 && n > 1 && live[0][1] > e.now && at < live[n-1][1] && got+dur <= live[0][0] {
+					atHead++
+				}
+				busy += dur
+				// After each Acquire the calendar holds nothing that ends
+				// at or before the horizon.
+				if live := s.Reservations(); len(live) > 0 && live[0][1] <= e.now {
+					t.Fatalf("%s seed %d op %d: reservation %v kept behind horizon %d", pat.name, seed, op, live[0], e.now)
+				}
+			}
+			if s.NextFree() != ref.lastEnd || s.BusyTime() != busy {
+				t.Fatalf("%s seed %d: NextFree %d BusyTime %d, want %d and %d", pat.name, seed, s.NextFree(), s.BusyTime(), ref.lastEnd, busy)
 			}
 		}
-		if s.NextFree() != ref.lastEnd || s.BusyTime() != busy {
-			t.Fatalf("seed %d: NextFree %d BusyTime %d, want %d and %d", seed, s.NextFree(), s.BusyTime(), ref.lastEnd, busy)
+		if pat.name == "cc" && atHead == 0 {
+			t.Fatal("cc: no arrival was granted ahead of every live reservation")
 		}
+		t.Logf("%s: %d grants ahead of every live reservation", pat.name, atHead)
 	}
 }
 

@@ -189,15 +189,26 @@ func (u *Uncore) ChannelBusy() sim.Time {
 	return t
 }
 
-// EachServer calls fn on every L2 port and every DRAM channel and bank
-// server.
+// EachServer calls fn on every resource calendar of the shared
+// hierarchy: the network's buses and crossbar ports, the L2 ports and
+// every DRAM channel and bank server.
 func (u *Uncore) EachServer(fn func(*sim.Server)) {
+	u.net.EachServer(fn)
 	for _, p := range u.l2Ports {
 		fn(p)
 	}
 	for _, c := range u.drams {
 		c.EachServer(fn)
 	}
+}
+
+// SetHorizon makes every calendar of the shared hierarchy prune behind
+// e's clock (sim.Server.SetHorizon). Every machine built on an uncore
+// calls it once, before the first Acquire: every arrival at a shared
+// resource happens at or after the engine clock. DRAM refresh caps its
+// own servers' horizon below it.
+func (u *Uncore) SetHorizon(e *sim.Engine) {
+	u.EachServer(func(s *sim.Server) { s.SetHorizon(e) })
 }
 
 // AvgChannelUtilization returns the mean busy fraction of the DRAM
