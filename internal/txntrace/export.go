@@ -117,19 +117,26 @@ func (t *Tracer) roots() ([]*Txn, map[uint64]bool) {
 	}
 	// A reservoir can hold a nested transaction whose enclosing tree is
 	// itself retained; exporting both would duplicate the subtree, so a
-	// tree is top-level only when no ancestor is also retained (the
-	// nested copy keeps its exemplar mark). Ancestors are matched by ID:
-	// an enclosing transaction that was not retained has been recycled.
-	txs := make([]*Txn, 0, len(byID))
-	for _, x := range byID {
-		nested := false
-		for _, id := range x.ancestors {
-			if byID[id] != nil {
-				nested = true
-				break
+	// tree is top-level only when no other retained tree reaches it
+	// through its Kids (the nested copy keeps its exemplar mark). A child
+	// its parent dropped past maxKids is reachable from no tree, so it is
+	// exported on its own.
+	nested := map[uint64]bool{}
+	var mark func(x *Txn)
+	mark = func(x *Txn) {
+		for _, k := range x.Kids {
+			if !nested[k.ID] {
+				nested[k.ID] = true
+				mark(k)
 			}
 		}
-		if !nested {
+	}
+	for _, x := range byID {
+		mark(x)
+	}
+	txs := make([]*Txn, 0, len(byID))
+	for id, x := range byID {
+		if !nested[id] {
 			txs = append(txs, x)
 		}
 	}

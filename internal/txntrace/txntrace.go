@@ -174,11 +174,10 @@ type Txn struct {
 	DroppedHops uint64
 	DroppedKids uint64
 
-	parent    *Txn     // enclosing transaction while this one is open
-	ancestors []uint64 // IDs of the enclosing transactions, outermost first
-	refs      uint8    // retaining references: reservoir, kept list, parent's Kids
-	sampled   bool
-	detached  bool
+	parent   *Txn  // enclosing transaction while this one is open
+	refs     uint8 // retaining references: reservoir, kept list, parent's Kids
+	sampled  bool
+	detached bool
 }
 
 // Latency returns the transaction's end-to-end latency.
@@ -399,7 +398,7 @@ func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time, detache
 			x.Class, x.StartFS = class, at
 			return x
 		}
-		*x = Txn{Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0], ancestors: x.ancestors[:0]}
+		*x = Txn{Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0]}
 	} else {
 		x = new(Txn)
 	}
@@ -448,7 +447,6 @@ func (t *Tracer) begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 			p := t.stack[n-1]
 			x.parent = p
 			x.sampled = p.sampled
-			x.ancestors = append(append(x.ancestors, p.ancestors...), p.ID)
 		} else {
 			x.sampled = t.sampleRoot()
 		}
