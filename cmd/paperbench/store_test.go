@@ -83,8 +83,8 @@ func TestStoreCorruptJournalHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/3] ^= 0x40                    // corrupt a record in the first third
-	raw = raw[:len(raw)-len(raw)/4]            // tear the tail mid-record
+	raw[len(raw)/3] ^= 0x40         // corrupt a record in the first third
+	raw = raw[:len(raw)-len(raw)/4] // tear the tail mid-record
 	if err := os.WriteFile(journal, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
