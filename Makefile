@@ -33,10 +33,11 @@ fault:
 
 # fuzz replays random tracer op sequences (nested and detached
 # transactions, cap overflows, reservoir churn, sampling past the
-# retention cap) against the exported trees' invariants and the
-# recycling bookkeeping, then feeds arbitrary bytes to the result
-# store's recovery scan as a journal (Open never fails on content, hits
-# are only reports that were put, the scan accounts for every byte).
+# retention cap) against the exported trees' invariants, among them
+# that every retained tree is exported once and never changes. It then
+# feeds arbitrary bytes to the result store's recovery scan as a
+# journal (Open never fails on content, hits are only reports that were
+# put, the scan accounts for every byte).
 # Interesting store inputs are kilobytes long, so their minimization is
 # capped to keep the 20 s mostly fuzzing. The seed corpora also run in
 # every go test.

@@ -54,10 +54,10 @@ type command struct {
 	// issued is when the core queued the command; completion minus
 	// issued (queuing included) is the command-latency distribution.
 	issued sim.Time
-	// ctx is the command's detached transaction trace (nil when tracing
-	// is off). Commands interleave with other engine work across steps,
-	// so the trace lives on the command, resumed around each beat.
-	ctx *txntrace.Txn
+	// ctx is the command's detached transaction trace (unused when
+	// tracing is off). Commands interleave with other engine work across
+	// steps, so the trace lives on the command, resumed around each beat.
+	ctx txntrace.Detached
 }
 
 // Stats counts engine activity.
@@ -159,6 +159,9 @@ type Engine struct {
 	stats Stats
 	txn   *txntrace.Tracer // nil = transaction tracing disabled
 	core  int              // owning core, stamped on traced commands
+	// txnLog holds the running command's trace records. The engine runs
+	// one command at a time, so every command reuses it.
+	txnLog txntrace.Log
 }
 
 // New creates an engine for a core in the given cluster. Call Spawn to
@@ -252,7 +255,7 @@ func (e *Engine) enqueue(at sim.Time, c command) Tag {
 		if c.dir == Put {
 			class = txntrace.DMAPut
 		}
-		c.ctx = e.txn.BeginDetached(class, e.core, uint64(c.base), at)
+		c.ctx = e.txn.BeginDetached(&e.txnLog, class, e.core, uint64(c.base), at)
 	}
 	e.queue = append(e.queue, c)
 	e.stats.Commands++
@@ -362,13 +365,13 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 				return sim.StatusBlocked // resumes here: recheck the queue
 			}
 			e.cur = e.queue[0]
-			e.queue[0] = command{} // e.cur now holds the trace handle
+			e.queue[0] = command{} // drop the slot's index slice; e.cur holds the command
 			e.queue = e.queue[1:]
 			e.cmdStart = t.Time()
-			if e.cur.ctx != nil && e.cmdStart > e.cur.issued {
-				e.txn.Resume(e.cur.ctx)
+			if e.txn != nil && e.cmdStart > e.cur.issued {
+				e.txn.Resume(&e.cur.ctx)
 				e.txn.Hop("dma", "queue", e.cur.issued, e.cmdStart)
-				e.txn.Suspend()
+				e.txn.Suspend(&e.cur.ctx)
 			}
 			clear(e.ring)
 			e.slot = 0
@@ -385,9 +388,9 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			// The command's trace is active only for the duration of the
 			// access, so the nested uncore/NoC hops attribute to it while
 			// other tasks' hops (between engine steps) cannot.
-			e.txn.Resume(e.cur.ctx)
+			e.txn.Resume(&e.cur.ctx)
 			done := e.performBeat(t)
-			e.txn.Suspend()
+			e.txn.Suspend(&e.cur.ctx)
 			e.ring[e.slot] = done
 			if done > e.last {
 				e.last = done
@@ -567,8 +570,7 @@ func (e *Engine) finishCmd(done sim.Time) {
 		e.stats.PutCommands++
 		e.stats.PutLatency += cmdLat
 	}
-	e.txn.EndDetached(e.cur.ctx, done)
-	e.cur.ctx = nil // the tracer may recycle the ended transaction
+	e.txn.EndDetached(&e.cur.ctx, done)
 	e.done[e.cur.tag] = done
 	e.lastDone = e.cur.tag
 	if e.waiter != nil && e.waitingFor <= e.cur.tag {

@@ -38,7 +38,7 @@ func BenchmarkTxnTraceDisabled(b *testing.B) {
 // BenchmarkTxnTraceEnabled is the same sequence with exemplar capture
 // armed (the always-on mode every -txn-trace/-explain-tail run pays for
 // every transaction, not just retained ones). Once the reservoirs hold
-// their K trees, every transaction is recycled: 0 allocs/op.
+// their K trees, no transaction is copied out of the log: 0 allocs/op.
 func BenchmarkTxnTraceEnabled(b *testing.B) {
 	t := New()
 	b.ReportAllocs()
@@ -78,10 +78,10 @@ func BenchmarkTxnTraceSampled(b *testing.B) {
 // TestTraceOneMissAllocs pins armed capture at zero allocations per
 // transaction once warm: the exemplar-only tracer, and a sampling
 // tracer whose retention cap has filled (so sampled trees are counted,
-// not kept). Every transaction the warm tracer opens reuses a recycled
-// shell and its backing arrays, and no tag is formatted. A third case
+// not kept). Every transaction the warm tracer opens writes into the
+// record log's backing array, and no tag is formatted. A third case
 // makes every miss slower than the last, so each one evicts a reservoir
-// tree, whose shell must be recycled too.
+// tree and is copied into the evicted tree's storage.
 func TestTraceOneMissAllocs(t *testing.T) {
 	sampled := New()
 	sampled.SampleEvery = 4

@@ -35,9 +35,9 @@ func (t *Tracer) Summary() []ClassSummary {
 		if n == 0 {
 			continue
 		}
-		s := ClassSummary{Class: c.String(), Count: n, Exemplars: len(t.reservoirs[c].txs)}
+		s := ClassSummary{Class: c.String(), Count: n, Exemplars: len(t.reservoirs[c])}
 		if s.Exemplars > 0 {
-			worst := t.reservoirs[c].txs[0]
+			worst := t.reservoirs[c][0]
 			s.SlowestID = worst.ID
 			s.SlowestFS = uint64(worst.Latency())
 			s.Core = worst.Core
@@ -47,9 +47,8 @@ func (t *Tracer) Summary() []ClassSummary {
 	return out
 }
 
-// jsonTxn is the wire form of a transaction tree: explicit, so the
-// unexported bookkeeping fields and the parent pointer (a cycle) never
-// leak into the sink.
+// jsonTxn is the wire form of a transaction tree, with its sampled bit
+// and exemplar mark made explicit.
 type jsonTxn struct {
 	ID          uint64    `json:"id"`
 	Class       string    `json:"class"`
@@ -107,7 +106,7 @@ func (t *Tracer) roots() ([]*Txn, map[uint64]bool) {
 	inReservoir := map[uint64]bool{}
 	byID := map[uint64]*Txn{}
 	for _, c := range Classes() {
-		for _, x := range t.reservoirs[c].txs {
+		for _, x := range t.reservoirs[c] {
 			inReservoir[x.ID] = true
 			byID[x.ID] = x
 		}
@@ -122,17 +121,15 @@ func (t *Tracer) roots() ([]*Txn, map[uint64]bool) {
 	// its parent dropped past maxKids is reachable from no tree, so it is
 	// exported on its own.
 	nested := map[uint64]bool{}
-	var mark func(x *Txn)
-	mark = func(x *Txn) {
-		for _, k := range x.Kids {
-			if !nested[k.ID] {
-				nested[k.ID] = true
-				mark(k)
-			}
+	var mark func(kids []*Txn)
+	mark = func(kids []*Txn) {
+		for _, k := range kids {
+			nested[k.ID] = true
+			mark(k.Kids)
 		}
 	}
 	for _, x := range byID {
-		mark(x)
+		mark(x.Kids)
 	}
 	txs := make([]*Txn, 0, len(byID))
 	for id, x := range byID {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -28,8 +29,9 @@ type opReplay struct {
 	src      []byte
 	pos      int
 	now      sim.Time
-	frames   []*Txn // open brackets, innermost last: nil for a Begin, the root for a Resume
-	detached []*Txn
+	frames   []*Detached // open brackets, innermost last: nil for a Begin, the root for a Resume
+	detached []*Detached
+	logs     []*Log // every log lent to a detached root
 }
 
 var (
@@ -57,7 +59,7 @@ func newOpReplay(src []byte) *opReplay {
 }
 
 // onStack reports whether a detached root is currently resumed.
-func (d *opReplay) onStack(x *Txn) bool {
+func (d *opReplay) onStack(x *Detached) bool {
 	for _, f := range d.frames {
 		if f == x {
 			return true
@@ -76,7 +78,7 @@ func (d *opReplay) pop() {
 	f := d.frames[len(d.frames)-1]
 	d.frames = d.frames[:len(d.frames)-1]
 	if f != nil {
-		d.tr.Suspend()
+		d.tr.Suspend(f)
 	} else {
 		d.tr.End(d.now)
 	}
@@ -104,14 +106,17 @@ func (d *opReplay) step(b byte) {
 	case 6:
 		d.numHop(opComponents[d.next()%6], opNames[d.next()%5], d.now, d.now+sim.Time(d.next()), uint64(d.next()), uint64(d.next())*1000)
 	case 7:
-		x := d.tr.Active()
-		x.AddTag(opTags[d.next()%4])
+		d.tr.Tag(opTags[d.next()%4])
 		if c := d.next(); c < 32 {
-			x.SetClass(Class(c % uint8(numClasses)))
+			d.tr.SetClass(Class(c % uint8(numClasses)))
 		}
 	case 8:
 		if len(d.detached) < 8 {
-			d.detached = append(d.detached, d.tr.BeginDetached(DMAGet+Class(d.next()%2), int(d.next()%8), uint64(d.next())*64, d.now))
+			// Each detached root writes a log of its own, since the
+			// replay interleaves them.
+			d.logs = append(d.logs, new(Log))
+			x := d.tr.BeginDetached(d.logs[len(d.logs)-1], DMAGet+Class(d.next()%2), int(d.next()%8), uint64(d.next())*64, d.now)
+			d.detached = append(d.detached, &x)
 		}
 	case 9:
 		if len(d.detached) > 0 {
@@ -149,11 +154,16 @@ func (d *opReplay) step(b byte) {
 	}
 }
 
-// run replays the whole input and closes everything still open.
-func (d *opReplay) run() *Tracer {
-	for d.pos < len(d.src) {
+// until replays ops until the input position reaches pos.
+func (d *opReplay) until(pos int) {
+	for d.pos < pos {
 		d.step(d.next())
 	}
+}
+
+// run replays the rest of the input and closes everything still open.
+func (d *opReplay) run() *Tracer {
+	d.until(len(d.src))
 	for len(d.frames) > 0 {
 		d.now += 3
 		d.pop()
@@ -248,11 +258,10 @@ func traceDigest(t testing.TB, tr *Tracer) string {
 }
 
 // opGoldens are the traceDigest of randomOps(seed) for seeds 0..23,
-// then of retainedChildOps, detachedOps and droppedChildOps. They were
-// recorded when a retained tree became top-level exactly when no other
-// retained tree reached it through Kids; before that rule, a child
-// dropped past maxKids whose enclosing root was also retained was
-// exported nowhere (22 of the 24 random inputs held such trees).
+// then of retainedChildOps, detachedOps and droppedChildOps. They pin
+// every read path byte for byte, under the export rule that a retained
+// tree is top-level exactly when no other retained tree reaches it
+// through Kids.
 var opGoldens = []string{
 	"2fdbdf3df868b96d", "41a982235cff4bf1", "c601375b2f39e859", "02fc3a5d662bc554",
 	"822dbbf1b0850c1c", "cee83b31b30fc933", "625eb296bdd3c4cd", "9f08f994f7830169",
@@ -276,7 +285,7 @@ func opInputs() [][]byte {
 // the tracer its config bytes describe, and on one that can keep no
 // tree (K -1, no sampling), the kind a ledger-only run arms. The
 // latency block and the class counts must match, and the tree-less
-// tracer must hold no tree and no hop.
+// tracer must hold no tree and never write a log entry.
 func TestTreelessTracerKeepsHistograms(t *testing.T) {
 	for i, src := range opInputs() {
 		full := newOpReplay(src).run()
@@ -302,9 +311,9 @@ func TestTreelessTracerKeepsHistograms(t *testing.T) {
 		if bare.Trees() != 0 {
 			t.Errorf("input %d: tree-less tracer holds %d trees", i, bare.Trees())
 		}
-		for _, x := range append(append([]*Txn(nil), bare.free...), bare.freeDetached...) {
-			if len(x.Hops) != 0 || len(x.Kids) != 0 {
-				t.Errorf("input %d: tree-less tracer recorded %d hops and %d children", i, len(x.Hops), len(x.Kids))
+		for _, l := range append(d.logs, &bare.log) {
+			if cap(l.recs) != 0 || cap(l.subs) != 0 {
+				t.Errorf("input %d: tree-less tracer wrote %d records and %d headers", i, cap(l.recs), cap(l.subs))
 			}
 		}
 	}
@@ -326,11 +335,12 @@ func TestTracerOpGoldens(t *testing.T) {
 // FuzzTracerOps replays arbitrary op sequences and checks the tracer's
 // invariants on the trees WriteJSONL exports (roots and their
 // children): every node's advance_fs shares sum to its latency, no
-// transaction ID is exported twice, and every reservoir is slowest-first
-// with ties broken toward the earlier ID. It also checks the recycling
-// bookkeeping: no shell sits on a free list twice, and no retained tree
-// reaches a recycled shell. The JSON encoding itself is pinned by the
-// goldens; leaving it out here keeps each exec fast.
+// transaction ID is exported twice, every tree in a reservoir or the
+// kept list is exported, and every reservoir is slowest-first with ties
+// broken toward the earlier ID. It also checks that retained trees never
+// change: every kept tree, and every reservoir tree still held at the
+// end, must match its JSON at the replay's midpoint. The exported
+// encoding itself is pinned by the goldens.
 func FuzzTracerOps(f *testing.F) {
 	// Short seeds keep each exec, and the minimization of every new
 	// interesting input, fast.
@@ -338,26 +348,44 @@ func FuzzTracerOps(f *testing.F) {
 		f.Add(src[:min(len(src), 256)])
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
-		checkInvariants(t, newOpReplay(src).run())
+		d := newOpReplay(src)
+		d.until(len(src) / 2)
+		mid := retained(t, d.tr)
+		checkInvariants(t, d.run(), mid)
 	})
 }
 
-// checkInvariants is FuzzTracerOps's check on one finished tracer.
-func checkInvariants(t testing.TB, tr *Tracer) {
+// retained returns the JSON of every retained tree, keyed by where it
+// is held: a reservoir tree by its ID, since a reservoir may evict it,
+// and a kept tree by its index, since the kept list drops none.
+func retained(t testing.TB, tr *Tracer) map[string]string {
 	t.Helper()
-	free := map[*Txn]bool{}
-	for _, x := range append(append([]*Txn(nil), tr.free...), tr.freeDetached...) {
-		if free[x] {
-			t.Fatalf("shell of #%d is on the free lists twice", x.ID)
+	out := map[string]string{}
+	add := func(key string, x *Txn) {
+		b, err := json.Marshal(toJSON(x, nil))
+		if err != nil {
+			t.Fatal(err)
 		}
-		free[x] = true
+		out[key] = string(b)
 	}
+	for _, c := range Classes() {
+		for _, x := range tr.Exemplars(c) {
+			add(fmt.Sprintf("#%d", x.ID), x)
+		}
+	}
+	for i, x := range tr.kept {
+		add(fmt.Sprintf("kept[%d]", i), x)
+	}
+	return out
+}
+
+// checkInvariants is FuzzTracerOps's check on one finished tracer; mid
+// is retained's view of it at the replay's midpoint.
+func checkInvariants(t testing.TB, tr *Tracer, mid map[string]string) {
+	t.Helper()
 	seen := map[uint64]bool{}
 	var check func(x *Txn)
 	check = func(x *Txn) {
-		if free[x] {
-			t.Fatalf("retained tree reaches recycled shell #%d", x.ID)
-		}
 		if seen[x.ID] {
 			t.Fatalf("transaction #%d exported twice", x.ID)
 		}
@@ -380,24 +408,29 @@ func checkInvariants(t testing.TB, tr *Tracer) {
 	if tr.Trees() != len(roots) {
 		t.Fatalf("Trees() = %d, %d roots exported", tr.Trees(), len(roots))
 	}
+	for _, x := range tr.kept {
+		if !seen[x.ID] {
+			t.Fatalf("kept transaction #%d is exported nowhere", x.ID)
+		}
+	}
+	now := retained(t, tr)
+	for key, was := range mid {
+		if is, ok := now[key]; ok && is != was || !ok && strings.HasPrefix(key, "kept") {
+			t.Fatalf("retained tree %s changed after the midpoint:\n%s\nwas\n%s", key, is, was)
+		}
+	}
 	for _, c := range Classes() {
 		exs := tr.Exemplars(c)
 		for i, x := range exs {
-			if free[x] {
-				t.Fatalf("%s reservoir holds recycled shell #%d", c, x.ID)
+			if !seen[x.ID] {
+				t.Fatalf("%s exemplar #%d is exported nowhere", c, x.ID)
 			}
 			if i == 0 {
 				continue
 			}
-			a := exs[i-1]
-			if a.Latency() < x.Latency() || (a.Latency() == x.Latency() && a.ID > x.ID) {
+			if a := exs[i-1]; a.Latency() < x.Latency() || (a.Latency() == x.Latency() && a.ID > x.ID) {
 				t.Fatalf("%s reservoir out of order at %d: #%d (%d fs) before #%d (%d fs)", c, i, a.ID, a.Latency(), x.ID, x.Latency())
 			}
-		}
-	}
-	for _, x := range tr.kept {
-		if free[x] {
-			t.Fatalf("kept list holds recycled shell #%d", x.ID)
 		}
 	}
 }

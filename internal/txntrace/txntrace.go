@@ -18,10 +18,9 @@
 // histograms are a view of it: each transaction records its latency
 // into its class histogram when it ends, and every NoC transfer records
 // its arbitration wait, inside a transaction or not. A Tracer that can
-// keep no tree (K < 0 and no sampling) records only those histograms:
-// it keeps each open transaction's class and start, and records no
-// hops, attaches no children and finalizes nothing. core.New arms such
-// a tracer when the cycle ledger is on and no tracer is attached.
+// keep no tree (K < 0 and no sampling) records only those histograms: it
+// pushes a frame per open transaction and writes no log. core.New arms
+// such a tracer when the cycle ledger is on and no tracer is attached.
 //
 // A Tracer is a run-scoped observer behind the repo's nil-sentinel
 // pattern: every hook is safe on a nil receiver, costs one nil compare
@@ -30,13 +29,16 @@
 // event order, so the Tracer needs no locks; reading results is safe
 // once the run has finished.
 //
-// Armed capture allocates nothing in steady state: a transaction that
-// no retained tree references when it ends (or that a reservoir later
-// evicts) goes back to a per-tracer free list, shell, hop array and
-// all, and numeric hop tags are stored as integers and rendered only
-// when a tree is read. So a handle from Begin or BeginDetached is valid
-// only until its End or EndDetached; trees reachable from Exemplars and
-// Kept are retained and never change.
+// Armed capture allocates nothing in steady state. An open transaction
+// is only a frame on the tracer's stack, with a mark into a flat record
+// log that its hops, tags and nested transactions append to. A tree is
+// built only when something keeps it (its class reservoir admits it, or
+// it is a sampled root under the retention cap): its records are copied
+// out of the log into a *Txn. A root's End truncates the log back to
+// the root's mark. Copies are never shared, so a reservoir refills the
+// tree it evicts in place; a tree reachable from Exemplars or Kept never
+// changes while it is retained. Numeric hop tags are stored as integers
+// and rendered only when a tree is read.
 package txntrace
 
 import (
@@ -66,23 +68,12 @@ const (
 	numClasses
 )
 
+var classNames = [numClasses]string{"read_miss", "write_miss", "l2_hit", "dram_fill", "dma_get", "dma_put", "prefetch"}
+
 // String returns the class name used in exports and metrics labels.
 func (c Class) String() string {
-	switch c {
-	case ReadMiss:
-		return "read_miss"
-	case WriteMiss:
-		return "write_miss"
-	case L2Hit:
-		return "l2_hit"
-	case DRAMFill:
-		return "dram_fill"
-	case DMAGet:
-		return "dma_get"
-	case DMAPut:
-		return "dma_put"
-	case Prefetch:
-		return "prefetch"
+	if c < numClasses {
+		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
@@ -127,6 +118,8 @@ const (
 	TagPortWait                // "port_wait=<n>fs": L2 bank-port queueing
 	TagChannel                 // "ch<n>": the DRAM channel that served the access
 	tagChild                   // "#<n>": the child an aggregate "txn" hop stands for
+	recTag                     // a log record holding an outcome tag, not a hop
+	recSub                     // a log record heading a nested transaction
 )
 
 // tagForms holds each numeric kind's text around the number.
@@ -155,11 +148,10 @@ const (
 	maxTags = 16
 )
 
-// Txn is one transaction tree: the root interval, the hops recorded
-// while it was the active transaction, and nested sub-transactions
-// (an uncore line fill inside a CC miss, the beats of a DMA command).
-// All methods are nil-receiver safe so instrumentation sites need no
-// guards beyond the Tracer's own.
+// Txn is one retained transaction tree: the root interval, the hops
+// recorded while it was the active transaction, and nested
+// sub-transactions (an uncore line fill inside a CC miss, the beats of a
+// DMA command).
 type Txn struct {
 	ID      uint64
 	Class   Class
@@ -174,60 +166,11 @@ type Txn struct {
 	DroppedHops uint64
 	DroppedKids uint64
 
-	parent   *Txn  // enclosing transaction while this one is open
-	refs     uint8 // retaining references: reservoir, kept list, parent's Kids
-	sampled  bool
-	detached bool
+	sampled bool
 }
 
 // Latency returns the transaction's end-to-end latency.
-func (x *Txn) Latency() sim.Time {
-	if x == nil {
-		return 0
-	}
-	return x.EndFS - x.StartFS
-}
-
-// Sampled reports whether the deterministic sampler selected this
-// transaction (exemplar-only trees return false).
-func (x *Txn) Sampled() bool { return x != nil && x.sampled }
-
-// SetClass reclassifies the transaction; the uncore uses it to turn a
-// provisional l2_hit into a dram_fill once the L2 lookup misses.
-func (x *Txn) SetClass(c Class) {
-	if x != nil {
-		x.Class = c
-	}
-}
-
-// AddTag appends an outcome tag ("mesi=I->E", "src=owner_remote",
-// "retry", ...). Tags beyond the cap are dropped silently — they are
-// annotations, not accounting.
-func (x *Txn) AddTag(tag string) {
-	if x != nil && len(x.Tags) < maxTags {
-		x.Tags = append(x.Tags, tag)
-	}
-}
-
-// addHop appends a hop, honoring the cap. The fields are written in
-// place in the hop slice (a recycled slot still holds an old hop, so
-// every field is set) instead of assembling a Hop and copying it in.
-func (x *Txn) addHop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
-	n := len(x.Hops)
-	if n >= maxHops {
-		x.DroppedHops++
-		return
-	}
-	if n < cap(x.Hops) {
-		x.Hops = x.Hops[:n+1]
-	} else {
-		x.Hops = append(x.Hops, Hop{})
-	}
-	h := &x.Hops[n]
-	h.Component, h.Op = component, op
-	h.StartFS, h.EndFS, h.AdvanceFS = start, end, 0
-	h.text, h.num, h.kind = text, num, kind
-}
+func (x *Txn) Latency() sim.Time { return x.EndFS - x.StartFS }
 
 // finalize stamps the end time and assigns each hop's critical-path
 // share: a cursor sweeps [StartFS, end] in hop-record order, and every
@@ -258,42 +201,120 @@ func (x *Txn) finalize(end sim.Time) {
 	}
 }
 
-// reservoir keeps the K slowest finished transactions of one class,
-// slowest first. K is tiny, so an insertion sort beats a heap.
-type reservoir struct {
-	k   int
-	txs []*Txn
+// frame is an open transaction on the tracer's stack and, once a nested
+// one ends, the header its log keeps for it. Its records start at mark
+// in log and, once it ends, span n records.
+type frame struct {
+	id                       uint64
+	class                    Class
+	sampled                  bool
+	tags                     uint8 // recorded, up to maxTags
+	core                     int
+	addr                     uint64
+	start, end               sim.Time
+	log                      *Log
+	mark, n                  int
+	hops, kids               int // recorded, up to the caps
+	droppedHops, droppedKids uint64
 }
 
-// offer inserts x if it ranks among the K slowest, reporting whether it
-// was kept and which transaction, if any, it pushed out.
-func (r *reservoir) offer(x *Txn) (kept bool, evicted *Txn) {
-	if r.k <= 0 {
-		return false, nil
+// hop appends a hop record to f's log, honoring the cap.
+func (f *frame) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
+	if f.hops >= maxHops {
+		f.droppedHops++
+		return
 	}
-	if len(r.txs) == r.k && x.Latency() <= r.txs[len(r.txs)-1].Latency() {
-		return false, nil
+	f.hops++
+	h := grow(&f.log.recs)
+	h.Component, h.Op, h.StartFS, h.EndFS = component, op, start, end
+	h.text, h.num, h.kind = text, num, kind
+}
+
+// grow extends *s by one element in place, reusing its backing array,
+// and returns that element, which may hold a stale value: appending a
+// filled-in value would copy it whole.
+func grow[T any](s *[]T) *T {
+	n := len(*s)
+	if n == cap(*s) {
+		var zero T
+		*s = append(*s, zero)
+	} else {
+		*s = (*s)[:n+1]
 	}
-	i := sort.Search(len(r.txs), func(i int) bool {
-		l := r.txs[i].Latency()
+	return &(*s)[n]
+}
+
+// Log is a flat record log: the hops and tags of open transactions, and
+// a header for each nested transaction ahead of its own records.
+// Synchronous roots share the tracer's own log, since at most one is
+// open at a time. A detached root writes the log its issuer lends it.
+type Log struct {
+	recs []Hop   // hops, recTag records and recSub headers (num indexes subs)
+	subs []frame // the headers' frames, written when each transaction ends
+}
+
+// copyTo builds f's tree into x, reusing x's storage: the hops and tags
+// of f's records in order, and a child built in turn from each header.
+// Every node is finalized at its own end. It returns the index of the
+// first record past f's.
+func (l *Log) copyTo(x *Txn, f *frame) int {
+	*x = Txn{
+		ID: f.id, Class: f.class, Core: f.core, Addr: f.addr, StartFS: f.start,
+		Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0],
+		DroppedHops: f.droppedHops, DroppedKids: f.droppedKids, sampled: f.sampled,
+	}
+	i, end := f.mark, f.mark+f.n
+	for i < end {
+		r := &l.recs[i]
+		i++
+		switch r.kind {
+		case recTag:
+			x.Tags = append(x.Tags, r.text)
+		case recSub:
+			k := grow(&x.Kids) // an evicted tree's child, or nil
+			if *k == nil {
+				*k = new(Txn)
+			}
+			i = l.copyTo(*k, &l.subs[r.num])
+		default:
+			x.Hops = append(x.Hops, *r)
+		}
+	}
+	x.finalize(f.end)
+	return i
+}
+
+// reservoir keeps the K slowest finished transactions of one class,
+// slowest first. K is tiny, so an insertion sort beats a heap.
+type reservoir []*Txn
+
+// offer makes room for a transaction of latency lat if it ranks among
+// the k slowest and returns the tree to copy it into (the one it evicts,
+// or a new one), or nil if the transaction is not kept.
+func (r *reservoir) offer(k int, lat sim.Time, id uint64) *Txn {
+	txs := *r
+	n := len(txs)
+	if n == k && lat <= txs[n-1].Latency() {
+		return nil
+	}
+	i := sort.Search(n, func(i int) bool {
+		l := txs[i].Latency()
 		// Strictly-slower-first with ID as the deterministic tiebreak:
 		// among equal latencies the earliest transaction wins, so the
 		// reservoir's content does not depend on arrival order quirks.
-		return l < x.Latency() || (l == x.Latency() && r.txs[i].ID > x.ID)
+		return l < lat || (l == lat && txs[i].ID > id)
 	})
-	n := len(r.txs)
-	if i == n && n == r.k {
-		return false, nil
-	}
-	if n == r.k {
-		evicted = r.txs[n-1]
+	var x *Txn
+	if n == k {
+		x = txs[n-1]
 	} else {
-		r.txs = append(r.txs, nil)
-		n++
+		x = new(Txn)
+		txs = append(txs, nil)
 	}
-	copy(r.txs[i+1:n], r.txs[i:n-1])
-	r.txs[i] = x
-	return true, evicted
+	copy(txs[i+1:], txs[i:])
+	txs[i] = x
+	*r = txs
+	return x
 }
 
 // DefaultK is the per-class exemplar reservoir depth.
@@ -323,17 +344,13 @@ type Tracer struct {
 
 	serial     uint64
 	nextID     uint64
-	stack      []*Txn
+	stack      []frame
+	log        Log // the synchronous roots' records
 	reservoirs [numClasses]reservoir
 	hist       [numClasses]stats.Histogram // latency per class
 	nocWait    stats.Histogram             // arbitration wait per NoC transfer
 	kept       []*Txn
 	dropped    uint64
-	// Recycled shells. Detached roots (DMA commands) record hundreds of
-	// beat hops each; keeping them apart stops their long hop arrays
-	// from migrating into every small nested shell.
-	free         []*Txn
-	freeDetached []*Txn
 }
 
 // New returns a Tracer with exemplar capture on (DefaultK per class)
@@ -351,7 +368,7 @@ func (t *Tracer) kOrDefault() int {
 }
 
 // keepsTrees reports whether any tree can be retained, by a reservoir
-// or by the sampler. A tracer that can keep none builds no trees.
+// or by the sampler. A tracer that can keep none writes no log.
 func (t *Tracer) keepsTrees() bool { return t.K >= 0 || t.SampleEvery != 0 }
 
 func (t *Tracer) keptCapOrDefault() int {
@@ -381,112 +398,74 @@ func (t *Tracer) sampleRoot() bool {
 	return splitmix64(t.serial^t.Seed)%t.SampleEvery == 0
 }
 
-// newTxn takes a shell from the matching free list, keeping its
-// backing arrays, or allocates one when the list is empty. A tracer
-// that keeps no trees reads only a shell's class and start, so a
-// recycled one is not cleared.
-func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time, detached bool) *Txn {
-	free := &t.free
-	if detached {
-		free = &t.freeDetached
-	}
-	var x *Txn
-	if n := len(*free); n > 0 {
-		x = (*free)[n-1]
-		*free = (*free)[:n-1]
-		if !t.keepsTrees() {
-			x.Class, x.StartFS = class, at
-			return x
-		}
-		*x = Txn{Hops: x.Hops[:0], Tags: x.Tags[:0], Kids: x.Kids[:0]}
-	} else {
-		x = new(Txn)
-	}
-	t.nextID++
-	x.ID, x.Class, x.Core, x.Addr, x.StartFS, x.detached = t.nextID, class, core, addr, at, detached
-	return x
-}
-
-// release returns a shell that no retained tree references to its free
-// list, and drops its own references to its children.
-func (t *Tracer) release(x *Txn) {
-	for _, k := range x.Kids {
-		t.unref(k)
-	}
-	if x.detached {
-		t.freeDetached = append(t.freeDetached, x)
-	} else {
-		t.free = append(t.free, x)
-	}
-}
-
-// unref drops one retaining reference, releasing the shell at zero.
-func (t *Tracer) unref(x *Txn) {
-	if x.refs--; x.refs == 0 {
-		t.release(x)
-	}
-}
-
 // Begin opens a transaction at the top of the active stack and makes it
 // the target of subsequent Hop calls. With an enclosing transaction
 // active, the new one is a nested sub-transaction (it will attach to
 // its parent when it ends); otherwise it is a root, which consumes a
-// sampling serial. Returns nil on a nil Tracer.
-func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) *Txn {
-	if t == nil {
-		return nil
+// sampling serial.
+func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) {
+	if t != nil {
+		t.begin(class, core, addr, at)
 	}
-	return t.begin(class, core, addr, at)
 }
 
 // begin is Begin on a live Tracer, out of line so the nil check inlines.
-func (t *Tracer) begin(class Class, core int, addr uint64, at sim.Time) *Txn {
-	x := t.newTxn(class, core, addr, at, false)
-	if t.keepsTrees() {
-		if n := len(t.stack); n > 0 {
-			p := t.stack[n-1]
-			x.parent = p
-			x.sampled = p.sampled
-		} else {
-			x.sampled = t.sampleRoot()
-		}
+func (t *Tracer) begin(class Class, core int, addr uint64, at sim.Time) {
+	t.nextID++
+	// Field by field: a composite literal would be built aside and copied.
+	f := grow(&t.stack)
+	f.id, f.class, f.sampled, f.tags, f.core, f.addr, f.start = t.nextID, class, false, 0, core, addr, at
+	f.log, f.mark, f.hops, f.kids, f.droppedHops, f.droppedKids = &t.log, 0, 0, 0, 0, 0
+	if !t.keepsTrees() {
+		return
 	}
-	t.stack = append(t.stack, x)
-	return x
+	if n := len(t.stack) - 1; n == 0 {
+		f.sampled = t.sampleRoot()
+	} else {
+		// A header heads a nested transaction's records.
+		p := &t.stack[n-1]
+		l := p.log
+		h := grow(&l.recs)
+		h.kind, h.num = recSub, uint64(len(l.subs))
+		grow(&l.subs)
+		f.sampled, f.log, f.mark = p.sampled, l, len(l.recs)
+	}
 }
+
+// Detached is an open detached root, held by its issuer between
+// BeginDetached and EndDetached.
+type Detached struct{ f frame }
 
 // BeginDetached opens a root transaction without activating it: DMA
 // commands live across many engine steps interleaved with other
 // commands, so the DMA engine holds the handle and brackets each beat
-// with Resume/Suspend. The detached transaction consumes a sampling
-// serial like any root.
-func (t *Tracer) BeginDetached(class Class, core int, addr uint64, at sim.Time) *Txn {
+// with Resume/Suspend. Its records go to l, which must hold no other
+// transaction's records from its first Resume to its EndDetached; a DMA
+// engine runs one command at a time, so one log serves all of them. It
+// consumes a sampling serial like any root.
+func (t *Tracer) BeginDetached(l *Log, class Class, core int, addr uint64, at sim.Time) Detached {
 	if t == nil {
-		return nil
+		return Detached{}
 	}
-	x := t.newTxn(class, core, addr, at, true)
-	if t.keepsTrees() {
-		x.sampled = t.sampleRoot()
-	}
-	return x
+	t.nextID++
+	return Detached{frame{id: t.nextID, class: class, core: core, addr: addr, start: at, log: l,
+		sampled: t.keepsTrees() && t.sampleRoot()}}
 }
 
 // Resume makes a detached transaction the active one (nested hooks —
-// uncore, NoC — then attribute to it). Balance with Suspend.
-func (t *Tracer) Resume(x *Txn) {
-	if t == nil || x == nil {
-		return
+// uncore, NoC — then attribute to it) until the matching Suspend.
+func (t *Tracer) Resume(d *Detached) {
+	if t != nil {
+		t.stack = append(t.stack, d.f)
 	}
-	t.stack = append(t.stack, x)
 }
 
-// Suspend deactivates the most recently resumed transaction without
-// ending it.
-func (t *Tracer) Suspend() {
-	if t == nil || len(t.stack) == 0 {
-		return
+// Suspend deactivates d, the active transaction, without ending it.
+func (t *Tracer) Suspend(d *Detached) {
+	if t != nil && len(t.stack) > 0 {
+		d.f = t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
 	}
-	t.stack = t.stack[:len(t.stack)-1]
 }
 
 // Hop records one interval against the active transaction (no-op when
@@ -517,16 +496,31 @@ func (t *Tracer) HopNum(component, op string, start, end sim.Time, kind TagKind,
 // it, which keeps them small enough to inline: a disabled tracer costs
 // their callers one compare.
 func (t *Tracer) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
-	if len(t.stack) > 0 && t.keepsTrees() {
-		t.stack[len(t.stack)-1].addHop(component, op, start, end, text, num, kind)
+	if n := len(t.stack); n > 0 && t.keepsTrees() {
+		t.stack[n-1].hop(component, op, start, end, text, num, kind)
 	}
 }
 
-// Tag annotates the active transaction with an outcome tag (see
-// Txn.AddTag); a no-op when none is active or no tree can be kept.
+// Tag annotates the active transaction with an outcome tag ("mesi=I->E",
+// "src=owner_remote", "retry", ...); a no-op when none is active or no
+// tree can be kept. Tags beyond the cap are dropped silently — they are
+// annotations, not accounting.
 func (t *Tracer) Tag(tag string) {
-	if t != nil && len(t.stack) > 0 && t.keepsTrees() {
-		t.stack[len(t.stack)-1].AddTag(tag)
+	if t == nil || len(t.stack) == 0 || !t.keepsTrees() {
+		return
+	}
+	if f := &t.stack[len(t.stack)-1]; f.tags < maxTags {
+		f.tags++
+		h := grow(&f.log.recs)
+		h.text, h.kind = tag, recTag
+	}
+}
+
+// SetClass reclassifies the active transaction; the uncore uses it to
+// turn a provisional l2_hit into a dram_fill once the L2 lookup misses.
+func (t *Tracer) SetClass(c Class) {
+	if t != nil && len(t.stack) > 0 {
+		t.stack[len(t.stack)-1].class = c
 	}
 }
 
@@ -550,21 +544,8 @@ func (t *Tracer) transfer(op string, start, end, wait sim.Time) {
 	t.hop("noc", op, start, end, "", uint64(wait), kind)
 }
 
-// Active returns the transaction currently receiving hops (nil when
-// none, or on a nil Tracer).
-func (t *Tracer) Active() *Txn {
-	if t == nil || len(t.stack) == 0 {
-		return nil
-	}
-	return t.stack[len(t.stack)-1]
-}
-
-// End closes the active transaction at the given completion time,
-// finalizes its per-hop attribution, offers it to its class reservoir
-// and — for sampled roots — retains the tree. Nested transactions
-// attach to their parent as both a child tree and an aggregate hop, so
-// the parent's conservation covers them. The handle Begin returned is
-// not valid past End: an unretained transaction is recycled.
+// End closes the active transaction at the given completion time (see
+// finish); a nested one attaches to the transaction below it.
 func (t *Tracer) End(at sim.Time) {
 	if t == nil || len(t.stack) == 0 {
 		return
@@ -575,61 +556,64 @@ func (t *Tracer) End(at sim.Time) {
 // end pops and finishes the active transaction, out of line so End's
 // checks inline.
 func (t *Tracer) end(at sim.Time) {
-	x := t.stack[len(t.stack)-1]
-	t.stack = t.stack[:len(t.stack)-1]
-	t.finish(x, at)
+	n := len(t.stack) - 1
+	var p *frame
+	if n > 0 {
+		p = &t.stack[n-1]
+	}
+	f := &t.stack[n]
+	t.stack = t.stack[:n]
+	t.finish(f, p, at)
 }
 
 // EndDetached closes a detached transaction (which must not be on the
-// active stack — the DMA engine suspends it between beats). Like End,
-// it ends the handle's validity.
-func (t *Tracer) EndDetached(x *Txn, at sim.Time) {
-	if t == nil || x == nil {
-		return
+// active stack — the DMA engine suspends it between beats) and empties
+// its log.
+func (t *Tracer) EndDetached(d *Detached, at sim.Time) {
+	if t != nil {
+		t.finish(&d.f, nil, at)
 	}
-	t.finish(x, at)
 }
 
-// finish records x's latency in its class histogram, retains x
-// wherever it belongs — its class reservoir, its parent's Kids, the
-// sampled list — and recycles it if nothing did.
-func (t *Tracer) finish(x *Txn, at sim.Time) {
-	t.hist[x.Class].Record(uint64(at - x.StartFS))
+// finish records f's latency in its class histogram and copies f's tree
+// into its class reservoir if admitted. A nested f then attaches to its
+// parent p as a child (its records stay in the log) and an aggregate
+// hop, so p's conservation covers it. A root's sampled tree is copied to
+// the kept list, and the root's records leave its log.
+func (t *Tracer) finish(f, p *frame, at sim.Time) {
+	t.hist[f.class].Record(uint64(at - f.start))
 	if !t.keepsTrees() {
-		t.release(x)
 		return
 	}
-	x.finalize(at)
+	l := f.log
+	f.end, f.n = at, len(l.recs)-f.mark
 	if k := t.kOrDefault(); k > 0 {
-		r := &t.reservoirs[x.Class]
-		r.k = k
-		if kept, evicted := r.offer(x); kept {
-			x.refs++
-			if evicted != nil {
-				t.unref(evicted)
-			}
+		if x := t.reservoirs[f.class].offer(k, at-f.start, f.id); x != nil {
+			l.copyTo(x, f)
 		}
 	}
-	if p := x.parent; p != nil {
-		x.parent = nil
-		p.addHop("txn", x.Class.String(), x.StartFS, x.EndFS, "", x.ID, tagChild)
-		if len(p.Kids) < maxKids {
-			p.Kids = append(p.Kids, x)
-			x.refs++
+	if p != nil {
+		if p.kids < maxKids {
+			p.kids++
+			l.subs[l.recs[f.mark-1].num] = *f
 		} else {
-			p.DroppedKids++
+			p.droppedKids++
+			l.subs = l.subs[:l.recs[f.mark-1].num]
+			l.recs = l.recs[:f.mark-1]
 		}
-	} else if x.sampled {
+		p.hop("txn", f.class.String(), f.start, at, "", f.id, tagChild)
+		return
+	}
+	if f.sampled {
 		if len(t.kept) < t.keptCapOrDefault() {
+			x := new(Txn)
+			l.copyTo(x, f)
 			t.kept = append(t.kept, x)
-			x.refs++
 		} else {
 			t.dropped++
 		}
 	}
-	if x.refs == 0 {
-		t.release(x)
-	}
+	l.recs, l.subs = l.recs[:0], l.subs[:0]
 }
 
 // Exemplars returns the worst-K reservoir of one class, slowest first.
@@ -637,7 +621,7 @@ func (t *Tracer) Exemplars(c Class) []*Txn {
 	if t == nil || c >= numClasses {
 		return nil
 	}
-	return t.reservoirs[c].txs
+	return t.reservoirs[c]
 }
 
 // Count returns how many transactions of a class completed.

@@ -12,31 +12,25 @@ import (
 )
 
 // TestNilTracerSafe pins the nil-sentinel contract: every hook on a nil
-// Tracer (and on the nil Txn it hands out) is a no-op, so charge sites
-// need no guards when tracing is off.
+// Tracer is a no-op, so charge sites need no guards when tracing is off.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	x := tr.Begin(ReadMiss, 0, 0x1000, 100)
-	if x != nil {
-		t.Fatalf("nil tracer Begin returned %v", x)
-	}
+	tr.Begin(ReadMiss, 0, 0x1000, 100)
 	tr.Hop("l1", "lookup", 100, 110)
 	tr.HopTag("noc", "bus_data", 110, 120, "wait=0")
 	tr.HopNum("dram", "read", 120, 130, TagChannel, 1)
-	tr.Suspend()
-	tr.Resume(nil)
+	tr.SetClass(WriteMiss)
+	tr.Tag("tag")
+	d := tr.BeginDetached(new(Log), DMAGet, 0, 0x2000, 100)
+	tr.Resume(&d)
+	tr.Suspend(&d)
 	tr.End(200)
-	tr.EndDetached(nil, 200)
-	if tr.Active() != nil || tr.Kept() != nil || tr.Summary() != nil {
+	tr.EndDetached(&d, 200)
+	if tr.Kept() != nil || tr.Summary() != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 	if tr.Count(ReadMiss) != 0 || tr.DroppedSampled() != 0 || tr.Trees() != 0 {
 		t.Fatal("nil tracer reported nonzero counters")
-	}
-	x.SetClass(WriteMiss)
-	x.AddTag("tag")
-	if x.Latency() != 0 || x.Sampled() {
-		t.Fatal("nil Txn reported state")
 	}
 	var buf bytes.Buffer
 	tr.WriteExplainTail(&buf, 1250000)
@@ -115,19 +109,26 @@ func TestFinalizeConservation(t *testing.T) {
 func TestNestedChildAttach(t *testing.T) {
 	tr := New()
 	tr.SampleEvery = 1 // sample everything
-	root := tr.Begin(ReadMiss, 0, 0x100, 0)
+	tr.Begin(ReadMiss, 0, 0x100, 0)
 	tr.Hop("noc", "bus_control", 0, 10)
-	kid := tr.Begin(L2Hit, 0, 0x100, 10)
-	kid.SetClass(DRAMFill)
+	tr.Begin(L2Hit, 0, 0x100, 10)
+	tr.SetClass(DRAMFill)
 	tr.Hop("dram", "read", 10, 500)
 	tr.End(510) // kid
 	tr.End(520) // root
 
-	if !root.Sampled() || !kid.Sampled() {
-		t.Fatal("sampled bit did not propagate to the child")
+	// Only the root is retained as a sampled tree; the child lives
+	// inside it.
+	kept := tr.Kept()
+	if len(kept) != 1 || kept[0].Class != ReadMiss {
+		t.Fatalf("kept = %v, want just the root", kept)
 	}
-	if len(root.Kids) != 1 || root.Kids[0] != kid {
-		t.Fatalf("root kids = %v", root.Kids)
+	root := kept[0]
+	if len(root.Kids) != 1 || root.Kids[0].Class != DRAMFill {
+		t.Fatalf("root kids = %v, want one dram_fill", root.Kids)
+	}
+	if !root.sampled || !root.Kids[0].sampled {
+		t.Fatal("sampled bit did not propagate to the child")
 	}
 	var agg *Hop
 	for i := range root.Hops {
@@ -142,11 +143,6 @@ func TestNestedChildAttach(t *testing.T) {
 	if tr.Count(DRAMFill) != 1 || tr.Count(ReadMiss) != 1 {
 		t.Fatal("class counts missing the nested transaction")
 	}
-	// Only the root is retained as a sampled tree; the child lives
-	// inside it.
-	if kept := tr.Kept(); len(kept) != 1 || kept[0] != root {
-		t.Fatalf("kept = %v, want just the root", kept)
-	}
 }
 
 // TestSamplingDeterminism: the (serial, seed) hash selects the same
@@ -157,13 +153,13 @@ func TestSamplingDeterminism(t *testing.T) {
 		tr := New()
 		tr.SampleEvery = 8
 		tr.Seed = seed
-		var ids []uint64
 		for i := 0; i < 1024; i++ {
-			// Read the handle before End: it is recycled once ended.
-			if x := tr.Begin(ReadMiss, 0, uint64(i), sim.Time(i)); x.Sampled() {
-				ids = append(ids, x.ID)
-			}
+			tr.Begin(ReadMiss, 0, uint64(i), sim.Time(i))
 			tr.End(sim.Time(i + 1))
+		}
+		var ids []uint64
+		for _, x := range tr.Kept() {
+			ids = append(ids, x.ID)
 		}
 		return ids
 	}

@@ -272,7 +272,7 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 	// hit, reclassified once the tag lookup misses. Nested inside a CC
 	// miss or DMA beat it attaches to that parent; standalone callers
 	// (e.g. gather-buffer flushes) make it a root.
-	x := u.txn.Begin(txntrace.L2Hit, cluster, uint64(a), at)
+	u.txn.Begin(txntrace.L2Hit, cluster, uint64(a), at)
 	t := u.net.ToGlobal(at, cluster, ctrlMsgBytes)
 	t = u.l2Access(t, a)
 	if ln := u.l2For(a).Access(a, false); ln != nil {
@@ -285,7 +285,7 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 		u.txn.End(done)
 		return done, true
 	}
-	x.SetClass(txntrace.DRAMFill)
+	u.txn.SetClass(txntrace.DRAMFill)
 	u.txn.Tag("l2=miss")
 	t = u.dramAccess(t, a.Line(), mem.LineSize, false)
 	_, ev := u.l2For(a).Insert(a, cache.Exclusive, t)
