@@ -8,7 +8,7 @@ import (
 	"repro/internal/txntrace"
 )
 
-// TestTracedMissAllocs: once the tracer's recycled trees are warm, a
+// TestTracedMissAllocs: once the tracer's record log is warm, a
 // traced CC miss allocates nothing, whether a peer cache or the L2
 // supplies the line. The MESI outcome tags are precomputed strings, not
 // built per miss.

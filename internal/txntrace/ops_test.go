@@ -187,8 +187,8 @@ func randomOps(seed int64) []byte {
 // retainedChildOps is a directed sequence: K=1, no sampling; a root
 // opens a nested L2Hit child that runs long, the child ends into the
 // L2Hit reservoir, the root ends quickly and is beaten by an earlier,
-// slower root (so it is recycled while its child stays retained), and
-// then more traffic reuses the recycled shells.
+// slower root (so it is not retained while its child is), and then more
+// traffic reuses the truncated log.
 var retainedChildOps = []byte{
 	0, 0, 0, 0, // K=1, SampleEvery=0, KeptCap=1, Seed=0
 	0x00, 0, 1, 1, // root read_miss, slow
@@ -199,8 +199,8 @@ var retainedChildOps = []byte{
 	0x04, 3, 3, 40, // child hop
 	0xfe, 0xff, 0xfe, 0xff, // child runs long
 	0x02,    // End child: retained in the l2_hit reservoir
-	0x02,    // End root: rejected, recycled
-	0x0c, 0, // kid burst of roots: reuses the recycled shells
+	0x02,    // End root: rejected, its records truncated
+	0x0c, 0, // kid burst of roots: reuses the log
 	0x00, 0, 3, 3, 0x06, 1, 2, 3, 9, 7, 0x02,
 }
 
