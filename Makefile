@@ -11,8 +11,9 @@ build:
 test:
 	go test ./...
 
-# race runs the race detector over the concurrent experiment runner and
-# the engine it parallelizes; required for any change to either. The
+# race runs the race detector over the concurrent experiment runner,
+# the engine it parallelizes and the result store the runner's workers
+# share; required for any change to any of them. The
 # bench run is scoped to the runner's concurrency tests (the figure-
 # shape tests exercise single-threaded model code and are ~20x slower
 # under race, blowing the go test timeout).
@@ -25,9 +26,10 @@ race:
 # under the race detector: injected deadlocks, watchdog-aborted stalls,
 # panics, flaky retries and corrupted configs must all surface as typed
 # job records while every engine stops its task coroutines cleanly. The
-# disk-fault wrappers (torn writes, bit flips, short reads, ENOSPC
-# against the result store) and the SIGKILL crash-recovery re-exec test
-# live in the same packages and run here too.
+# result store's damage tests (every truncation and bit flip of a record
+# file, leftover temp files, a failed put) and the SIGKILL
+# crash-recovery re-exec test live in the same packages and run here
+# too.
 fault:
 	go test -race -timeout 20m ./internal/fault/ ./internal/resultstore/ ./cmd/memsim/ ./cmd/paperbench/
 
@@ -35,15 +37,18 @@ fault:
 # transactions, cap overflows, reservoir churn, sampling past the
 # retention cap) against the exported trees' invariants, among them
 # that every retained tree is exported once and never changes. It then
-# feeds arbitrary bytes to the result store's recovery scan as a
-# journal (Open never fails on content, hits are only reports that were
-# put, the scan accounts for every byte).
-# Interesting store inputs are kilobytes long, so their minimization is
-# capped to keep the 20 s mostly fuzzing. The seed corpora also run in
-# every go test.
+# feeds arbitrary bytes to the result store's record decoder (it never
+# panics and accepts only checksummed bytes that re-encode to
+# themselves), and arbitrary machine fields to core.Config's Validate
+# and Hash (a valid config's hash ignores observers and survives the
+# JSON round trip a stored record makes). Interesting records are
+# kilobytes long, so their minimization is capped to keep the 20 s
+# mostly fuzzing. The seed corpora, and FuzzStoreOpen's Open-and-Get
+# over the same record seeds, also run in every go test.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzTracerOps$$' -fuzztime 20s ./internal/txntrace/
-	go test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/resultstore/
+	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/resultstore/
+	go test -run '^$$' -fuzz '^FuzzConfigHash$$' -fuzztime 20s ./internal/core/
 
 # bench-engine regenerates the event-engine numbers tracked in
 # BENCH_engine.json (Sync fast path, scheduler dispatch and its channel

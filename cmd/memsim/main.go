@@ -229,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	httpLinger := fs.Duration("http-linger", 0, "keep -http serving this long after the run finishes (ends early on /quit)")
 	flightRec := fs.Int("flightrec", 256, "flight-recorder depth: last K scheduler events printed with a typed failure (0 = off)")
 	storeDir := fs.String("store", "", "reuse verified results from this persistent store directory, creating it if missing (empty = off)")
-	storeMax := fs.Int64("store-max-bytes", 0, "evict the oldest store records once the journal exceeds this size (0 = unlimited; requires -store)")
+	storeMax := fs.Int64("store-max-bytes", 0, "once the store's record files exceed this many bytes, delete the least recently used (0 = unlimited; requires -store)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

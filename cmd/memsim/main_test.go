@@ -175,7 +175,7 @@ func TestMemsimHTTP(t *testing.T) {
 }
 
 // TestStoreWarmRunByteIdentical: with -store, a second identical run is
-// served from the journal and prints byte-identical output; the output
+// served from the store and prints byte-identical output; the output
 // also matches a run with no store at all.
 func TestStoreWarmRunByteIdentical(t *testing.T) {
 	fault.RegisterWorkloads()

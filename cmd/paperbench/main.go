@@ -25,14 +25,13 @@
 // across campaigns: each job probes it before simulating and a verified
 // hit (matching config hash, workload, dataset -scale and the SHA-256 of
 // this executable) is recalled instead of re-run, while fresh results
-// are journaled back with CRC32C checksums. Corrupt or stale records
-// are quarantined to quarantine.jsonl and re-simulated — never served;
-// results stored at one -scale, or by another build, never answer this
-// campaign. One process owns a store directory at a time (a concurrent
-// open fails with "in use"). Figure output is byte-identical with or
-// without the store.
+// are written back one CRC32C-checksummed file each. A corrupt record
+// is deleted and re-simulated — never served; results stored at one
+// -scale, or by another build, never answer this campaign. One process
+// owns a store directory at a time (a concurrent open fails with "in
+// use"). Figure output is byte-identical with or without the store.
 //
-// -artifacts DIR without -store journals results into DIR/store, which
+// -artifacts DIR without -store stores results in DIR/store, which
 // a campaign starts empty (as it does manifest.jsonl). -resume keeps
 // DIR/store instead, so only jobs missing from it (never run, failed,
 // or lost to a crash) simulate again; it cannot be combined with -store.
@@ -105,7 +104,7 @@ type manifestRun struct {
 
 // manifestWriter serializes concurrent OnRecord callbacks into one
 // append-only JSONL stream. The header is fsynced at open so a
-// powerloss mid-campaign can never lose the whole journal; -manifest-sync
+// powerloss mid-campaign can never lose the whole manifest; -manifest-sync
 // extends that to every record. Write errors surface once (the first),
 // then are suppressed — a dead disk would otherwise print one error per
 // simulation.
@@ -166,7 +165,7 @@ func (m *manifestWriter) record(rec bench.Record) {
 	}
 }
 
-// close syncs and closes the journal; a write failure anywhere in the
+// close syncs and closes the manifest; a write failure anywhere in the
 // campaign surfaces here too, so the exit code reflects a bad manifest
 // even when the one-time warning scrolled away.
 func (m *manifestWriter) close() error {
@@ -261,8 +260,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per simulation (0 = off); timed-out jobs fail with a progress dump")
 	retries := fs.Int("retries", 0, "retry budget per job for retryable failures (timeouts, panics)")
 	resume := fs.Bool("resume", false, "keep the -artifacts DIR/store result store of an earlier campaign of this binary, so only missing and failed jobs simulate (requires -artifacts, excludes -store)")
-	storeDir := fs.String("store", "", "persistent cross-campaign result store directory: verified results are recalled instead of re-simulated (crash-safe; corrupt records are quarantined and re-run)")
-	storeMax := fs.Int64("store-max-bytes", 0, "cap the -store journal at this many bytes via LRU compaction (0 = unbounded)")
+	storeDir := fs.String("store", "", "persistent cross-campaign result store directory: verified results are recalled instead of re-simulated (crash-safe; corrupt records are deleted and re-run)")
+	storeMax := fs.Int64("store-max-bytes", 0, "once the store's record files exceed this many bytes, delete the least recently used (0 = unlimited; requires -store)")
 	manifestSync := fs.Bool("manifest-sync", false, "fsync manifest.jsonl after every record (slower; survives powerloss, not just process death)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole campaign to this file")
 	blockProfile := fs.String("blockprofile", "", "write a pprof blocking profile (rate 1) to this file; shows where goroutines wait")
@@ -459,9 +458,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The persistent result store: verified results from any previous
 	// campaign of this executable are recalled instead of re-simulated.
-	// Opening recovers from whatever a crash left behind (torn tails are
-	// truncated, corrupt records quarantined), so -store or -resume after
-	// a SIGKILL just works. -artifacts without -store journals into
+	// Every record is renamed into place whole, so -store or -resume
+	// after a SIGKILL just works. -artifacts without -store stores into
 	// DIR/store, emptied first unless this campaign resumes.
 	var store *resultstore.Store
 	storePath := *storeDir
@@ -709,9 +707,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return finish(1)
 	}
 	if store != nil {
-		// Seal the journal before reporting: Close syncs pending records,
-		// so everything this campaign simulated is durable by the time
-		// the summary prints.
+		// Release the store before reporting. Each Put was durable when it
+		// returned, so everything this campaign simulated is on disk by
+		// the time the summary prints.
 		if err := store.Close(); err != nil {
 			fmt.Fprintf(stderr, "paperbench: -store: %v\n", err)
 			return finish(1)

@@ -182,25 +182,26 @@ func TestResumeOfCleanCampaignSimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestResumeToleratesTornStoreTail: a campaign killed mid-append leaves
-// a torn final record in DIR/store's journal; resume truncates it,
-// re-simulates exactly that one job, and reprints byte-identical output.
+// TestResumeToleratesTornStoreTail: a record file in DIR/store that
+// lost its tail (Put's rename never leaves one, but a damaged disk can)
+// is deleted on resume with a one-line note, that one job simulates
+// again, and the output is byte-identical.
 func TestResumeToleratesTornStoreTail(t *testing.T) {
 	dir := t.TempDir()
 	want, _ := cleanFig2(t, dir)
 
-	journal := filepath.Join(dir, "store", "store.journal")
-	raw, err := os.ReadFile(journal)
+	rec := recordFiles(t, filepath.Join(dir, "store"))[0]
+	fi, err := os.Stat(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(journal, raw[:len(raw)-10], 0o644); err != nil {
+	if err := os.Truncate(rec, fi.Size()-10); err != nil {
 		t.Fatal(err)
 	}
 
 	got, errs := cleanFig2(t, dir, "-resume")
-	if !strings.Contains(errs, "torn-tail bytes") {
-		t.Fatalf("no torn-tail recovery note: %s", errs)
+	if !strings.Contains(errs, filepath.Base(rec)+": checksum mismatch; deleted") {
+		t.Fatalf("no note on the torn record: %s", errs)
 	}
 	if !strings.Contains(errs, "store: 8 hits, 1 misses") {
 		t.Fatalf("resume did not re-simulate exactly the torn record: %s", errs)

@@ -66,10 +66,10 @@ func TestStoreWarmCampaignByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptJournalHeals: damage the journal between campaigns —
-// truncate mid-record AND flip a byte in an earlier record — and the
-// next campaign still exits 0 with byte-identical output, re-simulating
-// exactly the records it could not trust.
+// TestStoreCorruptJournalHeals: damage the store between campaigns —
+// truncate one record file mid-record AND flip a byte in another — and
+// the next campaign still exits 0 with byte-identical output,
+// re-simulating exactly the records it could not trust.
 func TestStoreCorruptJournalHeals(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-store", dir}
@@ -78,14 +78,16 @@ func TestStoreCorruptJournalHeals(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("cold run exit %d: %s", code, errs)
 	}
-	journal := filepath.Join(dir, "store.journal")
-	raw, err := os.ReadFile(journal)
+	recs := recordFiles(t, dir)
+	flip, err := os.ReadFile(recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/3] ^= 0x40         // corrupt a record in the first third
-	raw = raw[:len(raw)-len(raw)/4] // tear the tail mid-record
-	if err := os.WriteFile(journal, raw, 0o644); err != nil {
+	flip[len(flip)/3] ^= 0x40
+	if err := os.WriteFile(recs[0], flip, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(recs[1], 100); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,8 +98,8 @@ func TestStoreCorruptJournalHeals(t *testing.T) {
 	if healed != cold {
 		t.Errorf("output changed after store damage:\n--- cold\n%s\n--- healed\n%s", cold, healed)
 	}
-	if !strings.Contains(errs, "misses") || strings.Contains(errs, "store: 9 hits") {
-		t.Fatalf("damaged store should have missed at least once: %s", errs)
+	if !strings.Contains(errs, "store: 7 hits, 2 misses") {
+		t.Fatalf("damaged store should have missed exactly the two damaged records: %s", errs)
 	}
 
 	// And once healed, the next run serves everything again.
@@ -131,8 +133,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("reference run exit %d: %s", code, errs)
 	}
 
-	// Launch the victim campaign and SIGKILL it once the journal holds at
-	// least one record past the 16-byte header.
+	// Launch the victim campaign and SIGKILL it once the store holds its
+	// first record file.
 	cmd := exec.Command(exe, "-test.run=^$")
 	cmd.Env = append(os.Environ(), "PAPERBENCH_CHILD_ARGS="+strings.Join(args, "\x1f"))
 	var childOut bytes.Buffer
@@ -141,20 +143,19 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	journal := filepath.Join(dir, "store.journal")
 	deadline := time.Now().Add(30 * time.Second)
-	grew := false
+	stored := false
 	for time.Now().Before(deadline) {
-		if fi, err := os.Stat(journal); err == nil && fi.Size() > 16 {
-			grew = true
+		if recs, _ := filepath.Glob(filepath.Join(dir, "*.rec")); len(recs) > 0 {
+			stored = true
 			break
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	if !grew {
+	if !stored {
 		cmd.Process.Kill()
 		cmd.Wait()
-		t.Fatalf("journal never grew past its header; child output:\n%s", childOut.String())
+		t.Fatalf("no record file ever appeared in the store; child output:\n%s", childOut.String())
 	}
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
@@ -178,4 +179,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if !strings.Contains(errs, "store:") || strings.Contains(errs, "store: 0 hits") {
 		t.Fatalf("resumed campaign recalled nothing from the crashed store: %s", errs)
 	}
+}
+
+// recordFiles lists a store directory's record files, failing the test
+// when there are none.
+func recordFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	recs, err := filepath.Glob(filepath.Join(dir, "*.rec"))
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("no record files in %s (%v)", dir, err)
+	}
+	return recs
 }

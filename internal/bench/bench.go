@@ -147,11 +147,11 @@ type Runner struct {
 	// probes it before simulating and a hit resolves the flight without
 	// running the engine — no Record, no ok/failed movement, a "(store)"
 	// progress marker — while a miss simulates normally and writes the
-	// verified report back. Store keys
-	// include the Runner's dataset Scale, so campaigns sharing one store
-	// directory at different -scale values never serve each other's
-	// reports. Corrupt or version-mismatched records are misses by
-	// construction (the store quarantines them), so an un-trustworthy
+	// verified report back. Store keys include the Runner's dataset
+	// Scale, so campaigns sharing one store directory at different
+	// -scale values never serve each other's reports. Corrupt or
+	// version-mismatched records are misses by construction (the store
+	// deletes corrupt ones), so an un-trustworthy
 	// store can only cost time, never correctness. Set it before the
 	// first Run or Prefetch.
 	Store *resultstore.Store

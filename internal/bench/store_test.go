@@ -94,8 +94,9 @@ func TestStoreVersionMismatchResimulates(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptRecordResimulates: smashing the journal mid-file
-// costs the smashed records a re-simulation, never wrong output.
+// TestStoreCorruptRecordResimulates: smashing the middle of every
+// third record file costs those records a re-simulation, never wrong
+// output.
 func TestStoreCorruptRecordResimulates(t *testing.T) {
 	dir := t.TempDir()
 	bare, _ := storedFigure(t, nil)
@@ -103,16 +104,21 @@ func TestStoreCorruptRecordResimulates(t *testing.T) {
 	_, _ = storedFigure(t, st1)
 	st1.Close()
 
-	path := filepath.Join(dir, "store.journal")
-	journal, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	recs, err := filepath.Glob(filepath.Join(dir, "*.rec"))
+	if err != nil || len(recs) < 3 {
+		t.Fatalf("store holds %d record files (%v)", len(recs), err)
 	}
-	for i := len(journal) / 3; i < len(journal)/2; i++ {
-		journal[i] ^= 0xff
-	}
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
+	for i := 0; i < len(recs); i += 3 {
+		rec, err := os.ReadFile(recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := len(rec) / 3; j < len(rec)/2; j++ {
+			rec[j] ^= 0xff
+		}
+		if err := os.WriteFile(recs[i], rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	st := openStore(t, dir, "v1")
@@ -126,6 +132,9 @@ func TestStoreCorruptRecordResimulates(t *testing.T) {
 	}
 	if r.StoreHits()+ok < 3 {
 		t.Fatalf("hits=%d + fresh=%d lost jobs", r.StoreHits(), ok)
+	}
+	if smashed, c := uint64(len(recs)+2)/3, st.Stats().Corrupt; c != smashed {
+		t.Fatalf("store counted %d corrupt records, want the %d smashed", c, smashed)
 	}
 }
 

@@ -24,11 +24,12 @@ func (c Config) Normalize() Config {
 
 // Hash returns the canonical content address of one simulation: the
 // normalized configuration, the workload name, the dataset scale the
-// workload was built at, and a version string (the binary's git
-// describe plus the store schema version). The version participates in
-// the key so a result store written by an older build can never poison
-// a newer one — a changed simulator silently misses and re-simulates
-// instead of serving stale physics. The scale participates because it
+// workload was built at, and a version string (by default the SHA-256
+// of the running executable plus the store schema version; see
+// resultstore.Options.Version). The version participates in the key so
+// a result store written by an older build can never poison a newer
+// one — a changed simulator silently misses and re-simulates instead of
+// serving stale physics. The scale participates because it
 // selects the workload's dataset sizes: the same machine running "fir"
 // at small and paper scale are different experiments with different
 // reports, and a store shared across -scale values must never serve

@@ -12,11 +12,10 @@ import (
 // lockDir enforces the one-process-per-store-directory rule: it takes a
 // non-blocking exclusive flock on DIR/store.lock and fails when another
 // process (or another open Store — flock is per file description)
-// already holds it. Without this, two writers would each track their
-// own append offset and WriteAt over each other's records, and race a
-// compaction's rename. The lock dies with the process, so a SIGKILLed
-// campaign never wedges the store; the lock file itself is empty and
-// carries no state.
+// already holds it. Without this, two writers would each keep their
+// own count of the store's size and evict records under each other.
+// The lock dies with the process, so a SIGKILLed campaign never wedges
+// the store; the lock file itself is empty and carries no state.
 func lockDir(dir string) (*os.File, error) {
 	f, err := os.OpenFile(filepath.Join(dir, lockName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

@@ -3,7 +3,6 @@ package resultstore
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/sim"
 )
 
@@ -45,7 +43,7 @@ func mustOpen(t testing.TB, opts Options) *Store {
 	return s
 }
 
-// fill puts n records and flushes.
+// fill puts n records.
 func fill(t testing.TB, s *Store, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -53,9 +51,42 @@ func fill(t testing.TB, s *Store, n int) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+}
+
+// recPath is the file holding record i (testCfg(i), "fir", "small").
+func recPath(s *Store, i int) string {
+	return s.path(testCfg(i).Hash("fir", "small", s.version))
+}
+
+// masterRecord returns the file bytes of record i under version v1.
+func masterRecord(t testing.TB, i int) []byte {
+	t.Helper()
+	s := mustOpen(t, Options{Dir: t.TempDir(), Version: "v1"})
+	defer s.Close()
+	if err := s.Put(testCfg(i), "fir", "small", testReport(i)); err != nil {
+		t.Fatal(err)
 	}
+	rec, err := os.ReadFile(recPath(s, i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// storeFiles lists the directory's file names other than the lock.
+func storeFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.Name() != lockName {
+			names = append(names, e.Name())
+		}
+	}
+	return names
 }
 
 // TestRoundTrip: what goes in comes back out, across a close/reopen.
@@ -69,17 +100,21 @@ func TestRoundTrip(t *testing.T) {
 	if _, ok := s.Get(testCfg(2), "fem", "small"); ok {
 		t.Fatal("hit for a workload never stored")
 	}
+	size := s.Stats().Bytes
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+	if n := len(storeFiles(t, dir)); n != 5 {
+		t.Fatalf("%d files in the store, want one per record", n)
+	}
 
 	s2 := mustOpen(t, Options{Dir: dir, Version: "v1"})
 	defer s2.Close()
-	if st := s2.Stats(); st.Recovered != 5 || st.Records != 5 || st.Corrupt != 0 {
-		t.Fatalf("recovery stats: %+v", st)
+	if st := s2.Stats(); st.Records != 5 || st.Bytes != size || st.Corrupt != 0 {
+		t.Fatalf("reopened stats: %+v (want 5 records, %d bytes)", st, size)
 	}
 	for i := 0; i < 5; i++ {
 		rep, ok := s2.Get(testCfg(i), "fir", "small")
@@ -101,14 +136,14 @@ func TestVersionMismatchIsAMiss(t *testing.T) {
 	s.Close()
 
 	s2 := mustOpen(t, Options{Dir: dir, Version: "git-def"})
-	if st := s2.Stats(); st.Recovered != 3 {
-		t.Fatalf("old-version records should still recover: %+v", st)
-	}
 	if _, ok := s2.Get(testCfg(0), "fir", "small"); ok {
 		t.Fatal("new version served a stale record")
 	}
+	if st := s2.Stats(); st.Records != 3 || st.Corrupt != 0 {
+		t.Fatalf("another version's records should stay untouched: %+v", st)
+	}
 	s2.Close() // release the directory lock for the next open
-	// The old version still hits its own records in the shared journal.
+	// The old version still hits its own records in the shared directory.
 	s3 := mustOpen(t, Options{Dir: dir, Version: "git-abc"})
 	defer s3.Close()
 	if _, ok := s3.Get(testCfg(0), "fir", "small"); !ok {
@@ -179,242 +214,189 @@ func TestObserversDoNotPerturbKeys(t *testing.T) {
 	}
 }
 
-// TestTruncateAtEveryByte is the crash-safety property: for EVERY
-// prefix of a journal, reopening recovers without error, restores
-// exactly the records wholly inside the prefix, and serves them. The
-// journal opens through a no-op Sync (openUnsynced, as FuzzStoreOpen
-// does): this suite tests recovery, not durability, and the fsyncs of
-// every torn tail would otherwise dominate its run time.
+// checkDamagedRecord writes data as record 0's file in a store that
+// also holds an intact record 1, and checks the damage is answered as
+// a miss that deletes the file, counts it Corrupt and leaves record 1
+// serving — unless data is the intact record, which must be served.
+func checkDamagedRecord(t *testing.T, s *Store, data, intact []byte) {
+	t.Helper()
+	path := recPath(s, 0)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Corrupt
+	rep, ok := s.Get(testCfg(0), "fir", "small")
+	if bytes.Equal(data, intact) {
+		if !ok || rep.Wall != testReport(0).Wall || rep.Instructions != testReport(0).Instructions {
+			t.Fatal("intact record not served")
+		}
+		return
+	}
+	if ok {
+		t.Fatalf("damaged record served: %+v", rep)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged record file not deleted: %v", err)
+	}
+	if got := s.Stats().Corrupt; got != before+1 {
+		t.Fatalf("Corrupt went %d -> %d, want one more", before, got)
+	}
+	if rep, ok := s.Get(testCfg(1), "fir", "small"); !ok || rep.Wall != testReport(1).Wall {
+		t.Fatal("a neighbor's damage cost an intact record")
+	}
+}
+
+// TestTruncateAtEveryByte: every prefix of a record file, from empty to
+// one byte short, is answered as a miss and deleted; the whole file is
+// served. Put's temp-and-rename never leaves such a prefix, so this is
+// the guard against damage from outside the store.
 func TestTruncateAtEveryByte(t *testing.T) {
-	const n = 4
-	journal := masterJournal(t, n)
-
-	// Locate each record's end offset by a reference scan.
-	ends := recordEnds(t, journal)
-	if len(ends) != n {
-		t.Fatalf("reference scan found %d records, want %d", len(ends), n)
-	}
-
-	dir := t.TempDir()
-	for cut := 0; cut <= len(journal); cut++ {
-		os.RemoveAll(dir)
-		os.MkdirAll(dir, 0o755)
-		if err := os.WriteFile(filepath.Join(dir, journalName), journal[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
-		if err != nil {
-			t.Fatalf("cut=%d: Open failed: %v", cut, err)
-		}
-		wantComplete := 0
-		for _, e := range ends {
-			if int64(cut) >= e {
-				wantComplete++
-			}
-		}
-		got := st.Len()
-		if got != wantComplete {
-			t.Fatalf("cut=%d: recovered %d records, want %d", cut, got, wantComplete)
-		}
-		for i := 0; i < wantComplete; i++ {
-			if rep, ok := st.Get(testCfg(i), "fir", "small"); !ok || rep.Wall != testReport(i).Wall {
-				t.Fatalf("cut=%d: record %d lost or wrong", cut, i)
-			}
-		}
-		if stats := st.Stats(); stats.Corrupt != 0 {
-			t.Fatalf("cut=%d: pure truncation quarantined %d records", cut, stats.Corrupt)
-		}
-		// A second open of the repaired journal must be clean: recovery
-		// converges (the torn tail was truncated away).
-		st.Close()
-		st2, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
-		if err != nil || st2.Len() != wantComplete || st2.Stats().TruncatedBytes != 0 {
-			t.Fatalf("cut=%d: second open not clean: err=%v len=%d stats=%+v", cut, err, st2.Len(), st2.Stats())
-		}
-		st2.Close()
+	rec := masterRecord(t, 0)
+	s := mustOpen(t, Options{Dir: t.TempDir(), Version: "v1"})
+	defer s.Close()
+	fill(t, s, 2)
+	for cut := 0; cut <= len(rec); cut++ {
+		checkDamagedRecord(t, s, rec[:cut], rec)
 	}
 }
 
-// masterJournal returns the bytes of a clean journal holding records
-// 0..n-1 (testCfg(i), "fir", "small", testReport(i)) under version v1.
-func masterJournal(t testing.TB, n int) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
-	fill(t, s, n)
-	s.Close()
-	journal, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return journal
-}
-
-// recordEnds scans a well-formed journal and returns each record's end
-// offset, independently of the store's own recovery code path.
-func recordEnds(t testing.TB, journal []byte) []int64 {
-	t.Helper()
-	var ends []int64
-	off := int64(headerLen)
-	for off < int64(len(journal)) {
-		if !bytes.Equal(journal[off:off+4], recordMagic[:]) {
-			t.Fatalf("reference scan: bad magic at %d", off)
-		}
-		n := int64(journal[off+4]) | int64(journal[off+5])<<8 | int64(journal[off+6])<<16 | int64(journal[off+7])<<24
-		off += recHdrLen + n
-		ends = append(ends, off)
-	}
-	return ends
-}
-
-// TestBitFlipAtEveryByteNeverServesBadData flips each byte of a small
-// journal in turn: every open must succeed, and every record the store
-// then serves must be one of the records originally written — corrupt
-// ones vanish into quarantine or (at the tail) truncation, they are
-// never returned. The header's schema field is the one region where a
-// flip loses availability rather than a single record: a changed schema
-// version is indistinguishable from a genuinely different journal
-// format, so the whole file is archived intact (never parsed, never
-// destroyed) and the store starts fresh. Like TestTruncateAtEveryByte,
-// it opens through a no-op Sync.
+// TestBitFlipAtEveryByteNeverServesBadData flips each byte of a record
+// file in turn: the checksum catches every flip, so the record is never
+// served, the file is deleted, and the other record keeps serving.
 func TestBitFlipAtEveryByteNeverServesBadData(t *testing.T) {
-	const n = 3
-	journal := masterJournal(t, n)
-
-	dir := t.TempDir()
-	for pos := 0; pos < len(journal); pos++ {
-		os.RemoveAll(dir)
-		os.MkdirAll(dir, 0o755)
-		mut := append([]byte(nil), journal...)
+	rec := masterRecord(t, 0)
+	s := mustOpen(t, Options{Dir: t.TempDir(), Version: "v1"})
+	defer s.Close()
+	fill(t, s, 2)
+	for pos := range rec {
+		mut := append([]byte(nil), rec...)
 		mut[pos] ^= 0x40
-		if err := os.WriteFile(filepath.Join(dir, journalName), mut, 0o644); err != nil {
+		checkDamagedRecord(t, s, mut, rec)
+	}
+}
+
+// TestIdentityMismatchIsDeleted: a well-formed record under another
+// key's file name fails the identity check — it is never served for
+// the key it does not answer, and it is deleted like any corruption.
+func TestIdentityMismatchIsDeleted(t *testing.T) {
+	var log bytes.Buffer
+	s := mustOpen(t, Options{Dir: t.TempDir(), Version: "v1", Log: &log})
+	defer s.Close()
+	fill(t, s, 2)
+	checkDamagedRecord(t, s, masterRecord(t, 2), nil)
+	if !strings.Contains(log.String(), "identity mismatch; deleted") {
+		t.Fatalf("no one-line warning logged: %q", log.String())
+	}
+}
+
+// TestOldJournalNeverRead: a store directory written by the journal
+// layout of schema 2 opens empty. Open reads no file but *.rec ones, so
+// store.journal and its companions are left exactly as they were.
+func TestOldJournalNeverRead(t *testing.T) {
+	dir := t.TempDir()
+	old := map[string][]byte{
+		"store.journal":     append([]byte("MSRS\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), "MSRC garbage"...),
+		"store.journal.bad": []byte("not a journal at all, definitely"),
+		"quarantine.jsonl":  []byte(`{"offset":16,"length":3,"reason":"checksum mismatch"}` + "\n"),
+	}
+	for name, data := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(Options{Dir: dir, Version: "v1", OpenFile: openUnsynced})
-		if err != nil {
-			t.Fatalf("pos=%d: Open failed: %v", pos, err)
-		}
-		served := 0
-		for i := 0; i < n; i++ {
-			rep, ok := st.Get(testCfg(i), "fir", "small")
-			if !ok {
-				continue
-			}
-			served++
-			if rep.Wall != testReport(i).Wall || rep.Instructions != testReport(i).Instructions {
-				t.Fatalf("pos=%d: record %d served with wrong content", pos, i)
-			}
-		}
-		if pos >= 4 && pos < 8 {
-			// Schema field flipped: the journal must be archived wholesale,
-			// not parsed under guessed framing.
-			if served != 0 {
-				t.Fatalf("pos=%d: schema-flipped journal served %d records", pos, served)
-			}
-			if _, err := os.Stat(filepath.Join(dir, journalName+".bad")); err != nil {
-				t.Fatalf("pos=%d: schema-flipped journal not archived: %v", pos, err)
-			}
-		} else if served < n-1 {
-			t.Fatalf("pos=%d: one flipped byte destroyed %d records", pos, n-served)
-		}
-		st.Close()
-	}
-}
-
-// TestMidJournalCorruptionQuarantines: smashing bytes in the middle of
-// the journal loses only the smashed record; everything after it
-// survives and the corpse lands in quarantine.jsonl.
-func TestMidJournalCorruptionQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	var log bytes.Buffer
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
-	fill(t, s, 5)
-	s.Close()
-
-	path := filepath.Join(dir, journalName)
-	journal, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ends := recordEnds(t, journal)
-	// Smash the payload of record 2 (between ends[1] and ends[2]).
-	for i := ends[1] + recHdrLen; i < ends[2]-4; i++ {
-		journal[i] ^= 0xff
-	}
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(Options{Dir: dir, Version: "v1", Log: &log})
-	if err != nil {
-		t.Fatalf("Open over mid-journal corruption: %v", err)
-	}
-	defer s2.Close()
-	st := s2.Stats()
-	if st.Recovered != 4 || st.Corrupt == 0 {
-		t.Fatalf("stats after corruption: %+v", st)
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if _, ok := s2.Get(testCfg(i), "fir", "small"); !ok {
-			t.Fatalf("record %d lost to a neighbor's corruption", i)
-		}
-	}
-	if _, ok := s2.Get(testCfg(2), "fir", "small"); ok {
-		t.Fatal("corrupt record served")
-	}
-	qb, err := os.ReadFile(filepath.Join(dir, quarantineName))
-	if err != nil {
-		t.Fatalf("quarantine.jsonl missing: %v", err)
-	}
-	var q quarantineEntry
-	if err := json.Unmarshal(bytes.SplitN(qb, []byte("\n"), 2)[0], &q); err != nil {
-		t.Fatalf("quarantine entry not JSON: %v", err)
-	}
-	if q.Reason == "" || q.Length == 0 || q.RecordB64 == "" {
-		t.Fatalf("quarantine entry incomplete: %+v", q)
-	}
-	if !bytes.Contains(log.Bytes(), []byte("quarantine")) {
-		t.Fatalf("no quarantine warning logged: %s", log.String())
-	}
-}
-
-// TestForeignJournalArchived: a journal with an alien header is moved
-// aside, not parsed and not deleted.
-func TestForeignJournalArchived(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, journalName)
-	if err := os.WriteFile(path, []byte("not a journal at all, definitely"), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	s := mustOpen(t, Options{Dir: dir, Version: "v1"})
 	defer s.Close()
-	if s.Len() != 0 {
-		t.Fatal("foreign journal produced records")
-	}
-	if _, err := os.Stat(path + ".bad"); err != nil {
-		t.Fatalf("foreign journal not archived: %v", err)
+	if st := s.Stats(); st.Records != 0 || st.Bytes != 0 || st.Corrupt != 0 {
+		t.Fatalf("old journal files were counted: %+v", st)
 	}
 	fill(t, s, 1)
 	if _, ok := s.Get(testCfg(0), "fir", "small"); !ok {
-		t.Fatal("fresh journal after archive does not serve")
+		t.Fatal("store next to an old journal does not serve")
+	}
+	for name, data := range old {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed: %v", name, err)
+		}
 	}
 }
 
-// TestLRUEvictionCompacts: a size-capped store drops the least recently
-// used records, keeps the hot ones, and the journal shrinks on disk via
-// the atomic rewrite.
+// TestLeftoverTempFileRemoved: a writer killed between creating its
+// temp file and the rename leaves the temp file behind. Open removes
+// it, and its content — even a complete record — is never served.
+func TestLeftoverTempFileRemoved(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "put-123.tmp")
+	if err := os.WriteFile(tmp, masterRecord(t, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	s := mustOpen(t, Options{Dir: dir, Version: "v1", Log: &log})
+	defer s.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp file survived Open: %v", err)
+	}
+	if !strings.Contains(log.String(), "put-123.tmp") {
+		t.Fatalf("removal not logged: %q", log.String())
+	}
+	if _, ok := s.Get(testCfg(0), "fir", "small"); ok {
+		t.Fatal("temp file content served")
+	}
+	if st := s.Stats(); st.Records != 0 || st.Bytes != 0 {
+		t.Fatalf("temp file counted as a record: %+v", st)
+	}
+}
+
+// TestFailedPutLeavesNoTempFile: a Put whose rename fails (a directory
+// squats on the record's name, which fails as root too) returns an
+// error, counts PutErrors, leaves no temp file behind, and the store
+// keeps serving and accepting other records.
+func TestFailedPutLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, Version: "v1"})
+	defer s.Close()
+	fill(t, s, 1)
+	if err := os.Mkdir(recPath(s, 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(recPath(s, 1), "pin"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if err := s.Put(testCfg(1), "fir", "small", testReport(1)); err == nil {
+		t.Fatal("put over a directory reported success")
+	}
+	st := s.Stats()
+	if st.PutErrors != 1 || st.Puts != before.Puts || st.Records != before.Records || st.Bytes != before.Bytes {
+		t.Fatalf("stats after a failed put: %+v (before %+v)", st, before)
+	}
+	for _, name := range storeFiles(t, dir) {
+		if tmp, _ := filepath.Match(tmpPattern, name); tmp {
+			t.Fatalf("failed put left %s behind", name)
+		}
+	}
+	if _, ok := s.Get(testCfg(1), "fir", "small"); ok {
+		t.Fatal("failed put served")
+	}
+	if _, ok := s.Get(testCfg(0), "fir", "small"); !ok {
+		t.Fatal("failed put broke reads")
+	}
+	if err := s.Put(testCfg(2), "fir", "small", testReport(2)); err != nil {
+		t.Fatalf("put after a failed put: %v", err)
+	}
+}
+
+// TestLRUEvictionCompacts: a size-capped store deletes the least
+// recently used records until it fits, keeps the hot ones and the
+// newest, and the survivors reopen with the same counts.
 func TestLRUEvictionCompacts(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
-	fill(t, s, 1)
-	size1 := s.Stats().Bytes
-	recSize := size1 - headerLen
-	s.Close()
+	recSize := int64(len(masterRecord(t, 0)))
 
-	// Cap the journal at ~6 records, then write 10, touching record 0
+	// Cap the store at ~6 records, then write 10, reading record 0
 	// along the way so it stays hot.
-	cap := headerLen + 6*recSize + recSize/2
-	s = mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1, MaxBytes: cap})
+	cap := 6*recSize + recSize/2
+	s := mustOpen(t, Options{Dir: dir, Version: "v1", MaxBytes: cap})
+	fill(t, s, 1)
 	for i := 1; i < 10; i++ {
 		if _, ok := s.Get(testCfg(0), "fir", "small"); !ok {
 			t.Fatalf("hot record 0 evicted at i=%d", i)
@@ -424,11 +406,11 @@ func TestLRUEvictionCompacts(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Compactions == 0 || st.Evictions == 0 {
-		t.Fatalf("no compaction happened: %+v", st)
+	if st.Evictions == 0 {
+		t.Fatalf("no eviction happened: %+v", st)
 	}
 	if st.Bytes > cap {
-		t.Fatalf("journal %d bytes exceeds cap %d after compaction", st.Bytes, cap)
+		t.Fatalf("store holds %d bytes, above the %d-byte cap", st.Bytes, cap)
 	}
 	if _, ok := s.Get(testCfg(0), "fir", "small"); !ok {
 		t.Fatal("most-recently-used record was evicted")
@@ -436,24 +418,26 @@ func TestLRUEvictionCompacts(t *testing.T) {
 	if _, ok := s.Get(testCfg(9), "fir", "small"); !ok {
 		t.Fatal("newest record was evicted")
 	}
+	if _, ok := s.Get(testCfg(1), "fir", "small"); ok {
+		t.Fatal("least-recently-used record survived eviction")
+	}
 	s.Close()
 
-	// The compacted journal reopens cleanly with the same records.
 	s2 := mustOpen(t, Options{Dir: dir, Version: "v1"})
 	defer s2.Close()
-	if s2.Stats().Corrupt != 0 {
-		t.Fatalf("compacted journal reopens corrupt: %+v", s2.Stats())
+	if got := s2.Stats(); got.Records != st.Records || got.Bytes != st.Bytes {
+		t.Fatalf("reopened counts %+v differ from before close %+v", got, st)
 	}
 	if _, ok := s2.Get(testCfg(9), "fir", "small"); !ok {
-		t.Fatal("compacted journal lost the newest record")
+		t.Fatal("evicted store lost the newest record")
 	}
 }
 
 // TestDuplicatePutLastWins: re-putting a key serves the newer report,
-// across reopen too.
+// across reopen too, and replaces the file rather than adding one.
 func TestDuplicatePutLastWins(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
+	s := mustOpen(t, Options{Dir: dir, Version: "v1"})
 	cfg := testCfg(0)
 	if err := s.Put(cfg, "fir", "small", testReport(0)); err != nil {
 		t.Fatal(err)
@@ -463,6 +447,13 @@ func TestDuplicatePutLastWins(t *testing.T) {
 	}
 	if rep, ok := s.Get(cfg, "fir", "small"); !ok || rep.Wall != testReport(7).Wall {
 		t.Fatalf("live duplicate get: %+v", rep)
+	}
+	fi, err := os.Stat(recPath(s, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Records != 1 || st.Bytes != fi.Size() {
+		t.Fatalf("duplicate put counted twice: %+v (file %d bytes)", st, fi.Size())
 	}
 	s.Close()
 	s2 := mustOpen(t, Options{Dir: dir, Version: "v1"})
@@ -497,8 +488,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 23 {
-		t.Fatalf("index has %d records, want 23", s.Len())
+	if n := s.Stats().Records; n != 23 {
+		t.Fatalf("store has %d records, want 23", n)
 	}
 	for k := 0; k < 23; k++ {
 		if rep, ok := s.Get(testCfg(k), "fir", "small"); !ok || rep.Wall != testReport(k).Wall {
@@ -521,7 +512,7 @@ func TestGetAfterCloseMisses(t *testing.T) {
 }
 
 // TestOpenRequiresDir pins the only hard Open error that is a caller
-// bug rather than recoverable corruption.
+// bug rather than a disk problem.
 func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Dir succeeded")
@@ -537,12 +528,12 @@ func TestStatsShape(t *testing.T) {
 	s.Get(testCfg(0), "fir", "small")
 	s.Get(testCfg(5), "fir", "small")
 	st := s.Stats()
-	want := fmt.Sprintf("puts=2 hits=2 misses=1 records=2")
+	want := "puts=2 hits=2 misses=1 records=2"
 	got := fmt.Sprintf("puts=%d hits=%d misses=%d records=%d", st.Puts, st.Hits, st.Misses, st.Records)
 	if got != want {
 		t.Fatalf("stats: %s, want %s", got, want)
 	}
-	if st.Bytes <= headerLen {
+	if st.Bytes <= 2*frameLen {
 		t.Fatalf("bytes not tracked: %+v", st)
 	}
 }
@@ -564,7 +555,7 @@ func TestScaleMismatchIsAMiss(t *testing.T) {
 	if _, ok := s.Get(cfg, "fir", "default"); ok {
 		t.Fatal("default-scale lookup served a small-scale record")
 	}
-	// Both scales coexist in one journal, each answering only its own.
+	// Both scales coexist in one directory, each answering only its own.
 	if err := s.Put(cfg, "fir", "paper", testReport(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +570,7 @@ func TestScaleMismatchIsAMiss(t *testing.T) {
 // TestDirLockExcludesSecondOpen enforces the one-process-per-directory
 // rule: while a store is open, a second Open of the same directory
 // fails with a clear "in use" error instead of silently racing the
-// first writer's appends and compactions; Close releases the lock.
+// first writer's puts and evictions; Close releases the lock.
 func TestDirLockExcludesSecondOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, Version: "v1"})
@@ -596,75 +587,5 @@ func TestDirLockExcludesSecondOpen(t *testing.T) {
 	defer s2.Close()
 	if _, ok := s2.Get(testCfg(0), "fir", "small"); !ok {
 		t.Fatal("store lost a record across a lock handoff")
-	}
-}
-
-// TestPutRejectsOversizedRecord: a payload above the journal's record
-// length bound is refused up front with an error, because the recovery
-// scan would otherwise quarantine it at the next open — a record the
-// store wrote itself, silently lost across restarts.
-func TestPutRejectsOversizedRecord(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
-	// Size the report to encode just past the record limit: one encoded
-	// per-core breakdown entry, measured, times enough entries.
-	one, err := json.Marshal(cpu.Breakdown{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	huge := testReport(0)
-	huge.PerCore = make([]cpu.Breakdown, maxRecordLen/(len(one)+1)+2)
-	err = s.Put(testCfg(0), "fir", "small", huge)
-	if err == nil {
-		t.Fatal("oversized record accepted")
-	}
-	if st := s.Stats(); st.PutErrors != 1 || st.Puts != 0 {
-		t.Fatalf("stats after oversized put: %+v", st)
-	}
-	// The journal is untouched and the store still works.
-	if err := s.Put(testCfg(1), "fir", "small", testReport(1)); err != nil {
-		t.Fatalf("put after oversized rejection: %v", err)
-	}
-	s.Close()
-	s2 := mustOpen(t, Options{Dir: dir, Version: "v1"})
-	defer s2.Close()
-	if st := s2.Stats(); st.Recovered != 1 || st.Corrupt != 0 {
-		t.Fatalf("journal damaged by rejected oversized put: %+v", st)
-	}
-}
-
-// TestOtherSchemaJournalArchived: a journal whose header carries a
-// different schema version is archived intact, never parsed — its
-// record framing may differ, and mis-parsing it would churn good
-// records into quarantine.
-func TestOtherSchemaJournalArchived(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1", SyncEvery: 1})
-	fill(t, s, 2)
-	s.Close()
-	path := filepath.Join(dir, journalName)
-	journal, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the header's schema field to a (hypothetical) older
-	// version, leaving the magic and every record byte intact.
-	journal[4], journal[5], journal[6], journal[7] = SchemaVersion-1, 0, 0, 0
-	if err := os.WriteFile(path, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var log bytes.Buffer
-	s2 := mustOpen(t, Options{Dir: dir, Version: "v1", Log: &log})
-	defer s2.Close()
-	if s2.Len() != 0 {
-		t.Fatalf("old-schema journal parsed: %d records", s2.Len())
-	}
-	bad, err := os.ReadFile(path + ".bad")
-	if err != nil {
-		t.Fatalf("old-schema journal not archived: %v", err)
-	}
-	if !bytes.Equal(bad, journal) {
-		t.Fatal("archived journal not byte-identical to the original")
 	}
 }

@@ -84,8 +84,8 @@ func TestServeEndpoints(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	wantKeys := []string{"bytes", "compactions", "corrupt", "evictions", "hits", "misses",
-		"put_errors", "puts", "records", "recovered", "truncated_bytes"}
+	wantKeys := []string{"bytes", "corrupt", "evictions", "hits", "misses",
+		"put_errors", "puts", "records"}
 	if !reflect.DeepEqual(keys, wantKeys) || raw.Store["hits"] != 2.0 {
 		t.Fatalf("/progress store block: %v", raw.Store)
 	}

@@ -131,23 +131,17 @@ func (c *Campaign) WriteMetrics(w io.Writer) error {
 		m.metric("memsim_store_hits_total", st.Hits)
 		m.header("memsim_store_misses_total", "Result-store lookups that found no usable record.", "counter")
 		m.metric("memsim_store_misses_total", st.Misses)
-		m.header("memsim_store_puts_total", "Records appended to the result-store journal.", "counter")
+		m.header("memsim_store_puts_total", "Records written to the result store, one file each.", "counter")
 		m.metric("memsim_store_puts_total", st.Puts)
-		m.header("memsim_store_put_errors_total", "Record appends that failed and were rolled back.", "counter")
+		m.header("memsim_store_put_errors_total", "Record writes that failed; any earlier record for the key stays.", "counter")
 		m.metric("memsim_store_put_errors_total", st.PutErrors)
-		m.header("memsim_store_evictions_total", "Records dropped by the size-capped LRU compaction.", "counter")
+		m.header("memsim_store_evictions_total", "Least recently used records deleted to fit the size cap.", "counter")
 		m.metric("memsim_store_evictions_total", st.Evictions)
-		m.header("memsim_store_compactions_total", "Atomic journal rewrites triggered by the size cap.", "counter")
-		m.metric("memsim_store_compactions_total", st.Compactions)
-		m.header("memsim_store_corrupt_records_total", "Corrupt records detected and quarantined (never served).", "counter")
+		m.header("memsim_store_corrupt_records_total", "Records that failed verification on read and were deleted (never served).", "counter")
 		m.metric("memsim_store_corrupt_records_total", st.Corrupt)
-		m.header("memsim_store_recovered_records_total", "Records restored by the opening recovery scan.", "counter")
-		m.metric("memsim_store_recovered_records_total", st.Recovered)
-		m.header("memsim_store_truncated_bytes_total", "Torn-tail bytes truncated during recovery.", "counter")
-		m.metric("memsim_store_truncated_bytes_total", st.TruncatedBytes)
-		m.header("memsim_store_records", "Records currently indexed in the store.", "gauge")
+		m.header("memsim_store_records", "Record files in the store.", "gauge")
 		m.metric("memsim_store_records", st.Records)
-		m.header("memsim_store_bytes", "Journal size in bytes.", "gauge")
+		m.header("memsim_store_bytes", "Bytes of stored record files.", "gauge")
 		m.metric("memsim_store_bytes", st.Bytes)
 	}
 

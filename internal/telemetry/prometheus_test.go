@@ -28,7 +28,7 @@ func TestWriteMetricsGolden(t *testing.T) {
 
 	c.SetStoreStats(func() resultstore.Stats {
 		return resultstore.Stats{Records: 7, Bytes: 4096, Hits: 1, Misses: 2, Puts: 3,
-			Evictions: 4, Compactions: 1, Recovered: 5, Corrupt: 1, TruncatedBytes: 12}
+			Evictions: 4, Corrupt: 1}
 	})
 
 	c.BeginGroup("fig2")
@@ -123,31 +123,22 @@ memsim_store_hits_total 1
 # HELP memsim_store_misses_total Result-store lookups that found no usable record.
 # TYPE memsim_store_misses_total counter
 memsim_store_misses_total 2
-# HELP memsim_store_puts_total Records appended to the result-store journal.
+# HELP memsim_store_puts_total Records written to the result store, one file each.
 # TYPE memsim_store_puts_total counter
 memsim_store_puts_total 3
-# HELP memsim_store_put_errors_total Record appends that failed and were rolled back.
+# HELP memsim_store_put_errors_total Record writes that failed; any earlier record for the key stays.
 # TYPE memsim_store_put_errors_total counter
 memsim_store_put_errors_total 0
-# HELP memsim_store_evictions_total Records dropped by the size-capped LRU compaction.
+# HELP memsim_store_evictions_total Least recently used records deleted to fit the size cap.
 # TYPE memsim_store_evictions_total counter
 memsim_store_evictions_total 4
-# HELP memsim_store_compactions_total Atomic journal rewrites triggered by the size cap.
-# TYPE memsim_store_compactions_total counter
-memsim_store_compactions_total 1
-# HELP memsim_store_corrupt_records_total Corrupt records detected and quarantined (never served).
+# HELP memsim_store_corrupt_records_total Records that failed verification on read and were deleted (never served).
 # TYPE memsim_store_corrupt_records_total counter
 memsim_store_corrupt_records_total 1
-# HELP memsim_store_recovered_records_total Records restored by the opening recovery scan.
-# TYPE memsim_store_recovered_records_total counter
-memsim_store_recovered_records_total 5
-# HELP memsim_store_truncated_bytes_total Torn-tail bytes truncated during recovery.
-# TYPE memsim_store_truncated_bytes_total counter
-memsim_store_truncated_bytes_total 12
-# HELP memsim_store_records Records currently indexed in the store.
+# HELP memsim_store_records Record files in the store.
 # TYPE memsim_store_records gauge
 memsim_store_records 7
-# HELP memsim_store_bytes Journal size in bytes.
+# HELP memsim_store_bytes Bytes of stored record files.
 # TYPE memsim_store_bytes gauge
 memsim_store_bytes 4096
 # HELP memsim_latency_cycles Campaign-wide memory service-time distributions in core cycles, by latency class.
