@@ -289,16 +289,13 @@ func TestIdentityMismatchIsDeleted(t *testing.T) {
 	}
 }
 
-// TestOldJournalNeverRead: a store directory written by the journal
-// layout of schema 2 opens empty. Open reads no file but *.rec ones, so
-// store.journal and its companions are left exactly as they were.
-func TestOldJournalNeverRead(t *testing.T) {
+// checkOldFilesNeverRead writes files left by the journal layout of
+// schema 2 into a fresh store directory and checks that the store opens
+// empty, serves new records, and leaves every one of those files byte
+// for byte as it was: Open reads no file but *.rec ones.
+func checkOldFilesNeverRead(t *testing.T, old map[string][]byte) {
+	t.Helper()
 	dir := t.TempDir()
-	old := map[string][]byte{
-		"store.journal":     append([]byte("MSRS\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), "MSRC garbage"...),
-		"store.journal.bad": []byte("not a journal at all, definitely"),
-		"quarantine.jsonl":  []byte(`{"offset":16,"length":3,"reason":"checksum mismatch"}` + "\n"),
-	}
 	for name, data := range old {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -318,6 +315,27 @@ func TestOldJournalNeverRead(t *testing.T) {
 			t.Fatalf("%s changed: %v", name, err)
 		}
 	}
+}
+
+// TestForeignJournalArchived: a store.journal with an alien header, and
+// the .bad archive and quarantine.jsonl of the journal layout, stay in
+// place untouched as their own archive, are never parsed, and do not
+// stop the store from serving.
+func TestForeignJournalArchived(t *testing.T) {
+	checkOldFilesNeverRead(t, map[string][]byte{
+		"store.journal":     []byte("not a journal at all, definitely"),
+		"store.journal.bad": []byte("not a journal at all, definitely"),
+		"quarantine.jsonl":  []byte(`{"offset":16,"length":3,"reason":"checksum mismatch"}` + "\n"),
+	})
+}
+
+// TestOtherSchemaJournalArchived: a journal whose header carries schema
+// 2 is left byte-identical in place and never parsed — its framing is
+// not the record file's, and reading it could only serve wrong data.
+func TestOtherSchemaJournalArchived(t *testing.T) {
+	checkOldFilesNeverRead(t, map[string][]byte{
+		"store.journal": append([]byte("MSRS\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), "MSRC garbage"...),
+	})
 }
 
 // TestLeftoverTempFileRemoved: a writer killed between creating its
