@@ -100,7 +100,10 @@ paperbench-determinism:
 	cmp /tmp/pb-j1.txt /tmp/pb-j8.txt && echo "fig2 output identical at -j 1 and -j 8"
 
 # paperbench-golden is the end-to-end check that the full default-scale
-# campaign still prints paperbench_default.txt byte for byte (a few
-# minutes at -j 1 on a small host).
+# campaign still prints paperbench_default.txt byte for byte and writes
+# every CSV in results/ byte for byte (a few minutes at -j 1 on a small
+# host).
 paperbench-golden:
-	go run ./cmd/paperbench -scale default -q | cmp - paperbench_default.txt
+	rm -rf /tmp/pb-golden-csv
+	go run ./cmd/paperbench -scale default -q -csv /tmp/pb-golden-csv | cmp - paperbench_default.txt
+	diff -r /tmp/pb-golden-csv results

@@ -37,19 +37,45 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// Segment positions in bench.Bar.Segs: the Time kind stacks useful,
+// sync, load, store; the Traffic kind read, write.
+const (
+	segLoad  = 2
+	segRead  = 0
+	segWrite = 1
+)
+
+// render draws the named figure of bench.Figures on a fresh runner
+// (apps nil: every app) and returns its panels by CSV name.
+func render(b *testing.B, name string, apps []string) map[string]bench.Panel {
+	b.Helper()
+	for _, f := range bench.Figures {
+		if f.Name != name {
+			continue
+		}
+		panels, err := newRunner().Render(io.Discard, f, apps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		byName := map[string]bench.Panel{}
+		for _, p := range panels {
+			byName[p.Name] = p
+		}
+		return byName
+	}
+	b.Fatalf("no figure %q", name)
+	return nil
+}
+
 func BenchmarkFigure2(b *testing.B) {
 	// The full 11-app sweep is cmd/paperbench's job; the benchmark runs
 	// a representative pair: one compute-bound, one data-bound app.
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		out, err := r.Figure2(io.Discard, []string{"depth", "fir"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig2", []string{"depth", "fir"})
 		if i == b.N-1 {
-			bars := out["fir"]
+			bars := out["fig2-fir"].Bars
 			b.ReportMetric(bars[6].Total/bars[7].Total, "fir-CC16/STR16")
-			bars = out["depth"]
+			bars = out["fig2-depth"].Bars
 			b.ReportMetric(bars[6].Total/bars[7].Total, "depth-CC16/STR16")
 		}
 	}
@@ -60,38 +86,27 @@ func BenchmarkFigure2AllApps(b *testing.B) {
 		b.Skip("full 11-app sweep")
 	}
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		if _, err := r.Figure2(io.Discard, nil); err != nil {
-			b.Fatal(err)
-		}
+		render(b, "fig2", nil)
 	}
 }
 
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		out, err := r.Figure3(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig3", nil)
 		if i == b.N-1 {
-			fir := out["fir"]
-			b.ReportMetric(fir[0].Read/fir[1].Read, "fir-CCread/STRread")
-			bt := out["bitonicsort"]
-			b.ReportMetric(bt[1].Write/(bt[0].Write+1e-12), "bitonic-STRwrite/CCwrite")
+			fir := out["fig3-fir"].Bars
+			b.ReportMetric(fir[0].Segs[segRead]/fir[1].Segs[segRead], "fir-CCread/STRread")
+			bt := out["fig3-bitonicsort"].Bars
+			b.ReportMetric(bt[1].Segs[segWrite]/(bt[0].Segs[segWrite]+1e-12), "bitonic-STRwrite/CCwrite")
 		}
 	}
 }
 
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		out, err := r.Figure4(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig4", nil)
 		if i == b.N-1 {
-			fir := out["fir"]
+			fir := out["fig4-fir"].Bars
 			b.ReportMetric(fir[1].Total/fir[0].Total, "fir-STR/CC-energy")
 		}
 	}
@@ -99,13 +114,9 @@ func BenchmarkFigure4(b *testing.B) {
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		out, err := r.Figure5(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig5", nil)
 		if i == b.N-1 {
-			fir := out["fir"]
+			fir := out["fig5-fir"].Bars
 			// 6.4 GHz bars are the last pair: CC then STR.
 			b.ReportMetric(fir[6].Total/fir[7].Total, "fir-CC/STR@6.4GHz")
 		}
@@ -114,11 +125,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		bars, err := r.Figure6(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars := render(b, "fig6", nil)["fig6-fir"].Bars
 		if i == b.N-1 {
 			b.ReportMetric(bars[0].Total/bars[6].Total, "fir-CC-1.6/12.8-speedup")
 		}
@@ -127,28 +134,21 @@ func BenchmarkFigure6(b *testing.B) {
 
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		out, err := r.Figure7(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig7", nil)
 		if i == b.N-1 {
-			ms := out["mergesort"]
-			b.ReportMetric(ms[0].Load/(ms[1].Load+1e-12), "mergesort-prefetch-loadstall-cut")
+			ms := out["fig7-mergesort"].Bars
+			b.ReportMetric(ms[0].Segs[segLoad]/(ms[1].Segs[segLoad]+1e-12), "mergesort-prefetch-loadstall-cut")
 		}
 	}
 }
 
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		traffic, energy, err := r.Figure8(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := render(b, "fig8", nil)
 		if i == b.N-1 {
-			fir := traffic["fir"]
-			b.ReportMetric(fir[1].Read/(fir[0].Read+1e-12), "fir-PFSread/CCread")
+			fir := out["fig8-fir"].Bars
+			b.ReportMetric(fir[1].Segs[segRead]/(fir[0].Segs[segRead]+1e-12), "fir-PFSread/CCread")
+			energy := out["fig8-fir-energy"].Bars
 			b.ReportMetric(energy[1].Total/energy[0].Total, "fir-PFS/CC-energy")
 		}
 	}
@@ -156,11 +156,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		bars, _, err := r.Figure9(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars := render(b, "fig9", nil)["fig9-mpeg2-time"].Bars
 		if i == b.N-1 {
 			b.ReportMetric(bench.Speedup(bars[6], bars[7]), "mpeg2-opt-speedup@16")
 		}
@@ -169,11 +165,7 @@ func BenchmarkFigure9(b *testing.B) {
 
 func BenchmarkFigure10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		bars, err := r.Figure10(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars := render(b, "fig10", nil)["fig10-art"].Bars
 		if i == b.N-1 {
 			// At small benchmark scale the 16-core bars are barrier-bound
 			// (tiny per-core spans), so report the 2-core speedup; the

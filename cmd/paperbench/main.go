@@ -65,13 +65,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/ledger"
 	"repro/internal/resultstore"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -357,10 +357,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	only := []string{"table2", "table3"}
+	for _, f := range bench.Figures {
+		only = append(only, f.Name)
+	}
 	want := map[string]bool{}
 	if *onlyFlag != "" {
 		for _, k := range strings.Split(*onlyFlag, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(only, k) {
+				fmt.Fprintf(stderr, "paperbench: -only: unknown name %q (have %v)\n", k, only)
+				return 2
+			}
+			want[k] = true
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
@@ -394,55 +403,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		tb.WriteCSV(f)
 		f.Close()
-	}
-	barsCSV := func(name string, bars []bench.Bar) {
-		tb := stats.NewTable("", "config", "useful", "sync", "load", "store", "total")
-		for _, b := range bars {
-			if b.Err {
-				tb.Row(b.Label, "ERR", "ERR", "ERR", "ERR", "ERR")
-				continue
-			}
-			tb.Row(b.Label, b.Useful, b.Sync, b.Load, b.Store, b.Total)
-		}
-		writeCSV(name, tb)
-	}
-	trafficCSV := func(name string, bars []bench.TrafficBar) {
-		tb := stats.NewTable("", "config", "read", "write")
-		for _, b := range bars {
-			if b.Err {
-				tb.Row(b.Label, "ERR", "ERR")
-				continue
-			}
-			tb.Row(b.Label, b.Read, b.Write)
-		}
-		writeCSV(name, tb)
-	}
-	breakdownCSV := func(name string, bars []bench.BreakdownBar) {
-		names := ledger.ClassNames()
-		tb := stats.NewTable("", append([]string{"config"}, names...)...)
-		for _, b := range bars {
-			row := []interface{}{b.Label}
-			for c := range b.Classes {
-				if b.Err {
-					row = append(row, "ERR")
-				} else {
-					row = append(row, b.Classes[c])
-				}
-			}
-			tb.Row(row...)
-		}
-		writeCSV(name, tb)
-	}
-	energyCSV := func(name string, bars []bench.EnergyBar) {
-		tb := stats.NewTable("", "config", "core", "icache", "dcache", "lmem", "net", "l2", "dram")
-		for _, b := range bars {
-			if b.Err {
-				tb.Row(b.Label, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
-				continue
-			}
-			tb.Row(b.Label, b.Core, b.ICache, b.DCache, b.LMem, b.Net, b.L2, b.DRAM)
-		}
-		writeCSV(name, tb)
 	}
 
 	r := bench.NewRunner(scale)
@@ -541,139 +501,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// check lets a partially-failed grid keep the campaign going: ERR
 	// cells and the summary line are already rendered, the exit code
-	// becomes 3. Any other error is fatal.
+	// becomes 3. Table 3 and the figures return no other error.
 	partial := false
-	fatal := false
-	check := func(what string, err error) bool {
-		if err == nil {
-			return true
-		}
-		var gerr *bench.GridError
-		if errors.As(err, &gerr) {
-			fmt.Fprintf(stderr, "# paperbench: %s: %v\n", what, gerr)
+	check := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(stderr, "# paperbench: %s: %v\n", what, err)
 			partial = true
-			return true
 		}
-		fmt.Fprintf(stderr, "paperbench: %s: %v\n", what, err)
-		fatal = true
-		return false
 	}
 
 	if sel("table2") {
 		bench.Table2(out)
 		fmt.Fprintln(out)
 	}
-	if sel("table3") && !fatal {
+	if sel("table3") {
 		tele.BeginGroup("table3")
 		rows, err := r.Table3(out)
-		if check("table3", err) {
-			tb := stats.NewTable("", "app", "l1miss", "l2miss", "instrPerL1Miss", "cycPerL2Miss", "offchipMBps")
-			for _, row := range rows {
-				if row.Err {
-					tb.Row(row.App, "ERR", "ERR", "ERR", "ERR", "ERR")
-					continue
-				}
-				tb.Row(row.App, row.L1MissRate, row.L2MissRate, row.InstrPerL1Miss, row.CyclesPerL2, row.OffChipMBps)
+		check("table3", err)
+		tb := stats.NewTable("", "app", "l1miss", "l2miss", "instrPerL1Miss", "cycPerL2Miss", "offchipMBps")
+		for _, row := range rows {
+			if row.Err {
+				tb.Row(row.App, "ERR", "ERR", "ERR", "ERR", "ERR")
+				continue
 			}
-			writeCSV("table3", tb)
-			fmt.Fprintln(out)
+			tb.Row(row.App, row.L1MissRate, row.L2MissRate, row.InstrPerL1Miss, row.CyclesPerL2, row.OffChipMBps)
 		}
+		writeCSV("table3", tb)
+		fmt.Fprintln(out)
 	}
-	if sel("fig2") && !fatal {
-		tele.BeginGroup("fig2")
-		series, err := r.Figure2(out, apps)
-		if check("fig2", err) {
-			for _, app := range bench.SortedKeys(series) {
-				barsCSV("fig2-"+app, series[app])
-			}
-			fmt.Fprintln(out)
+	for _, f := range bench.Figures {
+		if !sel(f.Name) {
+			continue
 		}
-	}
-	if sel("fig3") && !fatal {
-		tele.BeginGroup("fig3")
-		series, err := r.Figure3(out)
-		if check("fig3", err) {
-			for _, app := range bench.SortedKeys(series) {
-				trafficCSV("fig3-"+app, series[app])
-			}
-			fmt.Fprintln(out)
+		tele.BeginGroup(f.Name)
+		panels, err := r.Render(out, f, apps)
+		check(f.Name, err)
+		for _, p := range panels {
+			writeCSV(p.Name, p.CSV)
 		}
-	}
-	if sel("fig4") && !fatal {
-		tele.BeginGroup("fig4")
-		series, err := r.Figure4(out)
-		if check("fig4", err) {
-			for _, app := range bench.SortedKeys(series) {
-				energyCSV("fig4-"+app, series[app])
-			}
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig5") && !fatal {
-		tele.BeginGroup("fig5")
-		series, err := r.Figure5(out)
-		if check("fig5", err) {
-			for _, app := range bench.SortedKeys(series) {
-				barsCSV("fig5-"+app, series[app])
-			}
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig6") && !fatal {
-		tele.BeginGroup("fig6")
-		bars, err := r.Figure6(out)
-		if check("fig6", err) {
-			barsCSV("fig6-fir", bars)
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig7") && !fatal {
-		tele.BeginGroup("fig7")
-		series, err := r.Figure7(out)
-		if check("fig7", err) {
-			for _, app := range bench.SortedKeys(series) {
-				barsCSV("fig7-"+app, series[app])
-			}
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig8") && !fatal {
-		tele.BeginGroup("fig8")
-		traffic, energy, err := r.Figure8(out)
-		if check("fig8", err) {
-			for _, app := range bench.SortedKeys(traffic) {
-				trafficCSV("fig8-"+app, traffic[app])
-			}
-			energyCSV("fig8-fir-energy", energy)
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig9") && !fatal {
-		tele.BeginGroup("fig9")
-		bars, traffic, err := r.Figure9(out)
-		if check("fig9", err) {
-			barsCSV("fig9-mpeg2-time", bars)
-			trafficCSV("fig9-mpeg2-traffic", traffic)
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("fig10") && !fatal {
-		tele.BeginGroup("fig10")
-		bars, err := r.Figure10(out)
-		if check("fig10", err) {
-			barsCSV("fig10-art", bars)
-			fmt.Fprintln(out)
-		}
-	}
-	if sel("breakdown") && !fatal {
-		tele.BeginGroup("breakdown")
-		series, err := r.FigureBreakdown(out, apps)
-		if check("breakdown", err) {
-			for _, app := range bench.SortedKeys(series) {
-				breakdownCSV("breakdown-"+app, series[app])
-			}
-			fmt.Fprintln(out)
-		}
+		fmt.Fprintln(out)
 	}
 	r.Close() // drain pending progress lines before the summary
 	sl.Stop() // clear the status line; summary lines below scroll normally
@@ -719,9 +585,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.Hits, st.Misses, st.Puts, st.Records, st.Bytes)
 	}
 	fmt.Fprintf(stderr, "# paperbench finished in %v\n", time.Since(start).Round(time.Millisecond))
-	if fatal {
-		return finish(1)
-	}
 	if partial {
 		ok, failed := r.Outcome()
 		fmt.Fprintf(stderr, "# paperbench: partial results: %d ok / %d failed\n", ok, failed)

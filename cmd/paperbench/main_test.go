@@ -40,6 +40,8 @@ func TestExitCodes(t *testing.T) {
 		{"resume without artifacts", []string{"-resume"}, 2, "-resume requires -artifacts"},
 		{"resume with store", []string{"-resume", "-artifacts", "a", "-store", "s"}, 2, "cannot be combined with -store"},
 		{"unknown app", []string{"-only", "fig2", "-apps", "nope"}, 2, "unknown workload"},
+		{"unknown figure", []string{"-only", "fig11"}, 2, `unknown name "fig11" (have [table2 table3 fig2`},
+		{"one unknown name of two", []string{"-only", "fig2,figure3"}, 2, `unknown name "figure3"`},
 		{"partial grid", []string{"-scale", "small", "-only", "fig2", "-apps", fault.Panic, "-q"},
 			3, "# paperbench: partial results: 1 ok / 8 failed"},
 	}

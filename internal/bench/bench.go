@@ -1,7 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (Table 3, Figures 2 through 10) on the simulator. Each
-// generator returns the measured series and writes a plain-text table;
-// cmd/paperbench drives them all and EXPERIMENTS.md records the
+// evaluation (Table 3, Figures 2 through 10) on the simulator. The
+// figures are data (Figures): each is a list of panels whose cells name
+// their simulations, and one renderer (Runner.Render) runs and draws
+// them all. cmd/paperbench drives them and EXPERIMENTS.md records the
 // paper-versus-measured comparison.
 package bench
 
@@ -9,14 +10,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/resultstore"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/txntrace"
 	"repro/internal/warnonce"
@@ -107,8 +106,8 @@ type flight struct {
 // instead of repeating it. All methods are safe for concurrent use.
 //
 // Two-phase usage: Prefetch fans a figure's whole grid out to the pool
-// without blocking, then the figure generator collects results with the
-// blocking Run in its usual deterministic order. Because simulations are
+// without blocking, then Render collects results with the blocking Run
+// in the figure's fixed order. Because simulations are
 // deterministic and memoized, figure output is byte-identical at any
 // worker count.
 type Runner struct {
@@ -476,148 +475,6 @@ func (r *Runner) Run(cfg core.Config, name string) (*core.Report, error) {
 	return fl.rep, fl.err
 }
 
-// baselineCfg is the run the paper normalizes to: one 800 MHz CC core,
-// default bandwidth.
-func baselineCfg() core.Config { return core.DefaultConfig(core.CC, 1) }
-
-// baseline returns the sequential cache-based baseline run.
-func (r *Runner) baseline(name string) (*core.Report, error) {
-	return r.Run(baselineCfg(), name)
-}
-
-// Bar is one stacked execution-time bar, normalized to a baseline run.
-// Err marks a cell whose simulation failed: it renders as ERR in the
-// table and is omitted from the chart, so one bad configuration costs
-// one marker, not the figure.
-type Bar struct {
-	Label                     string
-	Useful, Sync, Load, Store float64
-	Total                     float64
-	Err                       bool
-}
-
-// errBar is the placeholder for a failed execution-time cell.
-func errBar(label string) Bar { return Bar{Label: label, Err: true} }
-
-// normBar converts a report into a baseline-normalized stacked bar. The
-// stack heights follow Figure 2: per-core average time in each bucket
-// over the baseline's total time.
-func normBar(label string, rep, base *core.Report) Bar {
-	bt := float64(base.Wall)
-	bd := rep.Breakdown
-	return Bar{
-		Label:  label,
-		Useful: float64(bd.Useful) / bt,
-		Sync:   float64(bd.Sync) / bt,
-		Load:   float64(bd.LoadStall) / bt,
-		Store:  float64(bd.StoreStall) / bt,
-		Total:  float64(rep.Wall) / bt,
-	}
-}
-
-func writeBars(w io.Writer, title string, bars []Bar) {
-	tb := stats.NewTable(title, "config", "useful", "sync", "load", "store", "total")
-	ch := stats.Chart{SegNames: []string{"useful", "sync", "load", "store"}, Max: 1.0}
-	for _, b := range bars {
-		if b.Err {
-			tb.Row(b.Label, "ERR", "ERR", "ERR", "ERR", "ERR")
-			continue
-		}
-		tb.Row(b.Label, b.Useful, b.Sync, b.Load, b.Store, b.Total)
-		ch.Bars = append(ch.Bars, stats.StackedBar{
-			Label:    b.Label,
-			Segments: []float64{b.Useful, b.Sync, b.Load, b.Store},
-		})
-	}
-	tb.WriteText(w)
-	ch.Write(w)
-}
-
-// TrafficBar is one off-chip-traffic bar, normalized to a baseline.
-// Err marks a failed cell, as on Bar.
-type TrafficBar struct {
-	Label       string
-	Read, Write float64
-	Err         bool
-}
-
-// errTraffic is the placeholder for a failed traffic cell.
-func errTraffic(label string) TrafficBar { return TrafficBar{Label: label, Err: true} }
-
-func normTraffic(label string, rep, base *core.Report) TrafficBar {
-	bt := float64(base.DRAM.TotalBytes())
-	if bt == 0 {
-		bt = 1
-	}
-	return TrafficBar{
-		Label: label,
-		Read:  float64(rep.DRAM.ReadBytes) / bt,
-		Write: float64(rep.DRAM.WriteBytes) / bt,
-	}
-}
-
-func writeTraffic(w io.Writer, title string, bars []TrafficBar) {
-	tb := stats.NewTable(title, "config", "read", "write", "total")
-	ch := stats.Chart{SegNames: []string{"read", "write"}, Max: 1.0}
-	for _, b := range bars {
-		if b.Err {
-			tb.Row(b.Label, "ERR", "ERR", "ERR")
-			continue
-		}
-		tb.Row(b.Label, b.Read, b.Write, b.Read+b.Write)
-		ch.Bars = append(ch.Bars, stats.StackedBar{Label: b.Label, Segments: []float64{b.Read, b.Write}})
-	}
-	tb.WriteText(w)
-	ch.Write(w)
-}
-
-// EnergyBar is one stacked energy bar (Figure 4's components),
-// normalized to a baseline run's total energy. Err marks a failed cell,
-// as on Bar.
-type EnergyBar struct {
-	Label                                     string
-	Core, ICache, DCache, LMem, Net, L2, DRAM float64
-	Total                                     float64
-	Err                                       bool
-}
-
-// errEnergy is the placeholder for a failed energy cell.
-func errEnergy(label string) EnergyBar { return EnergyBar{Label: label, Err: true} }
-
-func normEnergy(label string, rep, base *core.Report) EnergyBar {
-	bt := base.Energy.Total()
-	e := rep.Energy
-	return EnergyBar{
-		Label:  label,
-		Core:   e.Core / bt,
-		ICache: e.ICache / bt,
-		DCache: e.DCache / bt,
-		LMem:   e.LMem / bt,
-		Net:    e.Network / bt,
-		L2:     e.L2 / bt,
-		DRAM:   e.DRAM / bt,
-		Total:  e.Total() / bt,
-	}
-}
-
-func writeEnergy(w io.Writer, title string, bars []EnergyBar) {
-	tb := stats.NewTable(title, "config", "core", "i$", "d$", "lmem", "net", "l2", "dram", "total")
-	ch := stats.Chart{SegNames: []string{"core", "i$", "d$", "lmem", "net", "l2", "dram"}, Max: 1.0}
-	for _, b := range bars {
-		if b.Err {
-			tb.Row(b.Label, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
-			continue
-		}
-		tb.Row(b.Label, b.Core, b.ICache, b.DCache, b.LMem, b.Net, b.L2, b.DRAM, b.Total)
-		ch.Bars = append(ch.Bars, stats.StackedBar{
-			Label:    b.Label,
-			Segments: []float64{b.Core, b.ICache, b.DCache, b.LMem, b.Net, b.L2, b.DRAM},
-		})
-	}
-	tb.WriteText(w)
-	ch.Write(w)
-}
-
 // Table2 prints the system parameters (Table 2) as configured.
 func Table2(w io.Writer) {
 	cfg := core.DefaultConfig(core.CC, 16)
@@ -665,9 +522,10 @@ func (r *Runner) Table3(w io.Writer) ([]Table3Row, error) {
 	r.Prefetch(jobs)
 	g := &gridTracker{}
 	var rows []Table3Row
-	for _, app := range AllApps {
-		rep, err := r.Run(core.DefaultConfig(core.CC, 16), app)
-		if !g.cell(err) {
+	for _, j := range jobs {
+		app := j.Name
+		rep, err := r.Run(j.Cfg, app)
+		if !g.job(j, err) {
 			rows = append(rows, Table3Row{App: app, Err: true})
 			continue
 		}
@@ -695,430 +553,3 @@ func (r *Runner) Table3(w io.Writer) ([]Table3Row, error) {
 	}
 	return rows, g.finish(w, "Table 3")
 }
-
-// coreCounts are Figure 2's x axis.
-var coreCounts = []int{2, 4, 8, 16}
-
-// Figure2 produces the execution-time comparison for every application:
-// CC and STR at 2-16 cores, normalized to one caching core.
-func (r *Runner) Figure2(w io.Writer, apps []string) (map[string][]Bar, error) {
-	if apps == nil {
-		apps = AllApps
-	}
-	var jobs []Job
-	for _, app := range apps {
-		jobs = append(jobs, Job{baselineCfg(), app})
-		for _, n := range coreCounts {
-			for _, model := range []core.Model{core.CC, core.STR} {
-				jobs = append(jobs, Job{core.DefaultConfig(model, n), app})
-			}
-		}
-	}
-	r.Prefetch(jobs)
-	g := &gridTracker{}
-	out := map[string][]Bar{}
-	for _, app := range apps {
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 2 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		var bars []Bar
-		for _, n := range coreCounts {
-			for _, model := range []core.Model{core.CC, core.STR} {
-				label := fmt.Sprintf("%s-%d", model, n)
-				rep, err := r.Run(core.DefaultConfig(model, n), app)
-				if !g.cell(err) {
-					bars = append(bars, errBar(label))
-					continue
-				}
-				bars = append(bars, normBar(label, rep, base))
-			}
-		}
-		out[app] = bars
-		writeBars(w, fmt.Sprintf("Figure 2 [%s]: normalized execution time", app), bars)
-	}
-	return out, g.finish(w, "Figure 2")
-}
-
-// fig34Apps are the applications Figures 3 and 4 report.
-var fig34Apps = []string{"fem", "mpeg2", "fir", "bitonicsort"}
-
-// Figure3 produces off-chip traffic at 16 cores, normalized to one
-// caching core.
-func (r *Runner) Figure3(w io.Writer) (map[string][]TrafficBar, error) {
-	r.Prefetch(fig34Jobs())
-	g := &gridTracker{}
-	out := map[string][]TrafficBar{}
-	for _, app := range fig34Apps {
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 3 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		var bars []TrafficBar
-		for _, model := range []core.Model{core.CC, core.STR} {
-			rep, err := r.Run(core.DefaultConfig(model, 16), app)
-			if !g.cell(err) {
-				bars = append(bars, errTraffic(model.String()))
-				continue
-			}
-			bars = append(bars, normTraffic(model.String(), rep, base))
-		}
-		out[app] = bars
-		writeTraffic(w, fmt.Sprintf("Figure 3 [%s]: normalized off-chip traffic (16 cores)", app), bars)
-	}
-	return out, g.finish(w, "Figure 3")
-}
-
-// Figure4 produces the energy comparison at 16 cores, normalized to one
-// caching core.
-func (r *Runner) Figure4(w io.Writer) (map[string][]EnergyBar, error) {
-	r.Prefetch(fig34Jobs())
-	g := &gridTracker{}
-	out := map[string][]EnergyBar{}
-	for _, app := range fig34Apps {
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 4 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		var bars []EnergyBar
-		for _, model := range []core.Model{core.CC, core.STR} {
-			rep, err := r.Run(core.DefaultConfig(model, 16), app)
-			if !g.cell(err) {
-				bars = append(bars, errEnergy(model.String()))
-				continue
-			}
-			bars = append(bars, normEnergy(model.String(), rep, base))
-		}
-		out[app] = bars
-		writeEnergy(w, fmt.Sprintf("Figure 4 [%s]: normalized energy (16 cores)", app), bars)
-	}
-	return out, g.finish(w, "Figure 4")
-}
-
-// fig34Jobs is the shared grid of Figures 3 and 4: both models at 16
-// cores plus the baseline, per reported app.
-func fig34Jobs() []Job {
-	var jobs []Job
-	for _, app := range fig34Apps {
-		jobs = append(jobs, Job{baselineCfg(), app})
-		for _, model := range []core.Model{core.CC, core.STR} {
-			jobs = append(jobs, Job{core.DefaultConfig(model, 16), app})
-		}
-	}
-	return jobs
-}
-
-// fig5Apps are the computational-scaling applications of Figure 5.
-var fig5Apps = []string{"mpeg2", "fir", "bitonicsort"}
-
-// clockSweep is Figure 5's x axis.
-var clockSweep = []uint64{800, 1600, 3200, 6400}
-
-// Figure5 sweeps the core clock at 16 cores.
-func (r *Runner) Figure5(w io.Writer) (map[string][]Bar, error) {
-	var jobs []Job
-	for _, app := range fig5Apps {
-		jobs = append(jobs, Job{baselineCfg(), app})
-		for _, mhz := range clockSweep {
-			for _, model := range []core.Model{core.CC, core.STR} {
-				cfg := core.DefaultConfig(model, 16)
-				cfg.CoreMHz = mhz
-				jobs = append(jobs, Job{cfg, app})
-			}
-		}
-	}
-	r.Prefetch(jobs)
-	g := &gridTracker{}
-	out := map[string][]Bar{}
-	for _, app := range fig5Apps {
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 5 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		var bars []Bar
-		for _, mhz := range clockSweep {
-			for _, model := range []core.Model{core.CC, core.STR} {
-				cfg := core.DefaultConfig(model, 16)
-				cfg.CoreMHz = mhz
-				label := fmt.Sprintf("%s-%.1fGHz", model, float64(mhz)/1000)
-				rep, err := r.Run(cfg, app)
-				if !g.cell(err) {
-					bars = append(bars, errBar(label))
-					continue
-				}
-				bars = append(bars, normBar(label, rep, base))
-			}
-		}
-		out[app] = bars
-		writeBars(w, fmt.Sprintf("Figure 5 [%s]: clock scaling (16 cores)", app), bars)
-	}
-	return out, g.finish(w, "Figure 5")
-}
-
-// bwSweep is Figure 6's x axis.
-var bwSweep = []uint64{1600, 3200, 6400, 12800}
-
-// Figure6 sweeps off-chip bandwidth for FIR at 16 cores, 3.2 GHz; at
-// 12.8 GB/s the cache-based system is additionally run with hardware
-// prefetching, as in the paper.
-func (r *Runner) Figure6(w io.Writer) ([]Bar, error) {
-	jobs := []Job{{baselineCfg(), "fir"}}
-	for _, bw := range bwSweep {
-		for _, model := range []core.Model{core.CC, core.STR} {
-			cfg := core.DefaultConfig(model, 16)
-			cfg.CoreMHz = 3200
-			cfg.DRAMBandwidthMBps = bw
-			jobs = append(jobs, Job{cfg, "fir"})
-		}
-	}
-	pcfg := core.DefaultConfig(core.CC, 16)
-	pcfg.CoreMHz = 3200
-	pcfg.DRAMBandwidthMBps = 12800
-	pcfg.PrefetchDepth = 4
-	jobs = append(jobs, Job{pcfg, "fir"})
-	r.Prefetch(jobs)
-
-	g := &gridTracker{}
-	base, err := r.baseline("fir")
-	if !g.cell(err) {
-		fmt.Fprintf(w, "# Figure 6 [fir]: baseline failed, figure skipped: %v\n", err)
-		return nil, g.finish(w, "Figure 6")
-	}
-	var bars []Bar
-	for _, bw := range bwSweep {
-		for _, model := range []core.Model{core.CC, core.STR} {
-			cfg := core.DefaultConfig(model, 16)
-			cfg.CoreMHz = 3200
-			cfg.DRAMBandwidthMBps = bw
-			label := fmt.Sprintf("%s-%.1fGB/s", model, float64(bw)/1000)
-			rep, err := r.Run(cfg, "fir")
-			if !g.cell(err) {
-				bars = append(bars, errBar(label))
-				continue
-			}
-			bars = append(bars, normBar(label, rep, base))
-		}
-	}
-	cfg := core.DefaultConfig(core.CC, 16)
-	cfg.CoreMHz = 3200
-	cfg.DRAMBandwidthMBps = 12800
-	cfg.PrefetchDepth = 4
-	if rep, err := r.Run(cfg, "fir"); g.cell(err) {
-		bars = append(bars, normBar("CC+P4-12.8GB/s", rep, base))
-	} else {
-		bars = append(bars, errBar("CC+P4-12.8GB/s"))
-	}
-	writeBars(w, "Figure 6 [fir]: off-chip bandwidth sweep (16 cores @ 3.2 GHz)", bars)
-	return bars, g.finish(w, "Figure 6")
-}
-
-// Figure7 shows the effect of hardware prefetching (depth 4) on
-// MergeSort and 179.art: 2 cores at 3.2 GHz with a 12.8 GB/s channel.
-func (r *Runner) Figure7(w io.Writer) (map[string][]Bar, error) {
-	var jobs []Job
-	for _, app := range []string{"mergesort", "art"} {
-		jobs = append(jobs, Job{baselineCfg(), app})
-		for _, c := range []struct {
-			model core.Model
-			pf    int
-		}{{core.CC, 0}, {core.CC, 4}, {core.STR, 0}} {
-			cfg := core.DefaultConfig(c.model, 2)
-			cfg.CoreMHz = 3200
-			cfg.DRAMBandwidthMBps = 12800
-			cfg.PrefetchDepth = c.pf
-			jobs = append(jobs, Job{cfg, app})
-		}
-	}
-	r.Prefetch(jobs)
-	g := &gridTracker{}
-	out := map[string][]Bar{}
-	for _, app := range []string{"mergesort", "art"} {
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 7 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		mk := func(model core.Model, pf int) core.Config {
-			cfg := core.DefaultConfig(model, 2)
-			cfg.CoreMHz = 3200
-			cfg.DRAMBandwidthMBps = 12800
-			cfg.PrefetchDepth = pf
-			return cfg
-		}
-		var bars []Bar
-		for _, c := range []struct {
-			label string
-			cfg   core.Config
-		}{
-			{"CC", mk(core.CC, 0)},
-			{"CC+P4", mk(core.CC, 4)},
-			{"STR", mk(core.STR, 0)},
-		} {
-			rep, err := r.Run(c.cfg, app)
-			if !g.cell(err) {
-				bars = append(bars, errBar(c.label))
-				continue
-			}
-			bars = append(bars, normBar(c.label, rep, base))
-		}
-		out[app] = bars
-		writeBars(w, fmt.Sprintf("Figure 7 [%s]: hardware prefetching (2 cores @ 3.2 GHz, 12.8 GB/s)", app), bars)
-	}
-	return out, g.finish(w, "Figure 7")
-}
-
-// Figure8 shows "Prepare For Store" effects: off-chip traffic for FIR,
-// MergeSort and MPEG-2 (CC vs CC+PFS vs STR at 16 cores, 800 MHz) and
-// the FIR energy comparison.
-func (r *Runner) Figure8(w io.Writer) (map[string][]TrafficBar, []EnergyBar, error) {
-	out := map[string][]TrafficBar{}
-	apps := map[string]string{"fir": "fir-pfs", "mergesort": "mergesort-pfs", "mpeg2": "mpeg2-pfs"}
-	order := []string{"fir", "mergesort", "mpeg2"}
-	var jobs []Job
-	for _, app := range order {
-		jobs = append(jobs,
-			Job{baselineCfg(), app},
-			Job{core.DefaultConfig(core.CC, 16), app},
-			Job{core.DefaultConfig(core.CC, 16), apps[app]},
-			Job{core.DefaultConfig(core.STR, 16), app})
-	}
-	r.Prefetch(jobs)
-	g := &gridTracker{}
-	for _, app := range order {
-		pfsApp := apps[app]
-		base, err := r.baseline(app)
-		if !g.cell(err) {
-			fmt.Fprintf(w, "# Figure 8 [%s]: baseline failed, figure skipped: %v\n", app, err)
-			continue
-		}
-		var bars []TrafficBar
-		for _, c := range []struct{ label, name string }{
-			{"CC", app}, {"CC+PFS", pfsApp},
-		} {
-			rep, err := r.Run(core.DefaultConfig(core.CC, 16), c.name)
-			if !g.cell(err) {
-				bars = append(bars, errTraffic(c.label))
-				continue
-			}
-			bars = append(bars, normTraffic(c.label, rep, base))
-		}
-		if rep, err := r.Run(core.DefaultConfig(core.STR, 16), app); g.cell(err) {
-			bars = append(bars, normTraffic("STR", rep, base))
-		} else {
-			bars = append(bars, errTraffic("STR"))
-		}
-		out[app] = bars
-		writeTraffic(w, fmt.Sprintf("Figure 8 [%s]: PFS off-chip traffic (16 cores)", app), bars)
-	}
-	// FIR energy with PFS.
-	var ebars []EnergyBar
-	base, err := r.baseline("fir")
-	if !g.cell(err) {
-		fmt.Fprintf(w, "# Figure 8 [fir]: baseline failed, energy figure skipped: %v\n", err)
-		return out, nil, g.finish(w, "Figure 8")
-	}
-	for _, c := range []struct {
-		label, name string
-		model       core.Model
-	}{
-		{"CC", "fir", core.CC},
-		{"CC+PFS", "fir-pfs", core.CC},
-		{"STR", "fir", core.STR},
-	} {
-		rep, err := r.Run(core.DefaultConfig(c.model, 16), c.name)
-		if !g.cell(err) {
-			ebars = append(ebars, errEnergy(c.label))
-			continue
-		}
-		ebars = append(ebars, normEnergy(c.label, rep, base))
-	}
-	writeEnergy(w, "Figure 8 [fir]: PFS energy (16 cores @ 800 MHz)", ebars)
-	return out, ebars, g.finish(w, "Figure 8")
-}
-
-// Figure9 compares the original and stream-optimized cache-based MPEG-2
-// encoders: traffic and execution time at 2-16 cores.
-func (r *Runner) Figure9(w io.Writer) (bars []Bar, traffic []TrafficBar, err error) {
-	r.Prefetch(origOptJobs("mpeg2-orig", "mpeg2"))
-	g := &gridTracker{}
-	base, err := r.baseline("mpeg2-orig")
-	if !g.cell(err) {
-		fmt.Fprintf(w, "# Figure 9 [mpeg2]: baseline failed, figure skipped: %v\n", err)
-		return nil, nil, g.finish(w, "Figure 9")
-	}
-	for _, n := range coreCounts {
-		for _, app := range []string{"mpeg2-orig", "mpeg2"} {
-			label := fmt.Sprintf("%s-%d", map[string]string{"mpeg2-orig": "ORIG", "mpeg2": "OPT"}[app], n)
-			rep, err := r.Run(core.DefaultConfig(core.CC, n), app)
-			if !g.cell(err) {
-				bars = append(bars, errBar(label))
-				traffic = append(traffic, errTraffic(label))
-				continue
-			}
-			bars = append(bars, normBar(label, rep, base))
-			traffic = append(traffic, normTraffic(label, rep, base))
-		}
-	}
-	writeBars(w, "Figure 9 [mpeg2]: stream-programming optimizations, execution time", bars)
-	writeTraffic(w, "Figure 9 [mpeg2]: stream-programming optimizations, off-chip traffic", traffic)
-	return bars, traffic, g.finish(w, "Figure 9")
-}
-
-// Figure10 compares the original and stream-optimized cache-based
-// 179.art at 2-16 cores.
-func (r *Runner) Figure10(w io.Writer) ([]Bar, error) {
-	r.Prefetch(origOptJobs("art-orig", "art"))
-	g := &gridTracker{}
-	base, err := r.baseline("art-orig")
-	if !g.cell(err) {
-		fmt.Fprintf(w, "# Figure 10 [179.art]: baseline failed, figure skipped: %v\n", err)
-		return nil, g.finish(w, "Figure 10")
-	}
-	var bars []Bar
-	for _, n := range coreCounts {
-		for _, app := range []string{"art-orig", "art"} {
-			label := fmt.Sprintf("%s-%d", map[string]string{"art-orig": "ORIG", "art": "OPT"}[app], n)
-			rep, err := r.Run(core.DefaultConfig(core.CC, n), app)
-			if !g.cell(err) {
-				bars = append(bars, errBar(label))
-				continue
-			}
-			bars = append(bars, normBar(label, rep, base))
-		}
-	}
-	writeBars(w, "Figure 10 [179.art]: stream-programming optimizations", bars)
-	return bars, g.finish(w, "Figure 10")
-}
-
-// origOptJobs is the grid Figures 9 and 10 share: the original and
-// stream-optimized variants on the CC model at 2-16 cores, plus the
-// original's baseline.
-func origOptJobs(orig, opt string) []Job {
-	jobs := []Job{{baselineCfg(), orig}}
-	for _, n := range coreCounts {
-		for _, app := range []string{orig, opt} {
-			jobs = append(jobs, Job{core.DefaultConfig(core.CC, n), app})
-		}
-	}
-	return jobs
-}
-
-// Speedup returns total(b)/total(a) for two bars (how much faster b is).
-func Speedup(a, b Bar) float64 { return a.Total / b.Total }
-
-// SortedKeys returns map keys in sorted order (stable test output).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ClockOf is a small helper exposing the core clock for reports.
-func ClockOf(mhz uint64) sim.Clock { return sim.MHz(mhz) }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// sharedRunner memoizes across the package's tests: figure generators
+// sharedRunner memoizes across the package's tests: the figures
 // reuse many of the same configurations (baselines especially).
 var sharedRunner = NewRunner(workload.ScaleSmall)
 
@@ -65,24 +65,59 @@ func TestTable3SmallScale(t *testing.T) {
 	}
 }
 
-func TestFigure2Subset(t *testing.T) {
-	r := sharedRunner
-	out, err := r.Figure2(io.Discard, []string{"fir", "depth"})
+// figure returns the entry of Figures with the given -only name.
+func figure(name string) Figure {
+	for _, f := range Figures {
+		if f.Name == name {
+			return f
+		}
+	}
+	panic("no figure " + name)
+}
+
+// render draws a figure on the shared runner (apps nil: every app) and
+// returns its panels by CSV name.
+func render(t *testing.T, name string, apps ...string) map[string]Panel {
+	t.Helper()
+	panels, err := sharedRunner.Render(io.Discard, figure(name), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for app, bars := range out {
-		if len(bars) != 8 { // 4 core counts x 2 models
-			t.Errorf("%s: %d bars, want 8", app, len(bars))
+	byName := map[string]Panel{}
+	for _, p := range panels {
+		byName[p.Name] = p
+	}
+	return byName
+}
+
+// seg is bar b's segment of the given chart-legend name.
+func seg(t *testing.T, k Kind, b Bar, name string) float64 {
+	t.Helper()
+	for i, n := range kinds[k].segs {
+		if n == name {
+			return b.Segs[i]
 		}
-		for _, b := range bars {
+	}
+	t.Fatalf("kind %d has no segment %q", k, name)
+	return 0
+}
+func TestFigure2Subset(t *testing.T) {
+	out := render(t, "fig2", "fir", "depth")
+	if len(out) != 2 {
+		t.Fatalf("%d panels, want 2", len(out))
+	}
+	for name, p := range out {
+		if len(p.Bars) != 8 { // 4 core counts x 2 models
+			t.Errorf("%s: %d bars, want 8", name, len(p.Bars))
+		}
+		for _, b := range p.Bars {
 			if b.Total <= 0 || b.Total > 1.5 {
-				t.Errorf("%s %s: normalized total %.3f out of range", app, b.Label, b.Total)
+				t.Errorf("%s %s: normalized total %.3f out of range", name, b.Label, b.Total)
 			}
 		}
 	}
 	// Compute-bound depth: both models nearly identical at 16 cores.
-	bars := out["depth"]
+	bars := out["fig2-depth"].Bars
 	cc16, str16 := bars[6], bars[7]
 	ratio := cc16.Total / str16.Total
 	if ratio < 0.8 || ratio > 1.25 {
@@ -91,11 +126,7 @@ func TestFigure2Subset(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	r := sharedRunner
-	bars, err := r.Figure6(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bars := render(t, "fig6")["fig6-fir"].Bars
 	if len(bars) != 9 {
 		t.Fatalf("%d bars, want 9", len(bars))
 	}
@@ -113,11 +144,8 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r := sharedRunner
-	bars, traffic, err := r.Figure9(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, "fig9")
+	bars, traffic := out["fig9-mpeg2-time"].Bars, out["fig9-mpeg2-traffic"].Bars
 	if len(bars) != 8 || len(traffic) != 8 {
 		t.Fatalf("bars=%d traffic=%d, want 8 each", len(bars), len(traffic))
 	}
@@ -127,19 +155,15 @@ func TestFigure9Shape(t *testing.T) {
 		t.Errorf("optimized MPEG-2 (%.3f) not faster than original (%.3f) at 16 cores",
 			opt16.Total, orig16.Total)
 	}
-	tOrig, tOpt := traffic[6], traffic[7]
-	if tOpt.Read+tOpt.Write >= tOrig.Read+tOrig.Write {
-		t.Errorf("optimized traffic (%.3f) not below original (%.3f)",
-			tOpt.Read+tOpt.Write, tOrig.Read+tOrig.Write)
+	bytesOf := func(b Bar) float64 { return seg(t, Traffic, b, "read") + seg(t, Traffic, b, "write") }
+	tOrig, tOpt := bytesOf(traffic[6]), bytesOf(traffic[7])
+	if tOpt >= tOrig {
+		t.Errorf("optimized traffic (%.3f) not below original (%.3f)", tOpt, tOrig)
 	}
 }
 
 func TestFigure10Shape(t *testing.T) {
-	r := sharedRunner
-	bars, err := r.Figure10(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bars := render(t, "fig10")["fig10-art"].Bars
 	// Dramatic speedup "even at small core counts".
 	orig2, opt2 := bars[0], bars[1]
 	if sp := Speedup(orig2, opt2); sp < 2 {
@@ -148,12 +172,9 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	out, err := sharedRunner.Figure4(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range fig34Apps {
-		bars := out[app]
+	out := render(t, "fig4")
+	for _, app := range []string{"fem", "mpeg2", "fir", "bitonicsort"} {
+		bars := out["fig4-"+app].Bars
 		if len(bars) != 2 {
 			t.Fatalf("%s: %d bars", app, len(bars))
 		}
@@ -164,19 +185,16 @@ func TestFigure4Shape(t *testing.T) {
 		}
 	}
 	// FIR: streaming spends less total energy.
-	fir := out["fir"]
+	fir := out["fig4-fir"].Bars
 	if fir[1].Total >= fir[0].Total {
 		t.Errorf("fir STR energy %.3f >= CC %.3f", fir[1].Total, fir[0].Total)
 	}
 }
 
 func TestFigure5Shape(t *testing.T) {
-	out, err := sharedRunner.Figure5(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range fig5Apps {
-		bars := out[app]
+	out := render(t, "fig5")
+	for _, app := range []string{"mpeg2", "fir", "bitonicsort"} {
+		bars := out["fig5-"+app].Bars
 		if len(bars) != 8 {
 			t.Fatalf("%s: %d bars, want 8", app, len(bars))
 		}
@@ -189,51 +207,50 @@ func TestFigure5Shape(t *testing.T) {
 		}
 	}
 	// FIR at 6.4 GHz: STR ahead (the paper's 36%).
-	fir := out["fir"]
+	fir := out["fig5-fir"].Bars
 	if fir[7].Total >= fir[6].Total {
 		t.Errorf("fir @6.4GHz: STR %.3f not ahead of CC %.3f", fir[7].Total, fir[6].Total)
 	}
 	// BitonicSort at 6.4 GHz: CC ahead (the paper's 19%).
-	bt := out["bitonicsort"]
+	bt := out["fig5-bitonicsort"].Bars
 	if bt[6].Total >= bt[7].Total {
 		t.Errorf("bitonic @6.4GHz: CC %.3f not ahead of STR %.3f", bt[6].Total, bt[7].Total)
 	}
 }
 
 func TestFigure7Shape(t *testing.T) {
-	out, err := sharedRunner.Figure7(io.Discard)
-	if err != nil {
-		t.Fatal(err)
+	out := render(t, "fig7")
+	if len(out) != 2 {
+		t.Fatalf("%d panels, want 2", len(out))
 	}
-	for app, bars := range out {
+	for name, p := range out {
+		bars := p.Bars
 		if len(bars) != 3 { // CC, CC+P4, STR
-			t.Fatalf("%s: %d bars", app, len(bars))
+			t.Fatalf("%s: %d bars", name, len(bars))
 		}
-		cc, p4 := bars[0], bars[1]
-		if p4.Load > cc.Load/2 {
-			t.Errorf("%s: P4 left %.3f of %.3f load stall", app, p4.Load, cc.Load)
+		cc, p4 := seg(t, Time, bars[0], "load"), seg(t, Time, bars[1], "load")
+		if p4 > cc/2 {
+			t.Errorf("%s: P4 left %.3f of %.3f load stall", name, p4, cc)
 		}
-		if p4.Total >= cc.Total {
-			t.Errorf("%s: P4 (%.3f) not faster than CC (%.3f)", app, p4.Total, cc.Total)
+		if bars[1].Total >= bars[0].Total {
+			t.Errorf("%s: P4 (%.3f) not faster than CC (%.3f)", name, bars[1].Total, bars[0].Total)
 		}
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	traffic, energy, err := sharedRunner.Figure8(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, "fig8")
 	for _, app := range []string{"fir", "mergesort", "mpeg2"} {
-		bars := traffic[app]
+		bars := out["fig8-"+app].Bars
 		if len(bars) != 3 { // CC, CC+PFS, STR
 			t.Fatalf("%s: %d bars", app, len(bars))
 		}
-		cc, pfs := bars[0], bars[1]
-		if pfs.Read >= cc.Read {
-			t.Errorf("%s: PFS reads %.3f >= CC %.3f", app, pfs.Read, cc.Read)
+		cc, pfs := seg(t, Traffic, bars[0], "read"), seg(t, Traffic, bars[1], "read")
+		if pfs >= cc {
+			t.Errorf("%s: PFS reads %.3f >= CC %.3f", app, pfs, cc)
 		}
 	}
+	energy := out["fig8-fir-energy"].Bars
 	if len(energy) != 3 {
 		t.Fatalf("energy bars = %d", len(energy))
 	}

@@ -99,10 +99,10 @@ func backoffDelay(name string, cfg core.Config, attempt int) time.Duration {
 }
 
 // GridError reports a figure or table grid that rendered with failed
-// cells: how many jobs succeeded, how many failed, and each cell's
-// JobError. Generators return it instead of aborting on the first bad
-// cell, so one poisoned configuration costs one ERR marker, not the
-// whole figure.
+// cells: how many of its distinct jobs succeeded, how many failed, and
+// each failed job's JobError. Render and Table3 return it instead of aborting
+// on the first bad cell, so one poisoned configuration costs one ERR
+// marker, not the whole figure.
 type GridError struct {
 	OK     int
 	Failed int
@@ -113,25 +113,34 @@ func (g *GridError) Error() string {
 	return fmt.Sprintf("%d ok / %d failed", g.OK, g.Failed)
 }
 
-// Unwrap exposes the per-cell errors to errors.As/Is.
+// Unwrap exposes the per-job errors to errors.As/Is.
 func (g *GridError) Unwrap() []error { return g.Errs }
 
-// gridTracker accumulates per-cell outcomes while a generator renders.
+// gridTracker accumulates per-job outcomes while a grid renders. A job
+// that backs several cells (a shared baseline, or one run drawn in two
+// panels) counts once.
 type gridTracker struct {
+	seen   map[cfgKey]bool
 	ok     int
 	failed int
 	errs   []error
 }
 
-// cell records one job result; true means the cell is usable.
-func (g *gridTracker) cell(err error) bool {
-	if err != nil {
-		g.failed++
-		g.errs = append(g.errs, err)
-		return false
+// job records one cell's job result; true means the cell is usable.
+func (g *gridTracker) job(j Job, err error) bool {
+	if k := keyOf(j.Cfg, j.Name); !g.seen[k] {
+		if g.seen == nil {
+			g.seen = map[cfgKey]bool{}
+		}
+		g.seen[k] = true
+		if err != nil {
+			g.failed++
+			g.errs = append(g.errs, err)
+		} else {
+			g.ok++
+		}
 	}
-	g.ok++
-	return true
+	return err == nil
 }
 
 // finish emits the summary line (only when something failed, keeping

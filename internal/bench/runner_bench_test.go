@@ -4,21 +4,13 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// runnerGrid is the fixed job grid the throughput benchmarks run: both
-// models across the core-count sweep for one bandwidth-bound app.
-func runnerGrid() []Job {
-	jobs := []Job{{baselineCfg(), "fir"}}
-	for _, n := range []int{2, 4, 8, 16} {
-		for _, model := range []core.Model{core.CC, core.STR} {
-			jobs = append(jobs, Job{core.DefaultConfig(model, n), "fir"})
-		}
-	}
-	return jobs
-}
+// runnerGrid is the fixed job grid the throughput benchmarks run:
+// Figure 2's fir panel, the baseline then both models across the
+// core-count sweep for one bandwidth-bound app.
+func runnerGrid() []Job { return figure("fig2").Panels([]string{"fir"})[0].Jobs() }
 
 // benchRunnerThroughput simulates the whole grid on a fresh runner per
 // iteration (no memoization between iterations).

@@ -104,7 +104,7 @@ func figureGrid(t *testing.T, workers, txnK int) (fig, txn []byte) {
 		}
 	}
 	var out bytes.Buffer
-	if _, err := r.Figure2(&out, []string{"fir", "depth"}); err != nil {
+	if _, err := r.Render(&out, figure("fig2"), []string{"fir", "depth"}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

@@ -32,7 +32,7 @@ func storedFigure(t *testing.T, st *resultstore.Store) ([]byte, *Runner) {
 	r.Workers = 4
 	r.Store = st
 	var out bytes.Buffer
-	if _, err := r.Figure2(&out, []string{"fir", "depth"}); err != nil {
+	if _, err := r.Render(&out, figure("fig2"), []string{"fir", "depth"}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

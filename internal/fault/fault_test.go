@@ -298,7 +298,11 @@ func TestFigureRendersWithErrCells(t *testing.T) {
 	var buf bytes.Buffer
 	// fault-panic succeeds on 1 core (the baseline) and panics on every
 	// parallel configuration: 1 ok cell, 8 ERR cells.
-	out, err := r.Figure2(&buf, []string{fault.Panic})
+	fig2 := bench.Figures[0]
+	if fig2.Name != "fig2" {
+		t.Fatalf("Figures[0] is %q, want fig2", fig2.Name)
+	}
+	panels, err := r.Render(&buf, fig2, []string{fault.Panic})
 	var gerr *bench.GridError
 	if !errors.As(err, &gerr) {
 		t.Fatalf("err = %#v, want *bench.GridError", err)
@@ -306,11 +310,10 @@ func TestFigureRendersWithErrCells(t *testing.T) {
 	if gerr.OK != 1 || gerr.Failed != 8 {
 		t.Fatalf("grid = %d ok / %d failed, want 1/8", gerr.OK, gerr.Failed)
 	}
-	bars := out[fault.Panic]
-	if len(bars) != 8 {
-		t.Fatalf("got %d bars, want all 8 rendered", len(bars))
+	if len(panels) != 1 || len(panels[0].Bars) != 8 {
+		t.Fatalf("got %d panels, want one with all 8 bars rendered", len(panels))
 	}
-	for _, b := range bars {
+	for _, b := range panels[0].Bars {
 		if !b.Err {
 			t.Fatalf("bar %q not marked Err", b.Label)
 		}
@@ -325,6 +328,37 @@ func TestFigureRendersWithErrCells(t *testing.T) {
 	var jerr *bench.JobError
 	if !errors.As(gerr, &jerr) || jerr.Kind != bench.ErrPanic {
 		t.Fatalf("GridError does not expose per-cell JobErrors: %v", err)
+	}
+}
+
+// TestSharedFailedJobCountsOnce: a failed job drawn in two panels of
+// one figure (as Figure 8 draws fir's CC runs in its traffic and its
+// energy panel) is one failed job in the summary, not one per cell.
+func TestSharedFailedJobCountsOnce(t *testing.T) {
+	r := newRunner(nil)
+	defer r.Close()
+	base := &bench.Job{Cfg: core.DefaultConfig(core.CC, 1), Name: fault.Panic}
+	cells := []bench.Cell{{Label: "CC-2", Job: bench.Job{Cfg: core.DefaultConfig(core.CC, 2), Name: fault.Panic}}}
+	f := bench.Figure{Name: "shared", Title: "Shared", Panels: func([]string) []bench.Panel {
+		return []bench.Panel{
+			{Name: "shared-traffic", Title: "traffic", Kind: bench.Traffic, Base: base, Cells: cells},
+			{Name: "shared-energy", Title: "energy", Kind: bench.Energy, Base: base, Cells: cells},
+		}
+	}}
+	var buf bytes.Buffer
+	panels, err := r.Render(&buf, f, nil)
+	var gerr *bench.GridError
+	if !errors.As(err, &gerr) {
+		t.Fatalf("err = %#v, want *bench.GridError", err)
+	}
+	if gerr.OK != 1 || gerr.Failed != 1 || len(gerr.Errs) != 1 {
+		t.Fatalf("grid = %d ok / %d failed (%d errors), want 1/1 (1)", gerr.OK, gerr.Failed, len(gerr.Errs))
+	}
+	if !strings.Contains(buf.String(), "# Shared: 1 ok / 1 failed") {
+		t.Fatalf("missing summary line in output:\n%s", buf.String())
+	}
+	if len(panels) != 2 || !panels[0].Bars[0].Err || !panels[1].Bars[0].Err {
+		t.Fatalf("want both panels drawn with an ERR bar, got %+v", panels)
 	}
 }
 
