@@ -189,7 +189,7 @@ func NewWithWindow(name string, cluster int, unc *uncore.Uncore, ls *lstore.Stor
 
 // Spawn starts the engine's simulation task. The body is a state
 // machine (Step), so the task is inline: the engine's beats dispatch as
-// plain function calls in the engine's Run loop, with no coroutine
+// plain function calls in sim.Engine's dispatch loop, with no coroutine
 // switch — the hot "kernel loop" of every streaming
 // figure.
 func (e *Engine) Spawn(eng *sim.Engine, start sim.Time) {

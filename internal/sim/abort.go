@@ -10,8 +10,9 @@ import (
 // a typed panic value carrying an EngineState snapshot, so the run layer
 // (internal/bench) can recover it into a structured job record instead
 // of losing the process. The types panic out of Run on the driving
-// goroutine only — a task body's panic is recovered in its coroutine
-// and re-raised by Run — which is what makes recovery in one place sound.
+// goroutine only — a task body's panic is recovered in its coroutine, a
+// host's loop parks its own (Engine.park), and Run re-raises both —
+// which is what makes recovery in one place sound.
 
 // TaskState is one task's entry in a diagnostic snapshot.
 type TaskState struct {
@@ -154,8 +155,8 @@ func (p *TaskPanicError) EngineState() EngineState { return p.State }
 
 // Abort requests cooperative cancellation of the run. Safe to call from
 // any goroutine at any time (the watchdog calls it from a timer). The
-// request takes effect only at a dispatch boundary inside Run — the
-// engine's next loop iteration, or the running task's next Sync — where
+// request takes effect only at a dispatch boundary — the dispatch
+// loop's next iteration, or the running task's next Sync — where
 // the engine panics out of Run with an *AbortError carrying the progress
 // dump. Once Run has returned, Abort is a no-op: it can never unwind
 // report finalization (see DESIGN.md).
@@ -171,7 +172,7 @@ func (e *Engine) Abort(reason string) {
 	e.abortFlag.Store(true)
 }
 
-// abortError builds the typed abort panic value. Run only.
+// abortError builds the typed abort panic value. The dispatch loop only.
 func (e *Engine) abortError() *AbortError {
 	e.abortMu.Lock()
 	reason := e.abortReason

@@ -9,9 +9,10 @@ import (
 
 // Spawn registers fn as a new task starting at time start. It may be
 // called before Run or from a running task. The body runs as an
-// iter.Pull coroutine: Run's next() switches into it, and Sync's slow
-// path and Block switch back through yield, so a dispatch costs one
-// coroutine round trip and no channel operation.
+// iter.Pull coroutine: the dispatch loop's next() switches into it, on
+// Run's goroutine or a hosting task's coroutine (Engine.loop), and Block
+// or a Sync that does not host switch back through yield, so a dispatch
+// costs at most one coroutine round trip and no channel operation.
 //
 // The wrapper is the body's only exit. A panic in model or workload code
 // is recovered here with the task's own stack and re-raised by Run as a
@@ -34,9 +35,9 @@ func (e *Engine) Spawn(name string, start Time, fn func(*Task)) *Task {
 	return t
 }
 
-// pause yields to Run with k. A false return means Shutdown stopped the
-// coroutine; the sentinel panic unwinds the body without running more
-// model code.
+// pause yields k to the loop that resumed t. A false return means
+// Shutdown stopped the coroutine; the sentinel panic unwinds the body
+// without running more model code.
 func (t *Task) pause(k yieldKind) {
 	if !t.yield(k) {
 		panic(taskAbortSignal{})

@@ -16,30 +16,31 @@ import (
 // (caches, resource servers) ordered by timestamp.
 //
 // Concurrency contract: an Engine and its Tasks form one isolated
-// scheduling domain owned by the single goroutine that calls Run. A
-// coroutine task runs only between Run's next() and the task's yield,
-// on Run's behalf, so at most one body executes at a time and model
-// code needs no locking. An Engine owns no process-global state, so any
-// number of independent Engines may Run concurrently from different
-// goroutines (the experiment runner in internal/bench relies on this);
-// what is forbidden is sharing one Engine, Task, or any model object
-// across domains. Run enforces the one-driver rule with an atomic guard
-// so a violation fails loudly rather than racing.
+// scheduling domain owned by the single goroutine that calls Run. The
+// one dispatch loop (Engine.loop) runs there or on the coroutine of the
+// task hosting it (see Sync); a task runs only between the loop's
+// next() and its own yield, so at most one body executes at a time and
+// model code needs no locking. An Engine owns no process-global state,
+// so any number of independent Engines may Run concurrently from
+// different goroutines (the experiment runner in internal/bench relies
+// on this); what is forbidden is sharing one Engine, Task, or any model
+// object across domains. Run enforces the one-driver rule with an
+// atomic guard so a violation fails loudly rather than racing.
 //
 // Fast-path invariant: Sync exists so that a task yields before touching
 // shared state and resumes only once it is the globally minimal runnable
-// task under the engine's (time, id) order. Run would dispatch the
+// task under the engine's (time, id) order. The loop would dispatch the
 // yielding task t straight back exactly when t already precedes every
 // queued task (blocked tasks cannot become runnable meanwhile: only the
 // running task could unblock them, and that is t itself). In that case
 // the yield is a provable no-op, so Sync skips it and only advances the
-// engine clock. Because the skip condition is precisely "Run's next pop
-// would return t", the sequence of task-at-time steps — and therefore
+// engine clock. Because the skip condition is precisely "the loop's next
+// pop would return t", the sequence of task-at-time steps — and therefore
 // every simulated timestamp — is identical with the fast path on or off;
 // TestFastPathScheduleEquivalence checks this on randomized schedules
 // and pins them to digests recorded from the earlier channel-handoff
 // engine. The fast path declines once the task has passed MaxTime, so
-// the livelock safety net still trips inside Run.
+// the livelock safety net still trips inside the loop.
 type Engine struct {
 	queue   taskHeap
 	tasks   []*Task
@@ -49,7 +50,7 @@ type Engine struct {
 	// MaxTime, when non-zero, aborts the run if simulated time passes it.
 	// It is a safety net against model-level livelock.
 	MaxTime Time
-	// noFastPath forces every Sync through Run's loop; only the
+	// noFastPath forces every Sync through the dispatch loop; only the
 	// determinism tests set it (the fast path must be unobservable).
 	noFastPath bool
 	// noSpin makes Task.Spin always decline, so an inline Step returns
@@ -58,8 +59,8 @@ type Engine struct {
 	noSpin bool
 
 	// Cooperative cancellation (Abort). abortFlag is atomic because Abort
-	// may come from any goroutine (a watchdog timer); Run reads it once
-	// per dispatch and Sync once every abortStride fast-path calls.
+	// may come from any goroutine (a watchdog timer); the loop reads it
+	// once per dispatch and Sync once every abortStride fast-path calls.
 	// abortPoll is the countdown to the next poll — a plain field of the
 	// domain — which keeps the watchdog's disabled cost on the fast path
 	// to a decrement and branch instead of an atomic load
@@ -72,7 +73,7 @@ type Engine struct {
 	// Epoch sampling (SetEpoch). nextEpoch is the first simulated time at
 	// which onEpoch fires; it is kept at the Time sentinel maximum while
 	// sampling is off so the hot paths pay one always-false compare and
-	// nothing else. The hook runs wherever the clock advanced (Run's loop
+	// nothing else. The hook runs wherever the clock advanced (the loop
 	// or the running task's Sync fast path) and must only read model
 	// state: it may not Sync, Spawn, Block or Unblock, so the event order
 	// is provably identical with sampling on or off.
@@ -87,6 +88,9 @@ type Engine struct {
 	// untouched in both modes. See flightrec.go.
 	fr *flightRecorder
 
+	host *Task // the task running the loop in its slow Sync, if any
+	fail any   // the failure host parked for Run to raise (Engine.park)
+
 	met Metrics
 }
 
@@ -96,10 +100,10 @@ type Engine struct {
 // count and exist so the fast path's effectiveness is continuously
 // measurable in every run instead of one-off benchmarked.
 type Metrics struct {
-	SyncFast    uint64 // Syncs answered without yielding to Run
-	SyncSlow    uint64 // Syncs that yielded through the scheduler
-	Dispatches  uint64 // coroutine resumes by Run's loop
-	Handoffs    uint64 // always 0: the engine has no task-to-task dispatch
+	SyncFast    uint64 // Syncs answered without the dispatch loop
+	SyncSlow    uint64 // Syncs that went through the dispatch loop
+	Dispatches  uint64 // coroutine dispatches by the loop, into its host too
+	Handoffs    uint64 // always 0: tasks reach one another only through the loop
 	InlineSteps uint64 // inline-task steps run as plain function calls
 	Spawns      uint64 // tasks ever spawned
 	Blocks      uint64 // yields that blocked awaiting an Unblock
@@ -119,8 +123,8 @@ func (m Metrics) FastPathRate() float64 {
 }
 
 // InlineRate returns the fraction of dispatched events that ran as
-// inline steps — plain function calls in Run's loop, with no coroutine
-// switch. Events here are inline steps plus coroutine resumes
+// inline steps — plain function calls in the dispatch loop, with no
+// coroutine switch. Events here are inline steps plus coroutine resumes
 // (Dispatches); fast-path Syncs are excluded.
 func (m Metrics) InlineRate() float64 {
 	tot := m.InlineSteps + m.Dispatches
@@ -189,12 +193,13 @@ func (e *Engine) epochTick() {
 // Now returns the time of the most recently dispatched event.
 func (e *Engine) Now() Time { return e.now }
 
-// yieldKind is what a coroutine task tells Run when it yields.
+// yieldKind is what a coroutine task tells the loop that resumed it.
 type yieldKind uint8
 
 const (
 	yieldRequeue yieldKind = iota // task advanced its clock; schedule again
 	yieldBlock                    // task blocked; another task must unblock it
+	yieldFail                     // a host parked a failure in Engine.fail
 )
 
 // Task is a simulated agent with its own local clock. All methods must be
@@ -211,13 +216,13 @@ type Task struct {
 	// empty while runnable or for a plain Block.
 	waitingOn string
 	// next, stop and yield are the coroutine of a Spawned task (coro.go);
-	// failure holds the panic its body raised, for Run to re-raise.
+	// failure holds the panic its body raised, for the loop to re-raise.
 	next    func() (yieldKind, bool)
 	stop    func()
 	yield   func(yieldKind) bool
 	failure *TaskPanicError
 	// inline, when non-nil, is the task's state-machine body: the task
-	// has no coroutine, and Run calls inline.Step directly (inline.go).
+	// has no coroutine, and the loop calls inline.Step directly (inline.go).
 	inline Runnable
 	// blockLabel is the pending WillBlockOn label, consumed by the next
 	// StatusBlocked an inline Step returns.
@@ -247,11 +252,8 @@ func (e *Engine) push(t *Task) {
 	}
 }
 
-// Run dispatches events until every task has finished. Each iteration
-// takes the (time, id) minimum among runnable tasks and either resumes
-// its coroutine until the next yield or steps its inline machine. A task
-// that yields to run again is requeued and the next minimum taken in
-// one heap sift (taskHeap.replaceMin).
+// Run dispatches events until every task has finished, running the
+// dispatch loop (Engine.loop) on the calling goroutine.
 //
 // Run panics with a typed value (see abort.go) on deadlock (live tasks
 // remain but none is runnable — always a bug in a model or workload,
@@ -266,7 +268,22 @@ func (e *Engine) Run() {
 	if !e.started.CompareAndSwap(false, true) {
 		panic("sim: Engine.Run called twice or from two goroutines")
 	}
-	var again *Task // the last task, if it yielded to run again; not in the heap
+	e.loop(nil)
+}
+
+// loop is the engine's one dispatch loop. Each iteration takes the
+// (time, id) minimum among runnable tasks and either resumes its
+// coroutine until the next yield or steps its inline machine; a task
+// that yields to run again is requeued and the next minimum taken in
+// one heap sift (taskHeap.replaceMin). Run runs it with self nil; a slow
+// Sync runs it with self, the host, as the task that yields, returning
+// the moment self is the minimum again.
+func (e *Engine) loop(self *Task) {
+	if self != nil {
+		e.host = self
+		defer e.park(self)
+	}
+	again := self // the last task, if it yielded to run again; not in the heap
 	for e.live > 0 {
 		if e.abortFlag.Load() {
 			if again != nil {
@@ -312,6 +329,10 @@ func (e *Engine) Run() {
 		// measurably on every dispatch (BenchmarkDispatch).
 		e.met.Dispatches++
 		e.record(flightDispatch, t)
+		if t == self {
+			e.host = nil
+			return
+		}
 		k, ok := t.next()
 		switch {
 		case !ok: // the body returned, or panicked (coro.go)
@@ -325,9 +346,22 @@ func (e *Engine) Run() {
 			t.blocked = true
 			e.met.Blocks++
 			e.record(flightBlock, t)
+		case k == yieldFail: // a host parked a failure; only Run sees this
+			panic(e.fail)
 		default:
 			again = t
 		}
+	}
+}
+
+// park routes a failure raised in a host's loop, which would otherwise
+// unwind into the host's body as its own panic, to Run: e.fail holds it
+// while the host yields yieldFail to its resumer, Run, which raises it.
+func (e *Engine) park(host *Task) {
+	if r := recover(); r != nil {
+		e.fail = r
+		host.pause(yieldFail)
+		panic(r) // unreachable: Run never resumes a parked host
 	}
 }
 
@@ -357,9 +391,9 @@ func (t *Task) Advance(d Time) { t.time += d }
 // applied in timestamp order.
 //
 // When the task is already globally minimal — no queued task precedes it
-// under (time, id) — Run would dispatch it right back, so Sync returns
-// without yielding (see the fast-path invariant in the Engine doc). The
-// engine clock still advances to the task's time.
+// under (time, id) — the loop would dispatch it right back, so Sync only
+// advances the engine clock (see the Engine doc). Otherwise it yields to
+// the task hosting the loop or, with none, hosts it until minimal again.
 func (t *Task) Sync() {
 	e := t.engine
 	if !e.noFastPath && (e.MaxTime == 0 || t.time <= e.MaxTime) &&
@@ -375,6 +409,10 @@ func (t *Task) Sync() {
 	if t.inline != nil {
 		panic("sim: Sync from inline task " + t.name + "'s Step; return StatusRunning instead")
 	}
+	if e.host == nil {
+		e.loop(t)
+		return
+	}
 	t.pause(yieldRequeue)
 }
 
@@ -387,7 +425,7 @@ const abortStride = 64
 // abortPollOK amortizes the watchdog's cost on the Sync fast path: a
 // decrement and branch on abortStride-1 calls out of abortStride, one
 // atomic abortFlag load on the rest. A requested Abort declines the fast
-// path, so the task yields to Run, which raises the typed abort.
+// path, so the task enters the loop, which raises the typed abort.
 // Without this poll an all-fast-path simulation would be uncancelable.
 func (e *Engine) abortPollOK() bool {
 	e.abortPoll--
@@ -484,7 +522,7 @@ const heapArity = 4
 func (h *taskHeap) len() int { return len(h.s) }
 
 // precedesAll reports whether t, which is not queued, precedes every
-// queued task: the condition under which Run's next pop would return t.
+// queued task: the condition under which the loop's next pop returns t.
 func (h *taskHeap) precedesAll(t *Task) bool {
 	if len(h.s) == 0 {
 		return true
@@ -538,15 +576,15 @@ func (h *taskHeap) siftDown(i int, x heapSlot) {
 	s[i] = x
 }
 
-// replaceMin pushes t and pops the global minimum in a single sift, Run's
-// heap operation after a task yields to run again. When t precedes the
-// current root — or the heap is empty — the heap is left untouched and
-// t itself is returned; otherwise the root is returned and t sifts down
-// from the root slot, halving the work of a separate push + pop. The result is
-// always the minimum of {heap ∪ t}, and because (time, id) keys are
-// unique and totally ordered, the pop sequence — hence the dispatch
-// order — is identical to push(t) followed by pop() regardless of the
-// differing internal heap shape.
+// replaceMin pushes t and pops the global minimum in a single sift, the
+// loop's heap operation after a task yields to run again. When t
+// precedes the current root — or the heap is empty — the heap is left
+// untouched and t itself is returned; otherwise the root is returned and
+// t sifts down from the root slot, halving the work of a separate push +
+// pop. The result is always the minimum of {heap ∪ t}, and because
+// (time, id) keys are unique and totally ordered, the pop sequence —
+// hence the dispatch order — is identical to push(t) followed by pop()
+// regardless of the differing internal heap shape.
 func (h *taskHeap) replaceMin(t *Task) *Task {
 	if h.precedesAll(t) {
 		return t

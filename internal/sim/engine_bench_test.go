@@ -46,11 +46,12 @@ func BenchmarkSyncFastPathWatchdog(b *testing.B) {
 }
 
 // BenchmarkDispatch measures the contended dispatch path: 8 tasks in
-// lockstep, so every Sync finds a peer at an earlier timestamp and must
-// yield. Each event is one coroutine round trip (the task's yield back
-// to Run, Run's next() into the successor) plus one replaceMin sift.
-// bench-check pins it below BenchmarkChanSwitchFloor as a same-run
-// ratio: dispatch must stay cheaper than one bare channel handoff.
+// lockstep, so every Sync finds a peer at an earlier timestamp and takes
+// the slow path. The syncing task hosts the dispatch loop, but is the
+// minimum again only one event in eight, so most events are one
+// coroutine round trip (the loop's next() into a peer, the peer's yield
+// back) plus one replaceMin sift. bench-check pins it against
+// BenchmarkChanSwitchFloor as a same-run ratio.
 func BenchmarkDispatch(b *testing.B) {
 	e := NewEngine()
 	const tasks = 8
@@ -63,6 +64,44 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 		})
 	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkDispatchPair is BenchmarkDispatch with 2 tasks, the CC
+// machine's 2-core case: each Sync finds its peer earlier and takes the
+// slow path, whose loop resumes the peer, and the peer's Sync yields
+// back to it. One coroutine switch per event. bench-check pins it below
+// half the same-run BenchmarkChanSwitchFloor.
+func BenchmarkDispatchPair(b *testing.B) {
+	e := NewEngine()
+	per := b.N/2 + 1
+	for i := 0; i < 2; i++ {
+		e.Spawn("w", 0, func(t *Task) {
+			for j := 0; j < per; j++ {
+				t.Advance(10 * Nanosecond)
+				t.Sync()
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkDispatchCoroInline is one coroutine task and one inline task
+// in lockstep, a core beside a DMA engine: the coroutine's slow Sync runs
+// the loop, which steps the inline peer as a plain call on the
+// coroutine's stack and returns into it, with no coroutine switch at all.
+func BenchmarkDispatchCoroInline(b *testing.B) {
+	e := NewEngine()
+	per := b.N/2 + 1
+	e.Spawn("core", 0, func(t *Task) {
+		for j := 0; j < per; j++ {
+			t.Advance(10 * Nanosecond)
+			t.Sync()
+		}
+	})
+	e.SpawnInline("dma", 0, &benchStepper{per: per})
 	b.ResetTimer()
 	e.Run()
 }
@@ -135,9 +174,9 @@ func (s *benchStepper) Step(t *Task) Status {
 
 // BenchmarkDispatchInline is BenchmarkDispatch with the 8 lockstep
 // workers as inline state machines: every dispatch is a heap sift plus a
-// plain Step call in Run's loop, with no coroutine switch. bench-check
-// pins it below half the same-run BenchmarkDispatch, the margin that
-// keeps the DMA engines inline.
+// plain Step call in the dispatch loop, with no coroutine switch.
+// bench-check pins it below half the same-run BenchmarkDispatch, the
+// margin that keeps the DMA engines inline.
 func BenchmarkDispatchInline(b *testing.B) {
 	e := NewEngine()
 	const tasks = 8

@@ -340,7 +340,7 @@ func TestTaskHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestTaskHeapReplaceMin drives replaceMin (Run's single-sift
+// TestTaskHeapReplaceMin drives replaceMin (the loop's single-sift
 // requeue+pop) against the plain push-then-pop reference on a
 // second heap fed the identical operation stream: the returned minimum
 // and the surviving key set must match at every step.

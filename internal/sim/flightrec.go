@@ -11,14 +11,14 @@ package sim
 // either mode, so fast-path cost is untouched.
 //
 // Ownership follows the engine's scheduling state: events are recorded
-// only by Run's loop and the coroutine it is running, one at a time, so
+// only by the dispatch loop and the coroutine it runs, one at a time, so
 // the ring needs no locks.
 
 // flightKind enumerates the recorded scheduler-event kinds.
 type flightKind uint8
 
 const (
-	flightDispatch   flightKind = iota // Run's loop resumed a coroutine task
+	flightDispatch   flightKind = iota // the loop resumed a coroutine task (or its host)
 	flightInlineStep                   // an inline task's Step ran as a plain call
 	flightBlock                        // a task blocked awaiting an Unblock
 	flightUnblock                      // a blocked task was made runnable

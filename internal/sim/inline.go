@@ -4,7 +4,7 @@ import "runtime/debug"
 
 // This file is the inline-task representation: tasks whose bodies are
 // explicit resumable state machines (Runnable) instead of coroutines.
-// Run steps an inline task as a plain function call, so dispatching one
+// The loop steps an inline task as a plain call, so dispatching one
 // costs no coroutine switch at all. The DMA engines run this way: their
 // per-beat steps are the bulk of a streaming simulation's events, and a
 // Step call is measurably cheaper than a coroutine round trip
@@ -42,7 +42,7 @@ type Runnable interface {
 }
 
 // SpawnInline registers r as an inline task starting at time start. The
-// task's steps run as plain function calls in Run's loop — no coroutine,
+// task's steps run as plain calls in the dispatch loop — no coroutine,
 // no stack. May be called before Run or from a running task (including
 // from another Runnable's Step).
 func (e *Engine) SpawnInline(name string, start Time, r Runnable) *Task {
