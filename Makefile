@@ -24,12 +24,12 @@ race:
 
 # fault runs the fault-injection suite and the CLI exit-code contracts
 # under the race detector: injected deadlocks, watchdog-aborted stalls,
-# panics, flaky retries and corrupted configs must all surface as typed
-# job records while every engine stops its task coroutines cleanly. The
-# result store's damage tests (every truncation and bit flip of a record
-# file, leftover temp files, a failed put) and the SIGKILL
-# crash-recovery re-exec test live in the same packages and run here
-# too.
+# panics, failed verification and corrupted configs must each surface as
+# exactly one typed job record while every engine stops its task
+# coroutines cleanly. The result store's damage tests (every truncation
+# and bit flip of a record file, leftover temp files, a failed put) and
+# the SIGKILL crash-recovery re-exec test live in the same packages and
+# run here too.
 fault:
 	go test -race -timeout 20m ./internal/fault/ ./internal/resultstore/ ./cmd/memsim/ ./cmd/paperbench/
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperbench [-scale small|default|paper] [-only table3,fig2,...] [-apps fir,depth] [-j N]
-//	           [-job-timeout 2m] [-retries 2] [-artifacts DIR] [-resume] [-manifest-sync]
+//	           [-job-timeout 2m] [-artifacts DIR] [-resume]
 //	           [-store DIR] [-store-max-bytes N] [-txn-trace FILE.jsonl]
 //	           [-cpuprofile cpu.pprof] [-blockprofile block.pprof]
 //	           [-http :9090] [-http-linger 60s] [-flightrec 256]
@@ -20,6 +20,9 @@
 // A failing simulation does not kill the campaign: its cells render as
 // ERR, the figure gains a "N ok / M failed" summary line, and the
 // manifest records the typed failure with the engine's state dump.
+// Each job runs once. Simulations are deterministic, so every failure
+// but a -job-timeout watchdog abort recurs on a re-run; to re-run timed
+// out jobs, resume the campaign (-artifacts DIR -resume).
 //
 // -store DIR attaches a persistent, crash-safe result store shared
 // across campaigns: each job probes it before simulating and a verified
@@ -36,7 +39,8 @@
 // DIR/store instead, so only jobs missing from it (never run, failed,
 // or lost to a crash) simulate again; it cannot be combined with -store.
 // manifest.jsonl is write-only: it lists the simulations this
-// invocation ran and is never read back.
+// invocation ran, each record fsynced as it is written, and is never
+// read back.
 //
 // -http serves live campaign telemetry while the figures run: GET
 // /metrics (Prometheus text), GET /progress (JSON span table with
@@ -46,8 +50,9 @@
 // collect the final state. When stderr is a terminal, a single in-place
 // status line summarizes the pool; pipes get the plain progress lines,
 // byte-identical to previous releases. Every fresh simulation also arms
-// an engine flight recorder (-flightrec events), so failure records
-// carry the scheduler-event tail that led to the deadlock or abort.
+// an engine flight recorder of -flightrec events (default 256, 0 = off),
+// so failure records carry the scheduler-event tail that led to the
+// deadlock or abort.
 //
 // Exit codes (shared with memsim): 0 success, 1 runtime/IO failure,
 // 2 flag or configuration validation error, 3 grid completed partially
@@ -103,23 +108,22 @@ type manifestRun struct {
 }
 
 // manifestWriter serializes concurrent OnRecord callbacks into one
-// append-only JSONL stream. The header is fsynced at open so a
-// powerloss mid-campaign can never lose the whole manifest; -manifest-sync
-// extends that to every record. Write errors surface once (the first),
-// then are suppressed — a dead disk would otherwise print one error per
-// simulation.
+// append-only JSONL stream. The header and every record are fsynced as
+// they are written, as the result store does for each of its records,
+// so a powerloss mid-campaign loses at most the record being written.
+// Write errors surface once (the first), then are suppressed — a dead
+// disk would otherwise print one error per simulation.
 type manifestWriter struct {
-	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder
-	syncEach bool
-	stderr   io.Writer
-	failed   bool
+	mu     sync.Mutex
+	f      *os.File
+	enc    *json.Encoder
+	stderr io.Writer
+	failed bool
 }
 
 // newManifestWriter truncates dir/manifest.jsonl and writes this
 // invocation's header.
-func newManifestWriter(dir string, scale string, syncEach bool, stderr io.Writer) (*manifestWriter, error) {
+func newManifestWriter(dir string, scale string, stderr io.Writer) (*manifestWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -127,7 +131,7 @@ func newManifestWriter(dir string, scale string, syncEach bool, stderr io.Writer
 	if err != nil {
 		return nil, err
 	}
-	m := &manifestWriter{f: f, enc: json.NewEncoder(f), syncEach: syncEach, stderr: stderr}
+	m := &manifestWriter{f: f, enc: json.NewEncoder(f), stderr: stderr}
 	header := struct {
 		Kind    string `json:"kind"` // "header"
 		Git     string `json:"git"`
@@ -156,7 +160,7 @@ func (m *manifestWriter) record(rec bench.Record) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	err := m.enc.Encode(run)
-	if err == nil && m.syncEach {
+	if err == nil {
 		err = m.f.Sync()
 	}
 	if err != nil && !m.failed {
@@ -258,16 +262,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	artifactsDir := fs.String("artifacts", "", "write a machine-readable manifest.jsonl (one record per simulation) into this directory")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (output is identical at any -j)")
 	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per simulation (0 = off); timed-out jobs fail with a progress dump")
-	retries := fs.Int("retries", 0, "retry budget per job for retryable failures (timeouts, panics)")
 	resume := fs.Bool("resume", false, "keep the -artifacts DIR/store result store of an earlier campaign of this binary, so only missing and failed jobs simulate (requires -artifacts, excludes -store)")
 	storeDir := fs.String("store", "", "persistent cross-campaign result store directory: verified results are recalled instead of re-simulated (crash-safe; corrupt records are deleted and re-run)")
 	storeMax := fs.Int64("store-max-bytes", 0, "once the store's record files exceed this many bytes, delete the least recently used (0 = unlimited; requires -store)")
-	manifestSync := fs.Bool("manifest-sync", false, "fsync manifest.jsonl after every record (slower; survives powerloss, not just process death)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole campaign to this file")
 	blockProfile := fs.String("blockprofile", "", "write a pprof blocking profile (rate 1) to this file; shows where goroutines wait")
 	httpAddr := fs.String("http", "", "serve live campaign telemetry on this address: GET /metrics, /progress, /debug/pprof (empty = off)")
 	httpLinger := fs.Duration("http-linger", 0, "keep -http serving this long after the campaign finishes (ends early on /quit)")
-	flightRec := fs.Int("flightrec", 0, "per-job flight-recorder depth: last K scheduler events in failure dumps (0 = default 256, negative = off)")
+	flightRec := fs.Int("flightrec", 256, "per-job flight-recorder depth: last K scheduler events in failure dumps (0 = off)")
 	txnTrace := fs.String("txn-trace", "", "arm per-run transaction tracing with worst-K tail exemplars, write every retained tree as JSONL to this file, and record tail_exemplars blocks in the manifest")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -289,8 +291,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "paperbench: -job-timeout must be non-negative")
 		return 2
 	}
-	if *retries < 0 {
-		fmt.Fprintln(stderr, "paperbench: -retries must be non-negative")
+	if *flightRec < 0 {
+		fmt.Fprintln(stderr, "paperbench: -flightrec must be non-negative")
 		return 2
 	}
 	if *resume && *artifactsDir == "" {
@@ -307,10 +309,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *httpLinger > 0 && *httpAddr == "" {
 		fmt.Fprintln(stderr, "paperbench: -http-linger requires -http")
-		return 2
-	}
-	if *manifestSync && *artifactsDir == "" {
-		fmt.Fprintln(stderr, "paperbench: -manifest-sync requires -artifacts")
 		return 2
 	}
 	if *storeMax < 0 {
@@ -408,7 +406,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := bench.NewRunner(scale)
 	r.Workers = *jobs
 	r.JobTimeout = *jobTimeout
-	r.Retries = *retries
 	r.FlightRecorder = *flightRec
 	var txns *txnSink
 	if *txnTrace != "" {
@@ -481,7 +478,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var manifest *manifestWriter
 	if *artifactsDir != "" {
 		var err error
-		if manifest, err = newManifestWriter(*artifactsDir, *scaleFlag, *manifestSync, stderr); err != nil {
+		if manifest, err = newManifestWriter(*artifactsDir, *scaleFlag, stderr); err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1
 		}

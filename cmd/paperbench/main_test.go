@@ -35,7 +35,7 @@ func TestExitCodes(t *testing.T) {
 		{"table2 only", []string{"-only", "table2", "-q"}, 0, ""},
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
 		{"bad scale", []string{"-scale", "huge"}, 2, "unknown scale"},
-		{"negative retries", []string{"-retries", "-1"}, 2, "-retries must be non-negative"},
+		{"negative flightrec", []string{"-flightrec", "-1"}, 2, "-flightrec must be non-negative"},
 		{"negative timeout", []string{"-job-timeout", "-5s"}, 2, "-job-timeout must be non-negative"},
 		{"resume without artifacts", []string{"-resume"}, 2, "-resume requires -artifacts"},
 		{"resume with store", []string{"-resume", "-artifacts", "a", "-store", "s"}, 2, "cannot be combined with -store"},

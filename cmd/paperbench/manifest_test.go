@@ -9,19 +9,12 @@ import (
 	"repro/internal/bench"
 )
 
-// TestManifestSyncFlag: -manifest-sync needs -artifacts, and with it
-// the campaign still produces a complete, byte-identical manifest.
+// TestManifestSyncFlag: with every manifest record fsynced as it is
+// written, the campaign still produces a complete manifest.
 func TestManifestSyncFlag(t *testing.T) {
 	var out, errs bytes.Buffer
-	if code := run([]string{"-manifest-sync"}, &out, &errs); code != 2 ||
-		!strings.Contains(errs.String(), "-manifest-sync requires -artifacts") {
-		t.Fatalf("exit %d, stderr %s", code, errs.String())
-	}
-
 	dir := t.TempDir()
-	out.Reset()
-	errs.Reset()
-	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-artifacts", dir, "-manifest-sync"}
+	args := []string{"-scale", "small", "-only", "fig2", "-apps", "fir", "-q", "-artifacts", dir}
 	if code := run(args, &out, &errs); code != 0 {
 		t.Fatalf("synced campaign exit %d: %s", code, errs.String())
 	}
@@ -34,7 +27,7 @@ func TestManifestSyncFlag(t *testing.T) {
 // not one per simulation, and still fails the campaign at close.
 func TestManifestWriteErrorSurfacesOnce(t *testing.T) {
 	var errs bytes.Buffer
-	m, err := newManifestWriter(t.TempDir(), "small", false, &errs)
+	m, err := newManifestWriter(t.TempDir(), "small", &errs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,6 @@ func TestLiveTelemetryEndpoints(t *testing.T) {
 		Enqueued int  `json:"enqueued"`
 		Queued   int  `json:"queued"`
 		Running  int  `json:"running"`
-		Retrying int  `json:"retrying"`
 		Done     int  `json:"done"`
 		Failed   int  `json:"failed"`
 		Stored   int  `json:"store_hits_spans"`
@@ -108,7 +107,7 @@ func TestLiveTelemetryEndpoints(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &p); err != nil {
 			t.Fatalf("/progress not JSON: %v\n%s", err, body)
 		}
-		if p.Enqueued != p.Queued+p.Running+p.Retrying+p.Done+p.Failed+p.Stored {
+		if p.Enqueued != p.Queued+p.Running+p.Done+p.Failed+p.Stored {
 			t.Fatalf("conservation broken in live snapshot: %+v", p)
 		}
 		if p.Complete {

@@ -63,18 +63,15 @@ type Record struct {
 	Report *core.Report `json:"report,omitempty"`
 	Err    string       `json:"error,omitempty"`
 	HostNS int64        `json:"host_ns"`
-	// Failure diagnostics, present only when Err is set: the error kind,
-	// how many attempts were made (retries count), and the engine-state
-	// snapshot for failures the engine produced one for.
+	// Failure diagnostics, present only when Err is set: the error kind
+	// and the engine-state snapshot for failures the engine produced one
+	// for.
 	ErrKind     string           `json:"error_kind,omitempty"`
-	Attempts    int              `json:"attempts,omitempty"`
 	EngineState *sim.EngineState `json:"engine_state,omitempty"`
-	// Pool-residency diagnostics: how long the job waited for a worker
-	// slot after admission, and each attempt's wall time (len > 1 means
-	// the watchdog or a panic forced retries). Together with HostNS they
-	// let manifest analysis distinguish queue pressure from slow sims.
-	QueueWaitNS int64   `json:"queue_wait_ns"`
-	AttemptsNS  []int64 `json:"attempts_ns,omitempty"`
+	// QueueWaitNS is how long the job waited for a worker slot after
+	// admission. Together with HostNS it lets manifest analysis tell
+	// queue pressure from slow simulations.
+	QueueWaitNS int64 `json:"queue_wait_ns"`
 	// TailExemplars is the run's transaction-tracer digest — per latency
 	// class, how many transactions were observed and the slowest one's
 	// identity — present when the Runner armed per-run tracers
@@ -128,12 +125,10 @@ type Runner struct {
 	// simulation still running after this much host time is cancelled
 	// cooperatively (core.System.Abort) and fails with a timeout
 	// JobError carrying the engine's progress dump. Zero disables it.
+	// A job runs once: every other failure reproduces identically, and
+	// a timed-out job is re-run by resuming the campaign against its
+	// result store (paperbench -resume).
 	JobTimeout time.Duration
-	// Retries is the per-job retry budget for retryable failures
-	// (timeouts and panics; see JobError.Retryable). Attempts are spaced
-	// by exponential backoff whose jitter derives from the deterministic
-	// job key, not the clock. Deterministic failures are never retried.
-	Retries int
 	// Telemetry, when non-nil, receives per-job lifecycle spans and
 	// campaign counters (internal/telemetry) for the -http endpoints and
 	// the TTY status line. Purely observational: figure output is
@@ -155,11 +150,13 @@ type Runner struct {
 	// first Run or Prefetch.
 	Store *resultstore.Store
 	// FlightRecorder sizes the engine flight recorder armed for every
-	// fresh simulation (the last K scheduler events, embedded in typed
-	// failures' engine-state snapshots): 0 means the default of 256
-	// events, negative disables recording. The recorder is run-scoped —
-	// excluded from the memo key and from manifest configs — and its
-	// disabled cost on the engine is one nil compare per record site.
+	// fresh simulation whose Config sets none (the last K scheduler
+	// events, embedded in typed failures' engine-state snapshots); 0
+	// disables recording. NewRunner sets 256, enough to cover the
+	// dispatch chain around a deadlock or watchdog abort. The recorder
+	// is run-scoped — excluded from the memo key and from manifest
+	// configs — and its disabled cost on the engine is one nil compare
+	// per record site.
 	FlightRecorder int
 	// TxnExemplars, when positive, arms a per-run transaction tracer
 	// (internal/txntrace) for every fresh simulation with that worst-K
@@ -184,19 +181,14 @@ type Runner struct {
 	scheduled int // simulations admitted to the pool (the "/88")
 	completed int // simulations finished (the "12")
 	okCount   int // fresh simulations that succeeded
-	failCount int // fresh simulations that failed (after retries)
+	failCount int // fresh simulations that failed
 	storeHits int // jobs answered by the persistent store
 }
 
-// defaultFlightRecorder is the per-job flight-recorder depth when the
-// Runner's FlightRecorder field is zero: enough events to cover the
-// whole dispatch chain around a deadlock or watchdog abort while
-// keeping a ring small enough to embed in manifest records.
-const defaultFlightRecorder = 256
-
-// NewRunner returns a Runner at the given dataset scale.
+// NewRunner returns a Runner at the given dataset scale, with a
+// 256-event flight recorder armed for every fresh simulation.
 func NewRunner(scale workload.Scale) *Runner {
-	return &Runner{Scale: scale, cache: map[cfgKey]*flight{}}
+	return &Runner{Scale: scale, FlightRecorder: 256, cache: map[cfgKey]*flight{}}
 }
 
 // init sizes the pool and starts the progress collector on first use.
@@ -262,8 +254,8 @@ func cfgLabel(cfg core.Config) string {
 		cfg.Model, cfg.Cores, cfg.CoreMHz, cfg.DRAMBandwidthMBps, cfg.PrefetchDepth)
 }
 
-// simulate runs one admitted job — with validation, watchdog and retry
-// budget — and publishes its result. Any failure becomes a structured
+// simulate runs one admitted job once — with validation and watchdog —
+// and publishes its result. Any failure becomes a structured
 // *JobError on the flight; nothing a job does can panic the pool.
 func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 	defer close(fl.done)
@@ -291,7 +283,7 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 			return
 		}
 	}
-	rep, tr, attemptsNS, jerr := r.attemptWithRetries(cfg, name, fl.span)
+	rep, tr, jerr := r.attempt(cfg, name)
 	fl.rep = rep
 	if jerr != nil {
 		fl.err = jerr // typed-nil guard: only assign a non-nil *JobError
@@ -310,7 +302,7 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 	}
 	if r.OnRecord != nil {
 		rec := Record{Name: name, Cfg: cfg, Report: rep, HostNS: time.Since(started).Nanoseconds(),
-			QueueWaitNS: queueWait.Nanoseconds(), AttemptsNS: attemptsNS}
+			QueueWaitNS: queueWait.Nanoseconds()}
 		if tr != nil {
 			rec.Txn = tr
 			rec.TailExemplars = tr.Summary()
@@ -318,7 +310,6 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 		if jerr != nil {
 			rec.Err = jerr.Error()
 			rec.ErrKind = string(jerr.Kind)
-			rec.Attempts = jerr.Attempts
 			rec.EngineState = jerr.State
 		}
 		r.OnRecord(rec)
@@ -343,60 +334,28 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 	}
 }
 
-// attemptWithRetries drives the retry loop: one attempt, plus up to
-// Retries more for retryable failures, spaced by deterministic backoff.
-// It returns each attempt's wall time alongside the result, and walks
-// the span through retrying → running around every backoff.
-func (r *Runner) attemptWithRetries(cfg core.Config, name string, sp *telemetry.Span) (*core.Report, *txntrace.Tracer, []int64, *JobError) {
-	var attemptsNS []int64
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		rep, tr, jerr := r.attempt(cfg, name)
-		d := time.Since(t0)
-		attemptsNS = append(attemptsNS, d.Nanoseconds())
-		sp.Attempt(d)
-		if jerr == nil {
-			return rep, tr, attemptsNS, nil
-		}
-		jerr.Attempts = attempt + 1
-		if attempt >= r.Retries || !jerr.Retryable() {
-			return nil, nil, attemptsNS, jerr
-		}
-		sp.Retry()
-		time.Sleep(backoffDelay(name, cfg, attempt))
-		sp.Start()
-	}
-}
-
-// attempt runs the job once. Validation happens before core.New, so a
-// bad configuration fails typed and synchronously — no goroutine ever
-// spawns for it; the watchdog (JobTimeout) covers the simulation run.
+// attempt runs the job. Validation of the config core.New will receive
+// happens first, so a bad configuration — including a negative flight
+// recorder depth — fails typed and synchronously, with no goroutine
+// ever spawned for it; the watchdog (JobTimeout) covers the run.
 func (r *Runner) attempt(cfg core.Config, name string) (*core.Report, *txntrace.Tracer, *JobError) {
 	f, ferr := workload.Get(name)
 	if ferr != nil {
-		return nil, nil, &JobError{Name: name, Cfg: cfg, Kind: ErrWorkload, Attempts: 1, Err: ferr}
-	}
-	if verr := keyOf(cfg, name).cfg.Validate(); verr != nil {
-		return nil, nil, &JobError{Name: name, Cfg: cfg, Kind: ErrConfig, Attempts: 1, Err: verr}
+		return nil, nil, &JobError{Name: name, Cfg: cfg, Kind: ErrWorkload, Err: ferr}
 	}
 	// Arm the flight recorder for this run (it is run-scoped: keyOf
 	// strips it, and Record.Cfg carries the caller's value, so manifests
 	// and memo identity are unchanged). A caller-set size wins; else the
-	// Runner's default, so every typed failure in a campaign carries the
+	// Runner's applies, so every typed failure in a campaign carries the
 	// event tail that led there.
 	if cfg.FlightRecorder == 0 {
-		switch {
-		case r.FlightRecorder > 0:
-			cfg.FlightRecorder = r.FlightRecorder
-		case r.FlightRecorder == 0:
-			cfg.FlightRecorder = defaultFlightRecorder
-		}
-	} else if cfg.FlightRecorder < 0 {
-		cfg.FlightRecorder = 0
+		cfg.FlightRecorder = r.FlightRecorder
 	}
-	// Arm a fresh transaction tracer per attempt (run-scoped like the
-	// recorder: stripped by keyOf, json:"-" in manifests). A retried
-	// attempt's partial tracer is discarded with the attempt.
+	if verr := cfg.Validate(); verr != nil {
+		return nil, nil, &JobError{Name: name, Cfg: cfg, Kind: ErrConfig, Err: verr}
+	}
+	// Arm a fresh transaction tracer (run-scoped like the recorder:
+	// stripped by keyOf, json:"-" in manifests).
 	tr := cfg.TxnTrace
 	if tr == nil && r.TxnExemplars > 0 {
 		tr = &txntrace.Tracer{K: r.TxnExemplars}

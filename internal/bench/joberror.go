@@ -3,17 +3,16 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 )
 
-// ErrKind classifies a job failure. The run layer uses it to decide
-// retries (only transient kinds are worth re-running) and the manifest
-// records it so a campaign's failures are machine-greppable.
+// ErrKind classifies a job failure. The manifest records it so a
+// campaign's failures are machine-greppable. Every kind but timeout is
+// deterministic and fails identically when re-run; a timeout depends on
+// the host, and resuming the campaign (paperbench -resume) re-runs it.
 type ErrKind string
 
 const (
@@ -27,15 +26,14 @@ const (
 )
 
 // JobError is one job's structured failure: which job, how it failed,
-// after how many attempts, and — when the engine produced one — the
-// probe-style engine-state snapshot (heap depth, last event time,
-// per-task state) attached to the underlying typed error.
+// and — when the engine produced one — the probe-style engine-state
+// snapshot (heap depth, last event time, per-task state) attached to
+// the underlying typed error.
 type JobError struct {
-	Name     string
-	Cfg      core.Config
-	Kind     ErrKind
-	Attempts int
-	Err      error
+	Name string
+	Cfg  core.Config
+	Kind ErrKind
+	Err  error
 	// State is the engine's diagnostic snapshot for deadlock/livelock/
 	// timeout/panic failures; nil for config, workload and verify errors,
 	// which fail before or after the engine runs.
@@ -43,23 +41,16 @@ type JobError struct {
 }
 
 func (e *JobError) Error() string {
-	return fmt.Sprintf("%s %v/%d: %s error after %d attempt(s): %v",
-		e.Name, e.Cfg.Model, e.Cfg.Cores, e.Kind, e.Attempts, e.Err)
+	return fmt.Sprintf("%s %v/%d: %s error: %v",
+		e.Name, e.Cfg.Model, e.Cfg.Cores, e.Kind, e.Err)
 }
 
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Retryable reports whether re-running the job could plausibly succeed.
-// Deterministic failures (bad config, deadlock, failed verification)
-// will fail identically every time; timeouts and panics may be
-// environmental (an overloaded host, a transient bug) and get another
-// attempt when the Runner has retry budget.
-func (e *JobError) Retryable() bool { return e.Kind == ErrTimeout || e.Kind == ErrPanic }
-
 // classify wraps a simulation error in a JobError, typing it by the
 // engine's failure taxonomy (sim/abort.go) and extracting the snapshot.
 func classify(name string, cfg core.Config, err error) *JobError {
-	je := &JobError{Name: name, Cfg: cfg, Err: err, Attempts: 1}
+	je := &JobError{Name: name, Cfg: cfg, Err: err}
 	var de *sim.DeadlockError
 	var le *sim.LivelockError
 	var ae *sim.AbortError
@@ -81,21 +72,6 @@ func classify(name string, cfg core.Config, err error) *JobError {
 		je.Kind = ErrVerify
 	}
 	return je
-}
-
-// backoffDelay is the pause before retry attempt+1 of a job: an
-// exponential base with jitter derived from the deterministic job key —
-// not the clock — so a re-run campaign backs off identically and two
-// simultaneously-failing jobs still spread out.
-func backoffDelay(name string, cfg core.Config, attempt int) time.Duration {
-	base := 10 * time.Millisecond << uint(attempt)
-	if base > time.Second {
-		base = time.Second
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%d", keyOf(cfg, name), attempt)
-	jitter := time.Duration(h.Sum64() % uint64(base/2+1))
-	return base + jitter
 }
 
 // GridError reports a figure or table grid that rendered with failed

@@ -197,7 +197,7 @@ func TestStoreHitsFeedTelemetryConsistently(t *testing.T) {
 	}
 
 	s := c.Snapshot(true)
-	if s.Enqueued != s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.StoreSpan {
+	if s.Enqueued != s.Queued+s.Running+s.Done+s.Failed+s.StoreSpan {
 		t.Fatalf("span conservation broken: %+v", s)
 	}
 	if s.Enqueued != 2 || s.StoreSpan != 1 || s.Done != 1 {

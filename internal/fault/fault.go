@@ -1,9 +1,11 @@
 // Package fault provides deterministic failure injection for the run
 // layer's robustness tests: workloads that deadlock, stall forever,
-// panic, fail verification, or fail transiently, plus deliberately
-// corrupted configurations. Every fault fires from the simulation's own
-// deterministic state (task IDs, attempt counters) — never the clock —
-// so an injected failure reproduces identically on every run.
+// panic or fail verification, plus deliberately corrupted
+// configurations. Every fault fires from the simulation's own
+// deterministic state (task IDs) — never the clock — so an injected
+// failure reproduces identically on every run. That is why the run
+// layer runs each job once: only a stall's watchdog timeout depends on
+// the host, and resuming the campaign (paperbench -resume) re-runs it.
 //
 // The fault workloads are NOT registered by package init: call
 // RegisterWorkloads from a test so production binaries never see them.
@@ -12,7 +14,6 @@ package fault
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -26,7 +27,6 @@ const (
 	Deadlock  = "fault-deadlock"  // core 0 exits holding the lock the rest acquire
 	Stall     = "fault-stall"     // every core advances simulated time forever
 	Panic     = "fault-panic"     // panics on every core except core 0
-	Flaky     = "fault-flaky"     // panics while the SetFlakyFailures budget lasts
 	BadVerify = "fault-badverify" // computes fine, fails verification
 )
 
@@ -40,7 +40,6 @@ func RegisterWorkloads() {
 		workload.Register(Deadlock, func(workload.Scale) core.Workload { return &deadlockWorkload{} })
 		workload.Register(Stall, func(workload.Scale) core.Workload { return stallWorkload{} })
 		workload.Register(Panic, func(workload.Scale) core.Workload { return panicWorkload{} })
-		workload.Register(Flaky, func(workload.Scale) core.Workload { return flakyWorkload{} })
 		workload.Register(BadVerify, func(workload.Scale) core.Workload { return badVerifyWorkload{} })
 	})
 }
@@ -95,29 +94,6 @@ func (panicWorkload) Run(p *cpu.Proc) {
 }
 func (panicWorkload) Verify() error { return nil }
 
-// flakyBudget is the number of upcoming fault-flaky runs that will
-// panic. It is process-global (each attempt constructs a fresh workload
-// instance, so per-instance state cannot survive a retry); tests using
-// Flaky must not run fault-flaky jobs concurrently.
-var flakyBudget atomic.Int64
-
-// SetFlakyFailures arms fault-flaky: the next n runs panic, subsequent
-// runs succeed. The retry loop is its consumer — a job with a retry
-// budget of at least n recovers, one with less fails.
-func SetFlakyFailures(n int) { flakyBudget.Store(int64(n)) }
-
-type flakyWorkload struct{}
-
-func (flakyWorkload) Name() string           { return Flaky }
-func (flakyWorkload) Setup(sys *core.System) {}
-func (flakyWorkload) Run(p *cpu.Proc) {
-	if p.ID() == 0 && flakyBudget.Add(-1) >= 0 {
-		panic("fault: injected transient failure")
-	}
-	p.Work(1000)
-}
-func (flakyWorkload) Verify() error { return nil }
-
 // badVerifyWorkload simulates cleanly and then reports a wrong answer.
 type badVerifyWorkload struct{}
 
@@ -144,5 +120,6 @@ func CorruptedConfigs() map[string]core.Config {
 	mk("Model", func(c *core.Config) { c.Model = core.Model(42) })
 	mk("PrefetchDepth", func(c *core.Config) { c.Model = core.STR; c.PrefetchDepth = 4 })
 	mk("StoreBuffer", func(c *core.Config) { c.StoreBuffer = -1 })
+	mk("FlightRecorder", func(c *core.Config) { c.FlightRecorder = -1 })
 	return out
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/resultstore"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -37,18 +38,40 @@ func (c *recorder) add(r bench.Record) {
 	c.recs = append(c.recs, r)
 }
 
+// newRunner returns a two-worker Runner with campaign telemetry
+// attached, so tests can read each job's span.
 func newRunner(rec *recorder) *bench.Runner {
 	r := bench.NewRunner(workload.ScaleSmall)
 	r.Workers = 2
+	r.Telemetry = telemetry.NewCampaign()
 	if rec != nil {
 		r.OnRecord = rec.add
 	}
 	return r
 }
 
+// ranOnce checks that the Runner's one job failed as kind and ran
+// exactly once: one Record carrying the kind, and one span that went
+// queued → running → failed.
+func ranOnce(t *testing.T, r *bench.Runner, rec *recorder, kind bench.ErrKind) {
+	t.Helper()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.recs) != 1 || rec.recs[0].ErrKind != string(kind) {
+		t.Fatalf("records = %+v, want exactly one %s record", rec.recs, kind)
+	}
+	s := r.Telemetry.Snapshot(true)
+	if s.Enqueued != 1 || s.Failed != 1 || len(s.Spans) != 1 {
+		t.Fatalf("snapshot = %+v, want one span, failed", s)
+	}
+	if sp := s.Spans[0]; sp.State != "failed" || sp.ErrKind != string(kind) || sp.StartedNS == 0 || sp.EndedNS < sp.StartedNS {
+		t.Fatalf("span = %+v, want queued → running → failed (%s)", sp, kind)
+	}
+}
+
 // TestDeadlockProducesTypedRecord injects a synchronization deadlock and
 // checks the whole failure path: typed JobError, engine-state snapshot
-// naming the contended lock, and a manifest record carrying both.
+// naming the contended lock, and one manifest record carrying both.
 func TestDeadlockProducesTypedRecord(t *testing.T) {
 	rec := &recorder{}
 	r := newRunner(rec)
@@ -78,23 +101,18 @@ func TestDeadlockProducesTypedRecord(t *testing.T) {
 	if !strings.Contains(jerr.Error(), "awaiting lock fault.poison") {
 		t.Fatalf("error %q does not name the contended lock", jerr.Error())
 	}
-	if jerr.Retryable() {
-		t.Fatal("deadlock must not be retryable: it is deterministic")
-	}
-	if len(rec.recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(rec.recs))
-	}
-	rc := rec.recs[0]
-	if rc.ErrKind != "deadlock" || rc.EngineState == nil || rc.Attempts != 1 {
-		t.Fatalf("record = %+v, want deadlock kind with engine state", rc)
+	ranOnce(t, r, rec, bench.ErrDeadlock)
+	if rec.recs[0].EngineState == nil {
+		t.Fatalf("record = %+v, want deadlock kind with engine state", rec.recs[0])
 	}
 }
 
 // TestWatchdogAbortsStall proves the wall-clock watchdog end to end: a
 // simulation that would run forever is cancelled cooperatively and
-// fails as a timeout with a progress dump.
+// fails, once, as a timeout with a progress dump.
 func TestWatchdogAbortsStall(t *testing.T) {
-	r := newRunner(nil)
+	rec := &recorder{}
+	r := newRunner(rec)
 	defer r.Close()
 	r.JobTimeout = 50 * time.Millisecond
 	cfg := core.DefaultConfig(core.CC, 2)
@@ -120,6 +138,7 @@ func TestWatchdogAbortsStall(t *testing.T) {
 	if len(jerr.State.Recent) == 0 {
 		t.Fatalf("timeout state has no flight-recorder tail: %+v", jerr.State)
 	}
+	ranOnce(t, r, rec, bench.ErrTimeout)
 }
 
 // TestWatchdogAbortMidDispatch is the dispatch regression at the run
@@ -194,65 +213,23 @@ func TestLivelockNetCatchesStall(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversFlaky arms one transient failure and gives the job a
-// retry budget: the first attempt panics, the second succeeds, and the
-// pool reports one clean fresh simulation.
-func TestRetryRecoversFlaky(t *testing.T) {
-	rec := &recorder{}
-	r := newRunner(rec)
-	defer r.Close()
-	r.Retries = 2
-	fault.SetFlakyFailures(1)
-	rep, err := r.Run(core.DefaultConfig(core.CC, 1), fault.Flaky)
-	if err != nil || rep == nil {
-		t.Fatalf("rep=%v err=%v, want recovered success", rep, err)
-	}
-	ok, failed := r.Outcome()
-	if ok != 1 || failed != 0 {
-		t.Fatalf("outcome = %d ok / %d failed, want 1/0", ok, failed)
-	}
-	if len(rec.recs) != 1 || rec.recs[0].Err != "" {
-		t.Fatalf("records = %+v, want one clean record", rec.recs)
-	}
-}
-
-// TestRetryBudgetExhausted injects more failures than the budget covers:
-// the job fails as a panic after retries, and Attempts counts them all.
-func TestRetryBudgetExhausted(t *testing.T) {
-	r := newRunner(nil)
-	defer r.Close()
-	r.Retries = 1
-	fault.SetFlakyFailures(10)
-	defer fault.SetFlakyFailures(0)
-	_, err := r.Run(core.DefaultConfig(core.CC, 1), fault.Flaky)
-	var jerr *bench.JobError
-	if !errors.As(err, &jerr) {
-		t.Fatalf("err = %#v, want *bench.JobError", err)
-	}
-	if jerr.Kind != bench.ErrPanic || jerr.Attempts != 2 {
-		t.Fatalf("kind=%q attempts=%d, want panic after 2 attempts", jerr.Kind, jerr.Attempts)
-	}
-	if !jerr.Retryable() {
-		t.Fatal("panic kind must be retryable")
-	}
-}
-
 // TestCorruptConfigsFailTyped proves config corruption is caught by
-// validation — synchronously, with the corrupted field named, before
-// any simulation goroutine spawns.
+// validation — synchronously, once, with the corrupted field named,
+// before any simulation goroutine spawns.
 func TestCorruptConfigsFailTyped(t *testing.T) {
-	r := newRunner(nil)
-	defer r.Close()
-	r.Retries = 3 // must not matter: config errors are never retried
 	for field, cfg := range fault.CorruptedConfigs() {
+		rec := &recorder{}
+		r := newRunner(rec)
 		_, err := r.Run(cfg, fault.BadVerify)
+		r.Close()
 		var jerr *bench.JobError
 		if !errors.As(err, &jerr) {
 			t.Fatalf("%s: err = %#v, want *bench.JobError", field, err)
 		}
-		if jerr.Kind != bench.ErrConfig || jerr.Attempts != 1 {
-			t.Fatalf("%s: kind=%q attempts=%d, want config/1", field, jerr.Kind, jerr.Attempts)
+		if jerr.Kind != bench.ErrConfig {
+			t.Fatalf("%s: kind=%q, want config", field, jerr.Kind)
 		}
+		ranOnce(t, r, rec, bench.ErrConfig)
 		fes := core.FieldErrors(jerr.Err)
 		if len(fes) == 0 {
 			t.Fatalf("%s: no field errors in %v", field, jerr.Err)
@@ -269,20 +246,21 @@ func TestCorruptConfigsFailTyped(t *testing.T) {
 	}
 }
 
-// TestBadVerifyNotRetried: a wrong answer is deterministic, so the
-// retry budget must not burn attempts on it.
+// TestBadVerifyNotRetried: a wrong answer is deterministic, so the job
+// fails typed after its one run, keeping the verification detail.
 func TestBadVerifyNotRetried(t *testing.T) {
-	r := newRunner(nil)
+	rec := &recorder{}
+	r := newRunner(rec)
 	defer r.Close()
-	r.Retries = 3
 	_, err := r.Run(core.DefaultConfig(core.CC, 2), fault.BadVerify)
 	var jerr *bench.JobError
 	if !errors.As(err, &jerr) {
 		t.Fatalf("err = %#v, want *bench.JobError", err)
 	}
-	if jerr.Kind != bench.ErrVerify || jerr.Attempts != 1 {
-		t.Fatalf("kind=%q attempts=%d, want verify/1", jerr.Kind, jerr.Attempts)
+	if jerr.Kind != bench.ErrVerify {
+		t.Fatalf("kind=%q, want verify", jerr.Kind)
 	}
+	ranOnce(t, r, rec, bench.ErrVerify)
 	if !strings.Contains(jerr.Error(), "checksum mismatch") {
 		t.Fatalf("error %q lost the verification detail", jerr.Error())
 	}
@@ -392,7 +370,7 @@ func TestStoreHitSkipsSimulation(t *testing.T) {
 // TestFlightRecorderTailCoverage sweeps the remaining typed-failure
 // kinds — livelock and task panic — plus the opt-out: every failure
 // whose engine produced a snapshot must carry the scheduler-event tail
-// that led there, and a negative Runner.FlightRecorder must disarm it.
+// that led there, and a zero Runner.FlightRecorder must disarm it.
 func TestFlightRecorderTailCoverage(t *testing.T) {
 	t.Run("livelock", func(t *testing.T) {
 		r := newRunner(nil)
@@ -409,11 +387,10 @@ func TestFlightRecorderTailCoverage(t *testing.T) {
 		}
 	})
 	t.Run("panic", func(t *testing.T) {
-		r := newRunner(nil)
+		rec := &recorder{}
+		r := newRunner(rec)
 		defer r.Close()
-		fault.SetFlakyFailures(10)
-		defer fault.SetFlakyFailures(0)
-		_, err := r.Run(core.DefaultConfig(core.CC, 1), fault.Flaky)
+		_, err := r.Run(core.DefaultConfig(core.CC, 2), fault.Panic)
 		var jerr *bench.JobError
 		if !errors.As(err, &jerr) || jerr.Kind != bench.ErrPanic {
 			t.Fatalf("err = %v, want panic JobError", err)
@@ -421,11 +398,12 @@ func TestFlightRecorderTailCoverage(t *testing.T) {
 		if jerr.State == nil || len(jerr.State.Recent) == 0 {
 			t.Fatalf("panic state has no flight-recorder tail: %+v", jerr.State)
 		}
+		ranOnce(t, r, rec, bench.ErrPanic)
 	})
 	t.Run("disabled", func(t *testing.T) {
 		r := newRunner(nil)
 		defer r.Close()
-		r.FlightRecorder = -1
+		r.FlightRecorder = 0
 		_, err := r.Run(core.DefaultConfig(core.CC, 4), fault.Deadlock)
 		var jerr *bench.JobError
 		if !errors.As(err, &jerr) || jerr.Kind != bench.ErrDeadlock {

@@ -94,7 +94,7 @@ func (c *Campaign) WriteMetrics(w io.Writer) error {
 	m.metric("memsim_jobs_enqueued_total", snap.Enqueued)
 	m.header("memsim_jobs_done_total", "Jobs whose simulation completed successfully in this campaign.", "counter")
 	m.metric("memsim_jobs_done_total", snap.Done)
-	m.header("memsim_jobs_failed_total", "Jobs that failed after exhausting retries.", "counter")
+	m.header("memsim_jobs_failed_total", "Jobs whose simulation failed in this campaign.", "counter")
 	m.metric("memsim_jobs_failed_total", snap.Failed)
 	m.header("memsim_jobs_store_hit_total", "Jobs answered by the persistent result store (-store, -resume) without simulating.", "counter")
 	m.metric("memsim_jobs_store_hit_total", snap.StoreSpan)
@@ -103,21 +103,19 @@ func (c *Campaign) WriteMetrics(w io.Writer) error {
 	m.metric("memsim_memo_hits_total", snap.MemoHits)
 	m.header("memsim_memo_misses_total", "Run requests that admitted a fresh simulation.", "counter")
 	m.metric("memsim_memo_misses_total", snap.MemoMisses)
-	m.header("memsim_job_retries_total", "Retry attempts started after retryable failures.", "counter")
-	m.metric("memsim_job_retries_total", snap.Retries)
 	m.header("memsim_watchdog_aborts_total", "Jobs aborted by the per-job watchdog timeout.", "counter")
 	m.metric("memsim_watchdog_aborts_total", snap.WatchdogAborts)
 	m.header("memsim_err_cells_total", "Figure cells rendered as ERR because their job failed.", "counter")
 	m.metric("memsim_err_cells_total", snap.ErrCells)
 
-	m.header("memsim_workers_busy", "Worker slots currently running a simulation attempt.", "gauge")
+	m.header("memsim_workers_busy", "Worker slots currently running a job.", "gauge")
 	m.metric("memsim_workers_busy", snap.Running)
 	m.header("memsim_workers", "Size of the worker pool.", "gauge")
 	m.metric("memsim_workers", snap.Workers)
 	m.header("memsim_queue_depth", "Jobs admitted and waiting for a worker slot.", "gauge")
 	m.metric("memsim_queue_depth", snap.Queued)
-	m.header("memsim_inflight_keys", "Singleflight keys not yet resolved (queued + running + retrying).", "gauge")
-	m.metric("memsim_inflight_keys", snap.Queued+snap.Running+snap.Retrying)
+	m.header("memsim_inflight_keys", "Singleflight keys not yet resolved (queued + running).", "gauge")
+	m.metric("memsim_inflight_keys", snap.Queued+snap.Running)
 
 	m.header("memsim_campaign_elapsed_seconds", "Wall time since the campaign began.", "gauge")
 	m.metric("memsim_campaign_elapsed_seconds", float64(snap.ElapsedNS)/1e9)

@@ -42,8 +42,6 @@ func TestWriteMetricsGolden(t *testing.T) {
 	fc.advance(2 * time.Second)
 	spA.Done()
 	spB.Start()
-	spB.Retry()
-	spB.Start()
 	fc.advance(1 * time.Second)
 	spB.Fail("timeout")
 	spC.Start()
@@ -75,7 +73,7 @@ memsim_jobs_enqueued_total 3
 # HELP memsim_jobs_done_total Jobs whose simulation completed successfully in this campaign.
 # TYPE memsim_jobs_done_total counter
 memsim_jobs_done_total 1
-# HELP memsim_jobs_failed_total Jobs that failed after exhausting retries.
+# HELP memsim_jobs_failed_total Jobs whose simulation failed in this campaign.
 # TYPE memsim_jobs_failed_total counter
 memsim_jobs_failed_total 1
 # HELP memsim_jobs_store_hit_total Jobs answered by the persistent result store (-store, -resume) without simulating.
@@ -87,16 +85,13 @@ memsim_memo_hits_total 1
 # HELP memsim_memo_misses_total Run requests that admitted a fresh simulation.
 # TYPE memsim_memo_misses_total counter
 memsim_memo_misses_total 3
-# HELP memsim_job_retries_total Retry attempts started after retryable failures.
-# TYPE memsim_job_retries_total counter
-memsim_job_retries_total 1
 # HELP memsim_watchdog_aborts_total Jobs aborted by the per-job watchdog timeout.
 # TYPE memsim_watchdog_aborts_total counter
 memsim_watchdog_aborts_total 1
 # HELP memsim_err_cells_total Figure cells rendered as ERR because their job failed.
 # TYPE memsim_err_cells_total counter
 memsim_err_cells_total 1
-# HELP memsim_workers_busy Worker slots currently running a simulation attempt.
+# HELP memsim_workers_busy Worker slots currently running a job.
 # TYPE memsim_workers_busy gauge
 memsim_workers_busy 0
 # HELP memsim_workers Size of the worker pool.
@@ -105,7 +100,7 @@ memsim_workers 4
 # HELP memsim_queue_depth Jobs admitted and waiting for a worker slot.
 # TYPE memsim_queue_depth gauge
 memsim_queue_depth 0
-# HELP memsim_inflight_keys Singleflight keys not yet resolved (queued + running + retrying).
+# HELP memsim_inflight_keys Singleflight keys not yet resolved (queued + running).
 # TYPE memsim_inflight_keys gauge
 memsim_inflight_keys 0
 # HELP memsim_campaign_elapsed_seconds Wall time since the campaign began.

@@ -10,18 +10,16 @@ import (
 // Times are nanoseconds; zero means "not yet" (e.g. StartedNS while
 // queued, EndedNS while running).
 type SpanSnapshot struct {
-	ID          int     `json:"id"`
-	Workload    string  `json:"workload"`
-	Config      string  `json:"config,omitempty"`
-	Figure      string  `json:"figure,omitempty"`
-	State       string  `json:"state"`
-	EnqueuedNS  int64   `json:"enqueued_ns"`
-	StartedNS   int64   `json:"started_ns,omitempty"`
-	EndedNS     int64   `json:"ended_ns,omitempty"`
-	QueueWaitNS int64   `json:"queue_wait_ns,omitempty"`
-	Attempts    int     `json:"attempts,omitempty"`
-	AttemptsNS  []int64 `json:"attempts_ns,omitempty"`
-	ErrKind     string  `json:"err_kind,omitempty"`
+	ID          int    `json:"id"`
+	Workload    string `json:"workload"`
+	Config      string `json:"config,omitempty"`
+	Figure      string `json:"figure,omitempty"`
+	State       string `json:"state"`
+	EnqueuedNS  int64  `json:"enqueued_ns"`
+	StartedNS   int64  `json:"started_ns,omitempty"`
+	EndedNS     int64  `json:"ended_ns,omitempty"`
+	QueueWaitNS int64  `json:"queue_wait_ns,omitempty"`
+	ErrKind     string `json:"err_kind,omitempty"`
 }
 
 // FigureSnapshot is one figure's completion rollup.
@@ -45,14 +43,12 @@ type Snapshot struct {
 	Enqueued  int `json:"enqueued"` // spans opened, one per admitted job
 	Queued    int `json:"queued"`
 	Running   int `json:"running"`
-	Retrying  int `json:"retrying"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
 	StoreSpan int `json:"store_hits_spans"`
 
 	MemoHits       uint64 `json:"memo_hits"`
 	MemoMisses     uint64 `json:"memo_misses"`
-	Retries        uint64 `json:"retries"`
 	WatchdogAborts uint64 `json:"watchdog_aborts"`
 	ErrCells       uint64 `json:"err_cells"`
 
@@ -107,14 +103,12 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 		Enqueued:  len(c.spans),
 		Queued:    c.byState[StateQueued],
 		Running:   c.byState[StateRunning],
-		Retrying:  c.byState[StateRetrying],
 		Done:      c.byState[StateDone],
 		Failed:    c.byState[StateFailed],
 		StoreSpan: c.byState[StateStoreHit],
 
 		MemoHits:       c.memoHits,
 		MemoMisses:     c.memoMisses,
-		Retries:        c.retries,
 		WatchdogAborts: c.watchdogAborts,
 		ErrCells:       c.errCells,
 	}
@@ -128,7 +122,7 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 	// terminal the moment they resolve and would otherwise inflate the
 	// completion rate toward zero ETA.
 	finished := snap.Done + snap.Failed
-	remaining := snap.Queued + snap.Running + snap.Retrying
+	remaining := snap.Queued + snap.Running
 	switch {
 	case remaining == 0:
 		snap.ETASeconds = 0
@@ -177,8 +171,6 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 				StartedNS:   nsOf(c.begun, s.started),
 				EndedNS:     nsOf(c.begun, s.ended),
 				QueueWaitNS: s.queueWait.Nanoseconds(),
-				Attempts:    s.attempts,
-				AttemptsNS:  append([]int64(nil), s.attemptNS...),
 				ErrKind:     s.errKind,
 			})
 		}

@@ -1,9 +1,9 @@
 // Package telemetry is the campaign observability core: a lock-cheap
 // span table the experiment runner (internal/bench) feeds with per-job
-// lifecycle transitions — enqueued → running → retrying → done / failed
-// / store-hit — plus pool gauges (workers busy, queue depth, inflight
-// singleflight keys) and campaign counters (memo hits and misses,
-// retries, watchdog aborts, ERR cells), aggregated per figure and
+// lifecycle transitions — enqueued → running → done / failed, or
+// enqueued → running → store-hit — plus pool gauges (workers busy, queue
+// depth, inflight singleflight keys) and campaign counters (memo hits
+// and misses, watchdog aborts, ERR cells), aggregated per figure and
 // campaign-wide. The table is exposed three ways: Prometheus text
 // rendering (prometheus.go), a JSON progress snapshot with a rate-based
 // ETA (Snapshot), and a live in-place TTY status line (status.go);
@@ -29,7 +29,7 @@ import (
 
 // State is a span's position in the job lifecycle. A span is in exactly
 // one state, which is what makes the conservation invariant —
-// enqueued == queued + running + retrying + done + failed + store-hit —
+// enqueued == queued + running + done + failed + store-hit —
 // hold at every instant (TestConservationUnderScrape pins it under the
 // race detector while a campaign runs).
 type State uint8
@@ -37,14 +37,12 @@ type State uint8
 const (
 	// StateQueued: admitted to the pool, waiting for a worker slot.
 	StateQueued State = iota
-	// StateRunning: a worker is simulating an attempt.
+	// StateRunning: a worker holds the job: it probes the result store
+	// and, on a miss, simulates.
 	StateRunning
-	// StateRetrying: an attempt failed retryably; the job is in its
-	// deterministic backoff before the next attempt.
-	StateRetrying
-	// StateDone: the final attempt succeeded.
+	// StateDone: the simulation succeeded.
 	StateDone
-	// StateFailed: the job failed for good (after any retries).
+	// StateFailed: the simulation failed.
 	StateFailed
 	// StateStoreHit: the result was served by the persistent result
 	// store (-store); the job was admitted but never simulated here.
@@ -53,7 +51,7 @@ const (
 )
 
 var stateNames = [numStates]string{
-	"queued", "running", "retrying", "done", "failed", "store-hit",
+	"queued", "running", "done", "failed", "store-hit",
 }
 
 // String returns the state's wire name ("queued", "running", ...).
@@ -76,8 +74,6 @@ type span struct {
 	started   time.Time // first transition to running
 	ended     time.Time // terminal transition
 	queueWait time.Duration
-	attempts  int
-	attemptNS []int64
 	errKind   string
 }
 
@@ -115,7 +111,6 @@ type Campaign struct {
 
 	memoHits       uint64 // requests answered from the memo table
 	memoMisses     uint64 // requests that admitted a fresh simulation
-	retries        uint64 // retry attempts started
 	watchdogAborts uint64 // failures whose kind was "timeout"
 	errCells       uint64 // rendered figure cells backed by a failed job
 
@@ -259,9 +254,8 @@ func (c *Campaign) transition(s *span, to State) {
 	c.byState[to]++
 }
 
-// Start moves the span to running: from queued when a worker picks the
-// job up (the queue wait is captured here), or from retrying when the
-// backoff ends. It returns the span's queue wait.
+// Start moves the span from queued to running when a worker picks the
+// job up, capturing its queue wait, which it returns.
 func (sp *Span) Start() time.Duration {
 	if sp == nil {
 		return 0
@@ -270,36 +264,10 @@ func (sp *Span) Start() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := sp.s
-	if s.state == StateQueued {
-		s.started = c.now()
-		s.queueWait = s.started.Sub(s.enqueued)
-	}
+	s.started = c.now()
+	s.queueWait = s.started.Sub(s.enqueued)
 	c.transition(s, StateRunning)
 	return s.queueWait
-}
-
-// Retry moves the span to retrying: an attempt failed retryably and the
-// job sits in its deterministic backoff until the next Start.
-func (sp *Span) Retry() {
-	if sp == nil {
-		return
-	}
-	c := sp.c
-	c.mu.Lock()
-	c.transition(sp.s, StateRetrying)
-	sp.s.attempts++
-	c.retries++
-	c.mu.Unlock()
-}
-
-// Attempt records one attempt's wall time.
-func (sp *Span) Attempt(d time.Duration) {
-	if sp == nil {
-		return
-	}
-	sp.c.mu.Lock()
-	sp.s.attemptNS = append(sp.s.attemptNS, d.Nanoseconds())
-	sp.c.mu.Unlock()
 }
 
 // Done closes the span successfully.
@@ -324,7 +292,7 @@ func (sp *Span) StoreHit() {
 	}
 }
 
-// Fail closes the span as failed after its last attempt, recording the
+// Fail closes the span as failed, recording the
 // failure kind ("deadlock", "timeout", ...). Timeouts are additionally
 // counted as watchdog aborts.
 func (sp *Span) Fail(kind string) { sp.finish(StateFailed, kind) }
@@ -340,7 +308,6 @@ func (sp *Span) finish(to State, kind string) {
 	c.transition(s, to)
 	s.ended = c.now()
 	s.errKind = kind
-	s.attempts++
 	if f := c.figureOf(s.figure); f != nil {
 		if to == StateDone {
 			f.done++

@@ -42,7 +42,7 @@ func testCampaign() (*Campaign, *fakeClock) {
 // conserved checks the span-conservation invariant on a snapshot:
 // every opened span is in exactly one state.
 func conserved(s Snapshot) bool {
-	return s.Enqueued == s.Queued+s.Running+s.Retrying+s.Done+s.Failed+s.StoreSpan
+	return s.Enqueued == s.Queued+s.Running+s.Done+s.Failed+s.StoreSpan
 }
 
 // TestStoreHitSpanAndStats pins the store-hit terminal state: it
@@ -83,8 +83,8 @@ func TestStoreHitSpanAndStats(t *testing.T) {
 	}
 }
 
-// TestSpanLifecycle walks one job through queued → running → retrying →
-// running → done and checks every intermediate snapshot.
+// TestSpanLifecycle walks one job through queued → running → done and
+// checks every intermediate snapshot.
 func TestSpanLifecycle(t *testing.T) {
 	c, fc := testCampaign()
 	c.BeginGroup("fig2")
@@ -110,29 +110,19 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("span queue wait = %d", s.Spans[0].QueueWaitNS)
 	}
 
-	fc.advance(time.Second)
-	sp.Attempt(time.Second)
-	sp.Retry()
-	s = c.Snapshot(false)
-	if s.Retrying != 1 || s.Retries != 1 {
-		t.Fatalf("after retry: %+v", s)
-	}
-
-	sp.Start() // retry start must not overwrite the queue wait
-	fc.advance(time.Second)
-	sp.Attempt(time.Second)
+	fc.advance(2 * time.Second)
 	sp.Done()
 
 	s = c.Snapshot(true)
-	if s.Done != 1 || s.Running != 0 || s.Retrying != 0 {
+	if s.Done != 1 || s.Running != 0 {
 		t.Fatalf("after done: %+v", s)
 	}
 	got := s.Spans[0]
-	if got.State != "done" || got.Attempts != 2 || len(got.AttemptsNS) != 2 {
+	if got.State != "done" || got.StartedNS != (2*time.Second).Nanoseconds() {
 		t.Fatalf("final span: %+v", got)
 	}
 	if got.QueueWaitNS != (2 * time.Second).Nanoseconds() {
-		t.Fatalf("queue wait overwritten on retry start: %d", got.QueueWaitNS)
+		t.Fatalf("queue wait changed after start: %d", got.QueueWaitNS)
 	}
 	if got.EndedNS != (4 * time.Second).Nanoseconds() {
 		t.Fatalf("ended = %dns, want 4s", got.EndedNS)
@@ -260,8 +250,6 @@ func TestNilCampaignIsNoOp(t *testing.T) {
 	c.ErrCell()
 	c.SetComplete()
 	sp.Start()
-	sp.Retry()
-	sp.Attempt(time.Second)
 	sp.Done()
 	sp.Fail("timeout")
 	if err := c.WriteMetrics(&bytes.Buffer{}); err != nil {
@@ -298,8 +286,8 @@ func TestConservationUnderScrape(t *testing.T) {
 			}
 			s := c.Snapshot(true)
 			if !conserved(s) {
-				t.Errorf("conservation broken: enq=%d q=%d r=%d rt=%d d=%d f=%d st=%d",
-					s.Enqueued, s.Queued, s.Running, s.Retrying, s.Done, s.Failed, s.StoreSpan)
+				t.Errorf("conservation broken: enq=%d q=%d r=%d d=%d f=%d st=%d",
+					s.Enqueued, s.Queued, s.Running, s.Done, s.Failed, s.StoreSpan)
 				return
 			}
 			if err := c.WriteMetrics(&bytes.Buffer{}); err != nil {
@@ -318,11 +306,7 @@ func TestConservationUnderScrape(t *testing.T) {
 				sp := c.Enqueue("fir", "cfg")
 				sp.Start()
 				switch j % 4 {
-				case 0:
-					sp.Done()
-				case 1:
-					sp.Retry()
-					sp.Start()
+				case 0, 1:
 					sp.Done()
 				case 2:
 					sp.Fail("timeout")
