@@ -239,29 +239,29 @@ func TestRerunWithoutResumeStartsFresh(t *testing.T) {
 // prints what a fresh default-scale campaign prints.
 func TestResumeAtAnotherScaleSimulatesAfresh(t *testing.T) {
 	if testing.Short() {
-		t.Skip("default-scale table3 campaigns")
+		t.Skip("default-scale fig2 campaigns")
 	}
 	dir := t.TempDir()
-	table3 := []string{"-only", "table3", "-q"}
-	code, small, errs := runPB(t, append(table3, "-scale", "small", "-artifacts", dir)...)
+	fig2 := []string{"-only", "fig2", "-apps", "fir", "-q"}
+	code, small, errs := runPB(t, append(fig2, "-scale", "small", "-artifacts", dir)...)
 	if code != 0 {
 		t.Fatalf("small campaign exit %d: %s", code, errs)
 	}
-	code, fresh, errs := runPB(t, append(table3, "-scale", "default")...)
+	code, fresh, errs := runPB(t, append(fig2, "-scale", "default")...)
 	if code != 0 {
 		t.Fatalf("fresh default campaign exit %d: %s", code, errs)
 	}
 	if small == fresh {
-		t.Fatal("small and default Table 3 are identical; the test cannot tell them apart")
+		t.Fatal("small and default Figure 2 are identical; the test cannot tell them apart")
 	}
-	code, resumed, errs := runPB(t, append(table3, "-scale", "default", "-artifacts", dir, "-resume")...)
+	code, resumed, errs := runPB(t, append(fig2, "-scale", "default", "-artifacts", dir, "-resume")...)
 	if code != 0 {
 		t.Fatalf("resumed default campaign exit %d: %s", code, errs)
 	}
-	if !strings.Contains(errs, "store: 0 hits, 11 misses") {
+	if !strings.Contains(errs, "store: 0 hits, 9 misses") {
 		t.Fatalf("default-scale resume recalled small-scale results: %s", errs)
 	}
 	if resumed != fresh {
-		t.Fatalf("resumed default Table 3 differs from a fresh run:\n--- fresh\n%s\n--- resumed\n%s", fresh, resumed)
+		t.Fatalf("resumed default Figure 2 differs from a fresh run:\n--- fresh\n%s\n--- resumed\n%s", fresh, resumed)
 	}
 }

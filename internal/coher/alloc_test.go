@@ -10,8 +10,8 @@ import (
 
 // TestTracedMissAllocs: once the tracer's record log is warm, a
 // traced CC miss allocates nothing, whether a peer cache or the L2
-// supplies the line. The MESI outcome tags are precomputed strings, not
-// built per miss.
+// supplies the line. The MESI outcome tags are registered sites, not
+// strings built per miss.
 func TestTracedMissAllocs(t *testing.T) {
 	h := newHarness(2, DefaultConfig()) // one cluster
 	tr := txntrace.New()

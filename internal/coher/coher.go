@@ -23,6 +23,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/txntrace"
 	"repro/internal/uncore"
 )
 
@@ -210,18 +211,27 @@ func (d *Domain) Stats() Stats {
 }
 
 // mesiTags[from][to] is the "mesi=<from>-><to>" outcome tag of a state
-// transition, built once so tagging a traced miss allocates nothing.
-var mesiTags = func() (t [4][4]string) {
+// transition.
+var mesiTags = func() (t [4][4]txntrace.Site) {
 	for from := cache.Invalid; from <= cache.Modified; from++ {
 		for to := cache.Invalid; to <= cache.Modified; to++ {
-			t[from][to] = "mesi=" + from.String() + "->" + to.String()
+			t[from][to] = txntrace.NewTag("mesi=" + from.String() + "->" + to.String())
 		}
 	}
 	return t
 }()
 
+// The other outcome tags of a miss: where its data came from, and a
+// snoop the sharer index filtered.
+var (
+	srcC2CCluster   = txntrace.NewTag("src=c2c_cluster")
+	srcOwnerRemoteM = txntrace.NewTag("src=owner_remote_m")
+	srcL2           = txntrace.NewTag("src=l2")
+	snoopFiltered   = txntrace.NewTag("snoop=filtered")
+)
+
 // tag annotates core i's active miss transaction with an outcome.
-func (d *Domain) tag(i int, s string) { d.mems[i].Tag(s) }
+func (d *Domain) tag(i int, s txntrace.Site) { d.mems[i].Tag(s) }
 
 // Uncore returns the shared hierarchy.
 func (d *Domain) Uncore() *uncore.Uncore { return d.unc }
@@ -309,7 +319,7 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 	// Step 1: snoop within the cluster.
 	if owner, oln := d.snoopCluster(cl, i, a, held); owner != -1 {
 		d.stats.C2CCluster++
-		d.tag(i, "src=c2c_cluster")
+		d.tag(i, srcC2CCluster)
 		d.tag(i, mesiTags[oln.State][cache.Shared])
 		t = d.net.BusData(t, cl, mem.LineSize)
 		if oln.State == cache.Modified && oln.Dirty {
@@ -329,14 +339,14 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 	tSnoop := t
 	if d.cfg.SnoopFilter && !d.regionShared(i, a) {
 		d.stats.FilteredSnoops++
-		d.tag(i, "snoop=filtered")
+		d.tag(i, snoopFiltered)
 		owner = -1
 	} else {
 		owner, oln, tSnoop = d.snoopRemote(t, cl, a, held)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		d.stats.C2CRemote++
-		d.tag(i, "src=owner_remote_m")
+		d.tag(i, srcOwnerRemoteM)
 		ocl := d.procs[owner].Cluster()
 		td := d.net.BusData(tSnoop, ocl, mem.LineSize)
 		td = d.net.ToGlobal(td, ocl, mem.LineSize)
@@ -357,7 +367,7 @@ func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) (sim.Time, ca
 		oln.State = cache.Shared
 		newState = cache.Shared
 	}
-	d.tag(i, "src=l2")
+	d.tag(i, srcL2)
 	d.tag(i, mesiTags[cache.Invalid][newState])
 	done, _ := d.unc.ReadLine(t, cl, a)
 	if done < tSnoop {
@@ -413,7 +423,7 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 
 	// Cluster-local M/E owner: take the data and ownership locally.
 	if owner, oln := d.snoopCluster(cl, i, a, held); owner != -1 {
-		d.tag(i, "src=c2c_cluster")
+		d.tag(i, srcC2CCluster)
 		d.tag(i, mesiTags[oln.State][cache.Modified])
 		exclusiveOwner := oln.State == cache.Modified || oln.State == cache.Exclusive
 		t = d.net.BusData(t, cl, mem.LineSize)
@@ -432,14 +442,14 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 	tSnoop := t
 	if d.cfg.SnoopFilter && !d.regionShared(i, a) {
 		d.stats.FilteredSnoops++
-		d.tag(i, "snoop=filtered")
+		d.tag(i, snoopFiltered)
 		owner = -1
 	} else {
 		owner, oln, tSnoop = d.snoopRemote(t, cl, a, held)
 	}
 	if owner != -1 && oln.State == cache.Modified {
 		// Remote dirty owner transfers the line with ownership.
-		d.tag(i, "src=owner_remote_m")
+		d.tag(i, srcOwnerRemoteM)
 		ocl := d.procs[owner].Cluster()
 		td := d.net.BusData(tSnoop, ocl, mem.LineSize)
 		td = d.net.ToGlobal(td, ocl, mem.LineSize)
@@ -449,7 +459,7 @@ func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
 		return td
 	}
 	d.killRemaining(a, held, i)
-	d.tag(i, "src=l2")
+	d.tag(i, srcL2)
 	d.tag(i, mesiTags[cache.Invalid][cache.Modified])
 	done, _ := d.unc.ReadLine(t, cl, a)
 	if done < tSnoop {

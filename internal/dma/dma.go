@@ -199,6 +199,10 @@ func (e *Engine) Spawn(eng *sim.Engine, start sim.Time) {
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
+// queueSite is the tracer's site of the hop a traced command spends
+// queued behind earlier ones.
+var queueSite = txntrace.NewSite("dma", "queue", "")
+
 // SetTxnTrace attaches the run's transaction tracer (nil disables it);
 // core is the owning core, stamped on each traced command.
 func (e *Engine) SetTxnTrace(t *txntrace.Tracer, core int) {
@@ -370,7 +374,7 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			e.cmdStart = t.Time()
 			if e.txn != nil && e.cmdStart > e.cur.issued {
 				e.txn.Resume(&e.cur.ctx)
-				e.txn.Hop("dma", "queue", e.cur.issued, e.cmdStart)
+				e.txn.Hop(queueSite, e.cur.issued, e.cmdStart)
 				e.txn.Suspend(&e.cur.ctx)
 			}
 			clear(e.ring)

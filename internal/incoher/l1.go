@@ -132,9 +132,9 @@ func (f *L1) Stats() Stats { return f.stats }
 // SetTxnTrace attaches the run's transaction tracer (nil disables it).
 func (f *L1) SetTxnTrace(t *txntrace.Tracer) { f.txn = t }
 
-// Tag annotates the active transaction with an outcome (no-op when
+// Tag annotates the active transaction with an outcome tag (no-op when
 // tracing is off or nothing is active).
-func (f *L1) Tag(s string) { f.txn.Tag(s) }
+func (f *L1) Tag(s txntrace.Site) { f.txn.Tag(s) }
 
 // Load implements cpu.ProcMem.
 func (f *L1) Load(p *cpu.Proc, a mem.Addr) sim.Time {

@@ -87,11 +87,20 @@ func (n *Network) Stats() Stats { return n.stats }
 // SetTxnTrace attaches the run's transaction tracer (nil disables it).
 func (n *Network) SetTxnTrace(t *txntrace.Tracer) { n.txn = t }
 
+// The tracer's sites of the four transfer kinds.
+var (
+	busData    = txntrace.NewSite("noc", "bus_data", "")
+	busControl = txntrace.NewSite("noc", "bus_control", "")
+	toGlobal   = txntrace.NewSite("noc", "to_global", "")
+	fromGlobal = txntrace.NewSite("noc", "from_global", "")
+)
+
 // xfer runs one tracked transfer and reports it to the tracer, which
-// records the arbitration wait and a hop on the active transaction.
-func (n *Network) xfer(p *sim.Pipe, at sim.Time, nbytes uint64, op string) sim.Time {
+// records the arbitration wait and a hop at site on the active
+// transaction.
+func (n *Network) xfer(p *sim.Pipe, at sim.Time, nbytes uint64, site txntrace.Site) sim.Time {
 	done, wait := p.TransferTracked(at, nbytes)
-	n.txn.Transfer(op, at, done, wait)
+	n.txn.Transfer(site, at, done, wait)
 	return done
 }
 
@@ -105,14 +114,14 @@ func (n *Network) Clusters() int { return n.cfg.Clusters }
 // delivery time.
 func (n *Network) BusData(at sim.Time, cluster int, nbytes uint64) sim.Time {
 	n.stats.BusDataBytes += nbytes
-	return n.xfer(n.buses[cluster], at, nbytes, "bus_data")
+	return n.xfer(n.buses[cluster], at, nbytes, busData)
 }
 
 // BusControl occupies one command slot on a cluster's bus (a coherence
 // request, snoop result, or DMA command), returning delivery time.
 func (n *Network) BusControl(at sim.Time, cluster int) sim.Time {
 	n.stats.BusControl++
-	return n.xfer(n.buses[cluster], at, n.cfg.BusBytes, "bus_control") // one bus cycle
+	return n.xfer(n.buses[cluster], at, n.cfg.BusBytes, busControl) // one bus cycle
 }
 
 // ToGlobal moves nbytes from a cluster to the global side (L2/DRAM
@@ -120,14 +129,14 @@ func (n *Network) BusControl(at sim.Time, cluster int) sim.Time {
 func (n *Network) ToGlobal(at sim.Time, cluster int, nbytes uint64) sim.Time {
 	n.stats.XbarBytes += nbytes
 	n.stats.XbarMsgs++
-	return n.xfer(n.toL2[cluster], at, nbytes, "to_global")
+	return n.xfer(n.toL2[cluster], at, nbytes, toGlobal)
 }
 
 // FromGlobal moves nbytes from the global side back into a cluster.
 func (n *Network) FromGlobal(at sim.Time, cluster int, nbytes uint64) sim.Time {
 	n.stats.XbarBytes += nbytes
 	n.stats.XbarMsgs++
-	return n.xfer(n.frL2[cluster], at, nbytes, "from_global")
+	return n.xfer(n.frL2[cluster], at, nbytes, fromGlobal)
 }
 
 // BusUtilization returns the busy fraction of a cluster bus over [0, end].

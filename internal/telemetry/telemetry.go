@@ -255,10 +255,10 @@ func (c *Campaign) transition(s *span, to State) {
 }
 
 // Start moves the span from queued to running when a worker picks the
-// job up, capturing its queue wait, which it returns.
-func (sp *Span) Start() time.Duration {
+// job up, capturing its queue wait for the span's snapshot.
+func (sp *Span) Start() {
 	if sp == nil {
-		return 0
+		return
 	}
 	c := sp.c
 	c.mu.Lock()
@@ -267,7 +267,6 @@ func (sp *Span) Start() time.Duration {
 	s.started = c.now()
 	s.queueWait = s.started.Sub(s.enqueued)
 	c.transition(s, StateRunning)
-	return s.queueWait
 }
 
 // Done closes the span successfully.

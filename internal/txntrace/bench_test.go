@@ -14,11 +14,11 @@ import (
 func traceOneMiss(t *Tracer, i int) {
 	at := sim.Time(i) * 1000
 	t.Begin(ReadMiss, i&7, uint64(i)*64, at)
-	t.Transfer("bus_control", at, at+10, 0)
+	t.Transfer(busControl, at, at+10, 0)
 	t.Begin(L2Hit, i&7, uint64(i)*64, at+10)
-	t.Hop("l2", "access", at+10, at+20)
+	t.Hop(l2Access, at+10, at+20)
 	t.End(at + 20)
-	t.Transfer("bus_data", at+20, at+30, 5000)
+	t.Transfer(busData, at+20, at+30, 5000)
 	t.End(at + 30)
 }
 
@@ -89,7 +89,7 @@ func TestTraceOneMissAllocs(t *testing.T) {
 	slower := func(t *Tracer, i int) {
 		at := sim.Time(i) * 1000
 		t.Begin(ReadMiss, 0, 0, at)
-		t.Hop("l1", "lookup", at, at+1)
+		t.Hop(l1Lookup, at, at+1)
 		t.End(at + sim.Time(i))
 	}
 	for _, c := range []struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -38,9 +39,7 @@ func (t *Tracer) Summary() []ClassSummary {
 		s := ClassSummary{Class: c.String(), Count: n, Exemplars: len(t.reservoirs[c])}
 		if s.Exemplars > 0 {
 			worst := t.reservoirs[c][0]
-			s.SlowestID = worst.ID
-			s.SlowestFS = uint64(worst.Latency())
-			s.Core = worst.Core
+			s.SlowestID, s.SlowestFS, s.Core = worst.ID, uint64(worst.Latency()), worst.Core
 		}
 		out = append(out, s)
 	}
@@ -137,12 +136,7 @@ func (t *Tracer) roots() ([]*Txn, map[uint64]bool) {
 			txs = append(txs, x)
 		}
 	}
-	sort.Slice(txs, func(i, j int) bool {
-		if txs[i].StartFS != txs[j].StartFS {
-			return txs[i].StartFS < txs[j].StartFS
-		}
-		return txs[i].ID < txs[j].ID
-	})
+	sort.Slice(txs, func(i, j int) bool { return txs[i].before(txs[j]) })
 	return txs, inReservoir
 }
 
@@ -166,9 +160,8 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// cycles renders a femtosecond interval in core cycles at the given
-// clock period.
-func cycles(fs sim.Time, period sim.Time) float64 {
+// cycles renders a femtosecond interval in cycles of the given period.
+func cycles(fs, period sim.Time) float64 {
 	if period <= 0 {
 		return 0
 	}
@@ -232,10 +225,8 @@ const componentTrackBase = 1000
 var componentTracks = []string{"l1", "noc", "l2", "dram", "dma", "txn", "wait"}
 
 func trackOf(component string) int {
-	for i, c := range componentTracks {
-		if c == component {
-			return componentTrackBase + i
-		}
+	if i := slices.Index(componentTracks, component); i >= 0 {
+		return componentTrackBase + i
 	}
 	return componentTrackBase + len(componentTracks)
 }

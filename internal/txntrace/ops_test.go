@@ -38,7 +38,33 @@ var (
 	opComponents = []string{"l1", "noc", "l2", "dram", "dma", "other"}
 	opNames      = []string{"lookup", "bus_data", "access", "read", "beat"}
 	opTags       = []string{"miss", "retry", "mesi=I->E", "src=l2"}
+
+	// opSites[c][o][g] is the site of component c's op o with no tag at
+	// g == 0 and the fixed tag opTags[g-1] above; opTagSites are the
+	// outcome tags. Both are registered at init, as a model registers
+	// its sites.
+	opSites, opTagSites = func() (s [6][5][5]Site, tags [4]Site) {
+		for c, component := range opComponents {
+			for o, op := range opNames {
+				s[c][o][0] = NewSite(component, op, "")
+				for g, tag := range opTags {
+					s[c][o][g+1] = NewSite(component, op, tag)
+				}
+			}
+		}
+		for g, tag := range opTags {
+			tags[g] = NewTag(tag)
+		}
+		return s, tags
+	}()
 )
+
+// site reads a component and an op from the input and returns their
+// untagged site.
+func (d *opReplay) site() Site {
+	c, o := d.next()%6, d.next()%5
+	return opSites[c][o][0]
+}
 
 func (d *opReplay) next() byte {
 	if d.pos >= len(d.src) {
@@ -86,8 +112,8 @@ func (d *opReplay) pop() {
 
 // numHop records a hop carrying one of the numeric tag kinds the model's
 // charge sites use.
-func (d *opReplay) numHop(component, op string, start, end sim.Time, kind, n uint64) {
-	d.tr.HopNum(component, op, start, end, TagWait+TagKind(kind%3), n)
+func (d *opReplay) numHop(site Site, start, end sim.Time, kind, n uint64) {
+	d.tr.HopNum(site, start, end, TagWait+TagKind(kind%3), n)
 }
 
 func (d *opReplay) step(b byte) {
@@ -100,13 +126,15 @@ func (d *opReplay) step(b byte) {
 			d.pop()
 		}
 	case 4:
-		d.tr.Hop(opComponents[d.next()%6], opNames[d.next()%5], d.now, d.now+sim.Time(d.next()))
+		d.tr.Hop(d.site(), d.now, d.now+sim.Time(d.next()))
 	case 5:
-		d.tr.HopTag(opComponents[d.next()%6], opNames[d.next()%5], d.now, d.now+sim.Time(d.next()), opTags[d.next()%4])
+		// A fixed-tag hop reads its tag after its length.
+		c, o, end := d.next()%6, d.next()%5, d.now+sim.Time(d.next())
+		d.tr.Hop(opSites[c][o][1+d.next()%4], d.now, end)
 	case 6:
-		d.numHop(opComponents[d.next()%6], opNames[d.next()%5], d.now, d.now+sim.Time(d.next()), uint64(d.next()), uint64(d.next())*1000)
+		d.numHop(d.site(), d.now, d.now+sim.Time(d.next()), uint64(d.next()), uint64(d.next())*1000)
 	case 7:
-		d.tr.Tag(opTags[d.next()%4])
+		d.tr.Tag(opTagSites[d.next()%4])
 		if c := d.next(); c < 32 {
 			d.tr.SetClass(Class(c % uint8(numClasses)))
 		}
@@ -137,7 +165,7 @@ func (d *opReplay) step(b byte) {
 	case 11:
 		// Hop burst: overflows the active transaction's hop cap.
 		for i := 0; i < maxHops+8; i++ {
-			d.numHop("noc", "bus_data", d.now, d.now+sim.Time(i%5), uint64(i), uint64(i))
+			d.numHop(opSites[1][1][0], d.now, d.now+sim.Time(i%5), uint64(i), uint64(i))
 			d.now++
 		}
 	case 12:
@@ -145,7 +173,7 @@ func (d *opReplay) step(b byte) {
 		class := Class(d.next() % uint8(numClasses))
 		for i := 0; i < maxKids+4; i++ {
 			d.tr.Begin(class, i%8, uint64(i)*64, d.now)
-			d.tr.Hop("l2", "access", d.now, d.now+sim.Time(i%7))
+			d.tr.Hop(opSites[2][2][0], d.now, d.now+sim.Time(i%7))
 			d.now += sim.Time(i % 3)
 			d.tr.End(d.now)
 		}

@@ -30,18 +30,21 @@
 // once the run has finished.
 //
 // Armed capture allocates nothing in steady state. An open transaction
-// is only a frame on the tracer's stack, with a mark into a flat record
-// log that its hops, tags and nested transactions append to. A tree is
-// built only when something keeps it (its class reservoir admits it, or
-// it is a sampled root under the retention cap): its records are copied
-// out of the log into a *Txn. A root's End truncates the log back to
-// the root's mark. Copies are never shared, so a reservoir refills the
-// tree it evicts in place; a tree reachable from Exemplars or Kept never
-// changes while it is retained. Numeric hop tags are stored as integers
-// and rendered only when a tree is read.
+// is only a frame on the tracer's stack, with a mark into a flat log of
+// 32-byte, pointer-free records that its hops, tags and nested
+// transactions append to: an interval, a number and a Site, the index of
+// a registered (component, op, fixed tag) triple. A tree is built only
+// when something keeps it (its class reservoir admits it, or it is a
+// sampled root under the retention cap): its records are expanded out of
+// the log into a *Txn, strings, critical-path shares and tag text
+// included. A root's End truncates the log back to the root's mark.
+// Copies are never shared, so a reservoir refills the tree it evicts in
+// place; a tree reachable from Exemplars or Kept never changes while it
+// is retained.
 package txntrace
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -95,16 +98,45 @@ func Classes() []Class {
 // (side paths the core never waited for — overlapped writebacks,
 // snoop responses subsumed by a slower data return — contribute 0).
 type Hop struct {
-	Component string
-	Op        string
-	StartFS   sim.Time
-	EndFS     sim.Time
-	AdvanceFS sim.Time
+	Component, Op             string
+	StartFS, EndFS, AdvanceFS sim.Time
 
-	text string  // fixed tag (tagText)
+	text string  // the site's fixed tag (tagText)
 	num  uint64  // numeric tag value (the other kinds)
 	kind TagKind // how Tag renders
 }
+
+// Site indexes the process-wide table of (component, op, fixed tag)
+// triples, each registered once from a package-level var. Site 0 is the
+// empty triple. The table grows only while packages initialize, so runs
+// read it without a lock.
+type Site uint16
+
+type siteInfo struct{ component, op, tag string }
+
+var sites = make([]siteInfo, 1)
+
+// NewSite registers the site of component.op hops whose tag, unless
+// they carry a numeric one, is the fixed text tag ("" = none).
+func NewSite(component, op, tag string) Site {
+	if len(sites) > 0xffff {
+		panic("txntrace: site table full")
+	}
+	sites = append(sites, siteInfo{component, op, tag})
+	return Site(len(sites) - 1)
+}
+
+// NewTag registers an outcome tag for Tracer.Tag.
+func NewTag(tag string) Site { return NewSite("", "", tag) }
+
+// childSites[c] is the site of the "txn" hop a class-c child leaves in
+// its parent.
+var childSites = func() (s [numClasses]Site) {
+	for c := range s {
+		s[c] = NewSite("txn", Class(c).String(), "")
+	}
+	return s
+}()
 
 // TagKind selects how a hop's outcome tag renders. Numeric kinds keep
 // the number and format it only when a tree is read, so the charge
@@ -113,7 +145,7 @@ type TagKind uint8
 
 // The hop tag kinds.
 const (
-	tagText     TagKind = iota // a fixed string ("" = no tag)
+	tagText     TagKind = iota // the site's fixed tag
 	TagWait                    // "wait=<n>fs": NoC arbitration wait
 	TagPortWait                // "port_wait=<n>fs": L2 bank-port queueing
 	TagChannel                 // "ch<n>": the DRAM channel that served the access
@@ -163,8 +195,7 @@ type Txn struct {
 	Tags    []string
 	Kids    []*Txn
 	// Truncation counters (see the caps above).
-	DroppedHops uint64
-	DroppedKids uint64
+	DroppedHops, DroppedKids uint64
 
 	sampled bool
 }
@@ -172,32 +203,27 @@ type Txn struct {
 // Latency returns the transaction's end-to-end latency.
 func (x *Txn) Latency() sim.Time { return x.EndFS - x.StartFS }
 
-// finalize stamps the end time and assigns each hop's critical-path
-// share: a cursor sweeps [StartFS, end] in hop-record order, and every
-// hop owns the stretch between the cursor and its own end (clamped to
-// the window). Any trailing uncovered stretch becomes a synthetic
-// "wait/tail" hop, so the shares always sum exactly to the latency.
+// before orders trees for export: by start time, then by ID.
+func (x *Txn) before(y *Txn) bool {
+	return x.StartFS < y.StartFS || x.StartFS == y.StartFS && x.ID < y.ID
+}
+
+// finalize stamps the end time and assigns the critical-path share of
+// each hop, which copyTo built with none: a cursor sweeps [StartFS, end]
+// in hop-record order, and every hop owns the stretch between the cursor
+// and its own end (clamped to the window). A trailing uncovered stretch
+// becomes a synthetic "wait/tail" hop, so the shares sum to the latency.
 func (x *Txn) finalize(end sim.Time) {
 	x.EndFS = end
 	cur := x.StartFS
 	for i := range x.Hops {
 		h := &x.Hops[i]
-		hi := h.EndFS
-		if hi > end {
-			hi = end
-		}
-		if hi > cur {
-			h.AdvanceFS = hi - cur
-			cur = hi
-		} else {
-			h.AdvanceFS = 0
+		if hi := min(h.EndFS, end); hi > cur {
+			h.AdvanceFS, cur = hi-cur, hi
 		}
 	}
 	if end > cur {
-		x.Hops = append(x.Hops, Hop{
-			Component: "wait", Op: "tail",
-			StartFS: cur, EndFS: end, AdvanceFS: end - cur,
-		})
+		x.Hops = append(x.Hops, Hop{Component: "wait", Op: "tail", StartFS: cur, EndFS: end, AdvanceFS: end - cur})
 	}
 }
 
@@ -219,15 +245,14 @@ type frame struct {
 }
 
 // hop appends a hop record to f's log, honoring the cap.
-func (f *frame) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
+func (f *frame) hop(site Site, start, end sim.Time, num uint64, kind TagKind) {
 	if f.hops >= maxHops {
 		f.droppedHops++
 		return
 	}
 	f.hops++
-	h := grow(&f.log.recs)
-	h.Component, h.Op, h.StartFS, h.EndFS = component, op, start, end
-	h.text, h.num, h.kind = text, num, kind
+	r := grow(&f.log.recs)
+	r.start, r.end, r.num, r.site, r.kind = start, end, num, site, kind
 }
 
 // grow extends *s by one element in place, reusing its backing array,
@@ -244,12 +269,22 @@ func grow[T any](s *[]T) *T {
 	return &(*s)[n]
 }
 
+// rec is one 32-byte, pointer-free log record, so the GC never scans a
+// log: a hop at site, an outcome tag (kind recTag), or the header of a
+// nested transaction (kind recSub, num indexing Log.subs).
+type rec struct {
+	start, end sim.Time
+	num        uint64
+	site       Site
+	kind       TagKind
+}
+
 // Log is a flat record log: the hops and tags of open transactions, and
 // a header for each nested transaction ahead of its own records.
 // Synchronous roots share the tracer's own log, since at most one is
 // open at a time. A detached root writes the log its issuer lends it.
 type Log struct {
-	recs []Hop   // hops, recTag records and recSub headers (num indexes subs)
+	recs []rec
 	subs []frame // the headers' frames, written when each transaction ends
 }
 
@@ -267,9 +302,10 @@ func (l *Log) copyTo(x *Txn, f *frame) int {
 	for i < end {
 		r := &l.recs[i]
 		i++
+		s := &sites[r.site]
 		switch r.kind {
 		case recTag:
-			x.Tags = append(x.Tags, r.text)
+			x.Tags = append(x.Tags, s.tag)
 		case recSub:
 			k := grow(&x.Kids) // an evicted tree's child, or nil
 			if *k == nil {
@@ -277,7 +313,7 @@ func (l *Log) copyTo(x *Txn, f *frame) int {
 			}
 			i = l.copyTo(*k, &l.subs[r.num])
 		default:
-			x.Hops = append(x.Hops, *r)
+			x.Hops = append(x.Hops, Hop{Component: s.component, Op: s.op, StartFS: r.start, EndFS: r.end, text: s.tag, num: r.num, kind: r.kind})
 		}
 	}
 	x.finalize(f.end)
@@ -299,9 +335,8 @@ func (r *reservoir) offer(k int, lat sim.Time, id uint64) *Txn {
 	}
 	i := sort.Search(n, func(i int) bool {
 		l := txs[i].Latency()
-		// Strictly-slower-first with ID as the deterministic tiebreak:
-		// among equal latencies the earliest transaction wins, so the
-		// reservoir's content does not depend on arrival order quirks.
+		// Slowest first; among equal latencies the earliest ID wins, so
+		// the content does not depend on arrival order.
 		return l < lat || (l == lat && txs[i].ID > id)
 	})
 	var x *Txn
@@ -342,30 +377,22 @@ type Tracer struct {
 	// KeptCap overrides the sampled-tree retention cap (0 = default).
 	KeptCap int
 
-	serial     uint64
-	nextID     uint64
-	stack      []frame
-	log        Log // the synchronous roots' records
-	reservoirs [numClasses]reservoir
-	hist       [numClasses]stats.Histogram // latency per class
-	nocWait    stats.Histogram             // arbitration wait per NoC transfer
-	kept       []*Txn
-	dropped    uint64
+	serial, nextID uint64
+	stack          []frame
+	log            Log // the synchronous roots' records
+	reservoirs     [numClasses]reservoir
+	hist           [numClasses]stats.Histogram // latency per class
+	nocWait        stats.Histogram             // arbitration wait per NoC transfer
+	kept           []*Txn
+	dropped        uint64
 }
 
 // New returns a Tracer with exemplar capture on (DefaultK per class)
 // and sampled capture off.
 func New() *Tracer { return &Tracer{} }
 
-func (t *Tracer) kOrDefault() int {
-	switch {
-	case t.K > 0:
-		return t.K
-	case t.K < 0:
-		return 0
-	}
-	return DefaultK
-}
+// kOrDefault is the reservoir depth: K, DefaultK for 0, none below 0.
+func (t *Tracer) kOrDefault() int { return max(cmp.Or(t.K, DefaultK), 0) }
 
 // keepsTrees reports whether any tree can be retained, by a reservoir
 // or by the sampler. A tracer that can keep none writes no log.
@@ -392,10 +419,7 @@ func splitmix64(v uint64) uint64 {
 // sampler keeps this transaction's tree.
 func (t *Tracer) sampleRoot() bool {
 	t.serial++
-	if t.SampleEvery == 0 {
-		return false
-	}
-	return splitmix64(t.serial^t.Seed)%t.SampleEvery == 0
+	return t.SampleEvery != 0 && splitmix64(t.serial^t.Seed)%t.SampleEvery == 0
 }
 
 // Begin opens a transaction at the top of the active stack and makes it
@@ -440,9 +464,9 @@ type Detached struct{ f frame }
 // commands live across many engine steps interleaved with other
 // commands, so the DMA engine holds the handle and brackets each beat
 // with Resume/Suspend. Its records go to l, which must hold no other
-// transaction's records from its first Resume to its EndDetached; a DMA
-// engine runs one command at a time, so one log serves all of them. It
-// consumes a sampling serial like any root.
+// transaction's records from its first Resume to its EndDetached (a DMA
+// engine runs one command at a time, so one log serves all of them).
+// Like any root, it consumes a sampling serial.
 func (t *Tracer) BeginDetached(l *Log, class Class, core int, addr uint64, at sim.Time) Detached {
 	if t == nil {
 		return Detached{}
@@ -468,51 +492,44 @@ func (t *Tracer) Suspend(d *Detached) {
 	}
 }
 
-// Hop records one interval against the active transaction (no-op when
-// none is active).
-func (t *Tracer) Hop(component, op string, start, end sim.Time) {
+// Hop records one interval at site against the active transaction
+// (no-op when none is active).
+func (t *Tracer) Hop(site Site, start, end sim.Time) {
 	if t != nil {
-		t.hop(component, op, start, end, "", 0, tagText)
-	}
-}
-
-// HopTag is Hop with a fixed outcome tag.
-func (t *Tracer) HopTag(component, op string, start, end sim.Time, tag string) {
-	if t != nil {
-		t.hop(component, op, start, end, tag, 0, tagText)
+		t.hop(site, start, end, 0, tagText)
 	}
 }
 
 // HopNum is Hop with a numeric outcome tag of the given kind; the tag
 // text is rendered only when the tree is read.
-func (t *Tracer) HopNum(component, op string, start, end sim.Time, kind TagKind, n uint64) {
+func (t *Tracer) HopNum(site Site, start, end sim.Time, kind TagKind, n uint64) {
 	if t != nil {
-		t.hop(component, op, start, end, "", n, kind)
+		t.hop(site, start, end, n, kind)
 	}
 }
 
 // hop adds a hop to the active transaction, if any and if its tree can
-// be kept. Hop, HopTag and HopNum test only for a nil Tracer and call
-// it, which keeps them small enough to inline: a disabled tracer costs
-// their callers one compare.
-func (t *Tracer) hop(component, op string, start, end sim.Time, text string, num uint64, kind TagKind) {
+// be kept. Hop and HopNum test only for a nil Tracer and call it, which
+// keeps them small enough to inline: a disabled tracer costs their
+// callers one compare.
+func (t *Tracer) hop(site Site, start, end sim.Time, num uint64, kind TagKind) {
 	if n := len(t.stack); n > 0 && t.keepsTrees() {
-		t.stack[n-1].hop(component, op, start, end, text, num, kind)
+		t.stack[n-1].hop(site, start, end, num, kind)
 	}
 }
 
-// Tag annotates the active transaction with an outcome tag ("mesi=I->E",
-// "src=owner_remote", "retry", ...); a no-op when none is active or no
-// tree can be kept. Tags beyond the cap are dropped silently — they are
-// annotations, not accounting.
-func (t *Tracer) Tag(tag string) {
+// Tag annotates the active transaction with the outcome tag site
+// registers ("mesi=I->E", "src=owner_remote_m", ...); a no-op when none
+// is active or no tree can be kept. Tags beyond the cap are dropped
+// silently — they are annotations, not accounting.
+func (t *Tracer) Tag(site Site) {
 	if t == nil || len(t.stack) == 0 || !t.keepsTrees() {
 		return
 	}
 	if f := &t.stack[len(t.stack)-1]; f.tags < maxTags {
 		f.tags++
-		h := grow(&f.log.recs)
-		h.text, h.kind = tag, recTag
+		r := grow(&f.log.recs)
+		r.site, r.kind = site, recTag
 	}
 }
 
@@ -526,31 +543,29 @@ func (t *Tracer) SetClass(c Class) {
 
 // Transfer records one NoC transfer that arrived at start, waited wait
 // for arbitration and delivered at end: the wait goes into the
-// noc_acquire histogram, and a "noc" hop, tagged with a nonzero wait,
-// onto the active transaction. Like Hop, it inlines to one compare on a
-// nil Tracer.
-func (t *Tracer) Transfer(op string, start, end, wait sim.Time) {
+// noc_acquire histogram, and a hop at site, tagged with a nonzero wait,
+// onto the active transaction. Like Hop, it inlines on a nil Tracer.
+func (t *Tracer) Transfer(site Site, start, end, wait sim.Time) {
 	if t != nil {
-		t.transfer(op, start, end, wait)
+		t.transfer(site, start, end, wait)
 	}
 }
 
-func (t *Tracer) transfer(op string, start, end, wait sim.Time) {
+func (t *Tracer) transfer(site Site, start, end, wait sim.Time) {
 	t.nocWait.Record(uint64(wait))
 	kind := tagText
 	if wait > 0 {
 		kind = TagWait
 	}
-	t.hop("noc", op, start, end, "", uint64(wait), kind)
+	t.hop(site, start, end, uint64(wait), kind)
 }
 
 // End closes the active transaction at the given completion time (see
 // finish); a nested one attaches to the transaction below it.
 func (t *Tracer) End(at sim.Time) {
-	if t == nil || len(t.stack) == 0 {
-		return
+	if t != nil && len(t.stack) > 0 {
+		t.end(at)
 	}
-	t.end(at)
 }
 
 // end pops and finishes the active transaction, out of line so End's
@@ -601,14 +616,13 @@ func (t *Tracer) finish(f, p *frame, at sim.Time) {
 			l.subs = l.subs[:l.recs[f.mark-1].num]
 			l.recs = l.recs[:f.mark-1]
 		}
-		p.hop("txn", f.class.String(), f.start, at, "", f.id, tagChild)
+		p.hop(childSites[f.class], f.start, at, f.id, tagChild)
 		return
 	}
 	if f.sampled {
 		if len(t.kept) < t.keptCapOrDefault() {
-			x := new(Txn)
-			l.copyTo(x, f)
-			t.kept = append(t.kept, x)
+			t.kept = append(t.kept, new(Txn))
+			l.copyTo(t.kept[len(t.kept)-1], f)
 		} else {
 			t.dropped++
 		}
@@ -652,12 +666,7 @@ func (t *Tracer) Kept() []*Txn {
 		return nil
 	}
 	out := append([]*Txn(nil), t.kept...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartFS != out[j].StartFS {
-			return out[i].StartFS < out[j].StartFS
-		}
-		return out[i].ID < out[j].ID
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
 	return out
 }
 

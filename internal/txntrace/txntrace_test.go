@@ -4,23 +4,70 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
+
+// The tests' charge sites, registered the way a model package registers
+// its own.
+var (
+	l1Lookup   = NewSite("l1", "lookup", "")
+	l1Miss     = NewSite("l1", "lookup", "miss")
+	busData    = NewSite("noc", "bus_data", "")
+	busControl = NewSite("noc", "bus_control", "")
+	toGlobal   = NewSite("noc", "to_global", "")
+	l2Access   = NewSite("l2", "access", "")
+	dramRead   = NewSite("dram", "read", "")
+	testTag    = NewTag("tag")
+)
+
+// TestLogRecordLayout pins the log record's host layout: 32 bytes, and
+// no pointer anywhere in it, so the GC never scans a log's backing array
+// however long it grows.
+func TestLogRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n != 32 {
+		t.Fatalf("rec is %d bytes, want 32", n)
+	}
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch k := typ.Kind(); {
+		case k >= reflect.Bool && k <= reflect.Complex128:
+			return false
+		case k == reflect.Array:
+			return typ.Len() > 0 && hasPointers(typ.Elem())
+		case k == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true // pointers, strings, slices, maps, channels, funcs, interfaces
+	}
+	if !hasPointers(reflect.TypeOf(Hop{})) {
+		t.Fatal("the walk finds no pointer in Hop, which holds strings")
+	}
+	if hasPointers(reflect.TypeOf(rec{})) {
+		t.Fatal("rec holds a pointer, so the GC scans every log")
+	}
+}
 
 // TestNilTracerSafe pins the nil-sentinel contract: every hook on a nil
 // Tracer is a no-op, so charge sites need no guards when tracing is off.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Begin(ReadMiss, 0, 0x1000, 100)
-	tr.Hop("l1", "lookup", 100, 110)
-	tr.HopTag("noc", "bus_data", 110, 120, "wait=0")
-	tr.HopNum("dram", "read", 120, 130, TagChannel, 1)
+	tr.Hop(l1Lookup, 100, 110)
+	tr.Transfer(busData, 110, 120, 0)
+	tr.HopNum(dramRead, 120, 130, TagChannel, 1)
 	tr.SetClass(WriteMiss)
-	tr.Tag("tag")
+	tr.Tag(testTag)
 	d := tr.BeginDetached(new(Log), DMAGet, 0, 0x2000, 100)
 	tr.Resume(&d)
 	tr.Suspend(&d)
@@ -68,10 +115,10 @@ func sumAdvance(t *testing.T, x *Txn) sim.Time {
 func TestFinalizeConservation(t *testing.T) {
 	tr := New()
 	tr.Begin(ReadMiss, 1, 0x40, 100)
-	tr.Hop("l1", "lookup", 100, 110)
-	tr.Hop("noc", "to_global", 150, 200) // gap 110..150 charged here
-	tr.Hop("l2", "access", 180, 190)     // fully overlapped: advance 0
-	tr.Hop("dram", "read", 190, 400)     // clamped to the end below
+	tr.Hop(l1Lookup, 100, 110)
+	tr.Hop(toGlobal, 150, 200) // gap 110..150 charged here
+	tr.Hop(l2Access, 180, 190) // fully overlapped: advance 0
+	tr.Hop(dramRead, 190, 400) // clamped to the end below
 	tr.End(250)
 
 	exs := tr.Exemplars(ReadMiss)
@@ -93,7 +140,7 @@ func TestFinalizeConservation(t *testing.T) {
 	// A transaction whose hops end before its completion gets the
 	// synthetic tail.
 	tr.Begin(WriteMiss, 0, 0x80, 0)
-	tr.Hop("l1", "lookup", 0, 10)
+	tr.Hop(l1Lookup, 0, 10)
 	tr.End(100)
 	wx := tr.Exemplars(WriteMiss)[0]
 	last := wx.Hops[len(wx.Hops)-1]
@@ -110,10 +157,10 @@ func TestNestedChildAttach(t *testing.T) {
 	tr := New()
 	tr.SampleEvery = 1 // sample everything
 	tr.Begin(ReadMiss, 0, 0x100, 0)
-	tr.Hop("noc", "bus_control", 0, 10)
+	tr.Hop(busControl, 0, 10)
 	tr.Begin(L2Hit, 0, 0x100, 10)
 	tr.SetClass(DRAMFill)
-	tr.Hop("dram", "read", 10, 500)
+	tr.Hop(dramRead, 10, 500)
 	tr.End(510) // kid
 	tr.End(520) // root
 
@@ -246,7 +293,7 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 		tr.Seed = 7
 		for i := 0; i < 64; i++ {
 			tr.Begin(Class(i%3), i%4, uint64(i)*64, sim.Time(i*100))
-			tr.Hop("l1", "lookup", sim.Time(i*100), sim.Time(i*100+10))
+			tr.Hop(l1Lookup, sim.Time(i*100), sim.Time(i*100+10))
 			tr.End(sim.Time(i*100 + 10 + i))
 		}
 		return tr
@@ -294,11 +341,11 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 func TestWriteExplainTail(t *testing.T) {
 	tr := New()
 	tr.Begin(ReadMiss, 3, 0x2000, 0)
-	tr.HopTag("l1", "lookup", 0, 1250000, "miss")
-	tr.HopNum("noc", "bus_control", 1250000, 2500000, TagWait, 625000)
+	tr.Hop(l1Miss, 0, 1250000)
+	tr.HopNum(busControl, 1250000, 2500000, TagWait, 625000)
 	tr.Begin(L2Hit, 3, 0x2000, 2500000)
-	tr.HopNum("l2", "access", 2500000, 5000000, TagPortWait, 1250000)
-	tr.HopNum("dram", "read", 5000000, 12500000, TagChannel, 3)
+	tr.HopNum(l2Access, 2500000, 5000000, TagPortWait, 1250000)
+	tr.HopNum(dramRead, 5000000, 12500000, TagChannel, 3)
 	tr.End(12500000)
 	tr.End(12500000)
 	var buf bytes.Buffer
@@ -328,11 +375,11 @@ func TestMergeChrome(t *testing.T) {
 	tr := New()
 	tr.SampleEvery = 1
 	tr.Begin(ReadMiss, 0, 0x40, 0)
-	tr.Hop("l1", "lookup", 0, 10)
-	tr.HopNum("noc", "bus_control", 10, 12, TagWait, 1)
+	tr.Hop(l1Lookup, 0, 10)
+	tr.HopNum(busControl, 10, 12, TagWait, 1)
 	tr.Begin(DRAMFill, 0, 0x40, 12)
-	tr.HopNum("l2", "access", 12, 20, TagPortWait, 2)
-	tr.HopNum("dram", "read", 20, 100, TagChannel, 1)
+	tr.HopNum(l2Access, 12, 20, TagPortWait, 2)
+	tr.HopNum(dramRead, 20, 100, TagChannel, 1)
 	tr.End(100)
 	tr.End(110)
 
@@ -367,13 +414,13 @@ func TestNumericTagsRender(t *testing.T) {
 	tr := New()
 	tr.SampleEvery = 1
 	tr.Begin(ReadMiss, 0, 0x40, 0)
-	tr.HopTag("l1", "lookup", 0, 10, "miss")
-	tr.HopNum("noc", "bus_control", 10, 20, TagWait, 7)
-	tr.HopNum("l2", "access", 20, 30, TagPortWait, 1250000)
-	tr.HopNum("dram", "read", 30, 40, TagChannel, 0)
+	tr.Hop(l1Miss, 0, 10)
+	tr.HopNum(busControl, 10, 20, TagWait, 7)
+	tr.HopNum(l2Access, 20, 30, TagPortWait, 1250000)
+	tr.HopNum(dramRead, 30, 40, TagChannel, 0)
 	tr.Begin(L2Hit, 0, 0x40, 40)
 	tr.End(50)
-	tr.Hop("noc", "bus_data", 50, 60)
+	tr.Hop(busData, 50, 60)
 	tr.End(60)
 
 	want := []string{"miss", "wait=7fs", "port_wait=1250000fs", "ch0", "#2", ""}

@@ -131,16 +131,25 @@ func (u *Uncore) chanOf(a mem.Addr) int {
 // l2For returns the tag array holding a.
 func (u *Uncore) l2For(a mem.Addr) *cache.Cache { return u.l2s[u.bankOf(a)] }
 
+// The tracer's sites of the uncore's hops and outcome tags.
+var (
+	dramRead  = txntrace.NewSite("dram", "read", "")
+	dramWrite = txntrace.NewSite("dram", "write", "")
+	l2Access  = txntrace.NewSite("l2", "access", "")
+	l2HitTag  = txntrace.NewTag("l2=hit")
+	l2MissTag = txntrace.NewTag("l2=miss")
+)
+
 // dramAccess routes an access to its channel, recording the channel
 // service interval as a hop on the active transaction.
 func (u *Uncore) dramAccess(at sim.Time, a mem.Addr, nbytes uint64, write bool) sim.Time {
 	done := u.drams[u.chanOf(a)].Access(at, a, nbytes, write)
 	if u.txn != nil {
-		op := "read"
+		site := dramRead
 		if write {
-			op = "write"
+			site = dramWrite
 		}
-		u.txn.HopNum("dram", op, at, done, txntrace.TagChannel, uint64(u.chanOf(a)))
+		u.txn.HopNum(site, at, done, txntrace.TagChannel, uint64(u.chanOf(a)))
 	}
 	return done
 }
@@ -247,9 +256,9 @@ func (u *Uncore) l2Access(at sim.Time, a mem.Addr) sim.Time {
 	done := start + u.cfg.L2Latency
 	if u.txn != nil {
 		if start > at {
-			u.txn.HopNum("l2", "access", at, done, txntrace.TagPortWait, uint64(start-at))
+			u.txn.HopNum(l2Access, at, done, txntrace.TagPortWait, uint64(start-at))
 		} else {
-			u.txn.Hop("l2", "access", at, done)
+			u.txn.Hop(l2Access, at, done)
 		}
 	}
 	return done
@@ -281,12 +290,12 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 			t = ln.FillDone
 		}
 		done = u.net.FromGlobal(t, cluster, mem.LineSize)
-		u.txn.Tag("l2=hit")
+		u.txn.Tag(l2HitTag)
 		u.txn.End(done)
 		return done, true
 	}
 	u.txn.SetClass(txntrace.DRAMFill)
-	u.txn.Tag("l2=miss")
+	u.txn.Tag(l2MissTag)
 	t = u.dramAccess(t, a.Line(), mem.LineSize, false)
 	_, ev := u.l2For(a).Insert(a, cache.Exclusive, t)
 	u.evictL2(t, ev)
