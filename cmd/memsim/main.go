@@ -11,6 +11,10 @@
 //	memsim -w fir -store ~/.memsim-store          # reuse verified results across runs
 //	memsim -list
 //
+// memsim runs its one job through the same bench.Runner paperbench runs
+// its grid with, and shares paperbench's -scale, -store,
+// -store-max-bytes, -http, -http-linger and -flightrec flags.
+//
 // With -store DIR the run first looks its exact configuration up in the
 // crash-safe result store (the format paperbench uses); a hit prints the
 // stored report byte-identically and skips the simulation, a miss
@@ -21,12 +25,14 @@
 // that is another executable). One process owns a store
 // directory at a time (a concurrent open fails with "in use"). Runs
 // that collect artifacts only a live simulation can produce (-trace,
-// -sample) always simulate, but still persist their reports.
+// -sample, -txn-trace, -explain-tail) always simulate, but still persist
+// their reports: the Runner skips the store probe for a job whose
+// Config carries an observer.
 //
-// Every run arms an engine flight recorder (-flightrec events, default
+// The Runner arms an engine flight recorder (-flightrec events, default
 // 256): when the simulation dies with a typed failure — deadlock,
-// livelock, panic — the last scheduler events that led there are printed
-// to stderr along with the error.
+// livelock, panic — the job error and the last scheduler events that
+// led there are printed to stderr.
 //
 // Exit codes (shared with paperbench): 0 success, 1 runtime or
 // simulation failure, 2 flag or configuration validation error.
@@ -42,13 +48,12 @@ import (
 	"strings"
 
 	memsys "repro"
+	"repro/internal/bench"
 	"repro/internal/probe"
-	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/warnonce"
+	"repro/internal/workload"
 )
 
 // flagOf maps Config fields validated by Config.Validate to the memsim
@@ -212,7 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pf := fs.Int("pf", 0, "hardware prefetch depth (0 = off; CC only)")
 	nwa := fs.Bool("nwa", false, "no-write-allocate L1 policy (CC only)")
 	filter := fs.Bool("snoopfilter", false, "RegionScout-style snoop filter (CC only)")
-	scaleName := fs.String("scale", "small", "dataset scale: small, default, paper")
 	list := fs.Bool("list", false, "list available workloads")
 	verbose := fs.Bool("v", false, "print detailed counters")
 	asJSON := fs.Bool("json", false, "print the full report as JSON")
@@ -225,11 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sampleCSV := fs.String("sample-csv", "", "write the per-epoch samples as CSV to this file (requires -sample)")
 	breakdown := fs.Bool("breakdown", false, "enable the cycle ledger and print cycle-accounting and latency-distribution tables")
 	latencyCSV := fs.String("latency-csv", "", "write the latency histogram buckets as CSV to this file (requires -breakdown)")
-	httpAddr := fs.String("http", "", "serve run telemetry on this address: GET /metrics, /progress, /debug/pprof (empty = off)")
-	httpLinger := fs.Duration("http-linger", 0, "keep -http serving this long after the run finishes (ends early on /quit)")
-	flightRec := fs.Int("flightrec", 256, "flight-recorder depth: last K scheduler events printed with a typed failure (0 = off)")
-	storeDir := fs.String("store", "", "reuse verified results from this persistent store directory, creating it if missing (empty = off)")
-	storeMax := fs.Int64("store-max-bytes", 0, "once the store's record files exceed this many bytes, delete the least recently used (0 = unlimited; requires -store)")
+	cli := bench.NewCLI(fs, "small", stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -243,12 +243,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "memsim:", err)
 		return 2
 	}
-	scale, err := memsys.ParseScale(*scaleName)
-	if err != nil {
+	if err := cli.Validate(); err != nil {
 		fmt.Fprintln(stderr, "memsim:", err)
 		return 2
 	}
-	if _, err := memsys.NewWorkload(*name, scale); err != nil {
+	if _, err := workload.Get(*name); err != nil {
 		fmt.Fprintln(stderr, "memsim:", err)
 		return 2
 	}
@@ -260,28 +259,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "memsim: -latency-csv requires -breakdown")
 		return 2
 	}
-	if *flightRec < 0 {
-		fmt.Fprintln(stderr, "memsim: -flightrec must be non-negative")
-		return 2
-	}
 	if (*txnSample != 0 || *txnSeed != 0) && *txnTraceOut == "" && !*explainTail {
 		fmt.Fprintln(stderr, "memsim: -txn-sample/-txn-seed require -txn-trace or -explain-tail")
-		return 2
-	}
-	if *httpLinger < 0 {
-		fmt.Fprintln(stderr, "memsim: -http-linger must be non-negative")
-		return 2
-	}
-	if *httpLinger > 0 && *httpAddr == "" {
-		fmt.Fprintln(stderr, "memsim: -http-linger requires -http")
-		return 2
-	}
-	if *storeMax < 0 {
-		fmt.Fprintln(stderr, "memsim: -store-max-bytes must be non-negative")
-		return 2
-	}
-	if *storeMax > 0 && *storeDir == "" {
-		fmt.Fprintln(stderr, "memsim: -store-max-bytes requires -store")
 		return 2
 	}
 
@@ -292,7 +271,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.NoWriteAllocate = *nwa
 	cfg.SnoopFilter = *filter
 	cfg.CycleLedger = *breakdown
-	cfg.FlightRecorder = *flightRec
 	if err := flagErrors(cfg.Validate(), m); err != nil {
 		fmt.Fprintln(stderr, "memsim:", err)
 		return 2
@@ -319,92 +297,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		txn.Seed = *txnSeed
 		cfg.TxnTrace = txn
 	}
-	// Capacity-overflow warnings are warn-once so re-entrant printing
-	// paths can report them unconditionally.
-	traceWarn := warnonce.New(stderr)
-	txnWarn := warnonce.New(stderr)
 
-	var store *resultstore.Store
-	if *storeDir != "" {
-		var serr error
-		store, serr = resultstore.Open(resultstore.Options{Dir: *storeDir, MaxBytes: *storeMax, Log: stderr})
-		if serr != nil {
-			fmt.Fprintf(stderr, "memsim: -store: %v\n", serr)
-			return 1
-		}
+	// One job through the Runner: it probes the store (unless an observer
+	// above is attached), simulates, persists the fresh report and feeds
+	// -http's one-span campaign. A store hit prints through the same
+	// paths as a fresh run, so the output is byte-identical either way.
+	r, err := cli.Open(false)
+	if err != nil {
+		fmt.Fprintln(stderr, "memsim:", err)
+		return 1
 	}
-
-	// -http serves this run as a one-span campaign: workers=1, the span
-	// walks queued → running → done/failed, and the process lingers on
-	// -http-linger so /metrics and /debug/pprof outlive the simulation.
-	var tele *telemetry.Campaign
-	var srv *telemetry.Server
-	finish := func(code int) int {
-		if store != nil {
-			if cerr := store.Close(); cerr != nil && code == 0 {
-				fmt.Fprintf(stderr, "memsim: store: %v\n", cerr)
-				code = 1
-			}
-			store = nil
+	r.Workers = 1
+	rep, err := r.Run(cfg, *name)
+	if err != nil {
+		fmt.Fprintf(stderr, "memsim: %v\n", err)
+		var jerr *bench.JobError
+		if errors.As(err, &jerr) && jerr.State != nil {
+			writeFlightTail(stderr, *jerr.State)
 		}
-		tele.SetComplete()
-		if srv != nil {
-			srv.WaitQuit(*httpLinger)
-			srv.Close()
-		}
-		return code
+		return cli.Finish(1)
 	}
-	var sp *telemetry.Span
-	if *httpAddr != "" {
-		tele = telemetry.NewCampaign()
-		tele.SetWorkers(1)
-		var serr error
-		if srv, serr = telemetry.Serve(*httpAddr, tele); serr != nil {
-			fmt.Fprintf(stderr, "memsim: -http: %v\n", serr)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "memsim: telemetry on http://%s (/metrics, /progress, /debug/pprof)\n", srv.Addr())
-		sp = tele.Enqueue(*name, fmt.Sprintf("%v %d cores @%d MHz bw=%d pf=%d",
-			cfg.Model, cfg.Cores, cfg.CoreMHz, cfg.DRAMBandwidthMBps, cfg.PrefetchDepth))
-		if store != nil {
-			tele.SetStoreStats(store.Stats)
-		}
-	}
-
-	sp.Start()
-	// A store hit replays the persisted report through the exact printing
-	// paths a fresh run uses, so the output is byte-identical either way.
-	// Runs collecting live-only artifacts (-trace, -sample, -txn-trace,
-	// -explain-tail) must really simulate; they skip the probe but still
-	// persist their reports.
-	var rep *memsys.Report
-	fromStore := false
-	if store != nil && tr == nil && pr == nil && txn == nil {
-		if hit, ok := store.Get(cfg, *name, scale.String()); ok {
-			rep, fromStore = hit, true
-			sp.StoreHit()
-			fmt.Fprintf(stderr, "memsim: result served from store %s\n", *storeDir)
-		}
-	}
-	if !fromStore {
-		var err error
-		rep, err = memsys.Run(cfg, *name, scale)
-		if err != nil {
-			sp.Fail("error")
-			fmt.Fprintf(stderr, "memsim: %v\n", err)
-			var rerr memsys.RunError
-			if errors.As(err, &rerr) {
-				writeFlightTail(stderr, rerr.EngineState())
-			}
-			return finish(1)
-		}
-		sp.Done()
-		if store != nil {
-			if perr := store.Put(cfg, *name, scale.String(), rep); perr != nil {
-				fmt.Fprintf(stderr, "memsim: store: write failed: %v\n", perr)
-			}
-		}
+	if r.StoreHits() > 0 {
+		fmt.Fprintf(stderr, "memsim: result served from store %s\n", cli.StoreDir)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -418,7 +332,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(stderr, "memsim: %v\n", err)
-			return finish(1)
+			return cli.Finish(1)
 		}
 	} else {
 		fmt.Fprint(stdout, rep)
@@ -432,74 +346,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 			txn.WriteExplainTail(stdout, sim.MHz(cfg.CoreMHz).Period)
 		}
 	}
-	tele.RecordRun(rep.Latency, sim.MHz(cfg.CoreMHz).Period, txn)
-	if *latencyCSV != "" {
-		f, ferr := os.Create(*latencyCSV)
-		if ferr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", ferr)
-			return finish(1)
+	// save writes one artifact file and, outside -json, notes it on
+	// stdout; false means the write failed and was reported.
+	save := func(path string, write func(io.Writer) error, note string, args ...any) bool {
+		if err := bench.WriteFile(path, write); err != nil {
+			fmt.Fprintf(stderr, "memsim: %v\n", err)
+			return false
 		}
-		rep.Latency.WriteBucketsCSV(f)
-		f.Close()
 		if !*asJSON {
-			fmt.Fprintf(stdout, "latency: histogram buckets written to %s\n", *latencyCSV)
+			fmt.Fprintf(stdout, note, args...)
 		}
+		return true
 	}
-	if pr != nil && *sampleCSV != "" {
-		f, ferr := os.Create(*sampleCSV)
-		if ferr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", ferr)
-			return finish(1)
-		}
-		if werr := pr.WriteCSV(f); werr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", werr)
-			return finish(1)
-		}
-		f.Close()
-		if !*asJSON {
-			fmt.Fprintf(stdout, "samples: %d epochs written to %s\n", pr.Epochs(), *sampleCSV)
-		}
+	if *latencyCSV != "" && !save(*latencyCSV, rep.Latency.WriteBucketsCSV,
+		"latency: histogram buckets written to %s\n", *latencyCSV) {
+		return cli.Finish(1)
 	}
-	if txn != nil && *txnTraceOut != "" {
-		f, ferr := os.Create(*txnTraceOut)
-		if ferr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", ferr)
-			return finish(1)
-		}
-		if werr := txn.WriteJSONL(f); werr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", werr)
-			return finish(1)
-		}
-		f.Close()
-		if !*asJSON {
-			fmt.Fprintf(stdout, "txn-trace: %d transaction trees written to %s\n", txn.Trees(), *txnTraceOut)
-		}
+	if *sampleCSV != "" && !save(*sampleCSV, pr.WriteCSV,
+		"samples: %d epochs written to %s\n", pr.Epochs(), *sampleCSV) {
+		return cli.Finish(1)
 	}
-	if txn != nil {
-		if d := txn.DroppedSampled(); d > 0 {
-			txnWarn.Warnf("memsim: warning: txn trace dropped %d sampled trees past the retention cap; lower -txn-sample or rely on the exemplar reservoirs", d)
-		}
+	if *txnTraceOut != "" && !save(*txnTraceOut, txn.WriteJSONL,
+		"txn-trace: %d transaction trees written to %s\n", txn.Trees(), *txnTraceOut) {
+		return cli.Finish(1)
+	}
+	if d := txn.DroppedSampled(); d > 0 {
+		fmt.Fprintf(stderr, "memsim: warning: txn trace dropped %d sampled trees past the retention cap; lower -txn-sample or rely on the exemplar reservoirs\n", d)
 	}
 	if tr != nil {
 		if pr != nil {
 			mergeProbeCounters(tr, pr)
 		}
 		txn.MergeChrome(tr)
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", ferr)
-			return finish(1)
-		}
-		if werr := tr.WriteChrome(f); werr != nil {
-			fmt.Fprintf(stderr, "memsim: %v\n", werr)
-			return finish(1)
-		}
-		f.Close()
-		if !*asJSON {
-			fmt.Fprintf(stdout, "trace: %d spans written to %s (%d dropped)\n", tr.Len(), *traceOut, tr.Dropped())
+		if !save(*traceOut, tr.WriteChrome,
+			"trace: %d spans written to %s (%d dropped)\n", tr.Len(), *traceOut, tr.Dropped()) {
+			return cli.Finish(1)
 		}
 		if d := tr.Dropped(); d > 0 {
-			traceWarn.Warnf("memsim: warning: trace dropped %d spans past the collector cap; the timeline is incomplete", d)
+			fmt.Fprintf(stderr, "memsim: warning: trace dropped %d spans past the collector cap; the timeline is incomplete\n", d)
 		}
 	}
 	if *verbose {
@@ -520,7 +404,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep.Engine.Dispatches+rep.Engine.InlineSteps, 100*rep.Engine.FastPathRate(),
 			100*rep.Engine.InlineRate(), rep.Engine.HeapMax, rep.Servers.Pruned)
 	}
-	return finish(0)
+	return cli.Finish(0)
 }
 
 func main() {

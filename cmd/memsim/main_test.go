@@ -377,3 +377,19 @@ func TestStoreExplainTailAlwaysSimulates(t *testing.T) {
 		t.Fatal("-explain-tail run was served from the store; its trees would be empty")
 	}
 }
+
+// TestArtifactWriteFailureExits1: an artifact the disk refuses is a
+// runtime failure, not a file reported as written.
+func TestArtifactWriteFailureExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	var out, errs bytes.Buffer
+	args := []string{"-w", "fir", "-cores", "2", "-breakdown", "-latency-csv", "/dev/full"}
+	if code := run(args, &out, &errs); code != 1 {
+		t.Fatalf("run(%v) = %d, want 1 (stderr: %s)", args, code, errs.String())
+	}
+	if strings.Contains(out.String(), "written to") {
+		t.Fatalf("stdout reports the refused file as written:\n%s", out.String())
+	}
+}

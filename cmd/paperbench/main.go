@@ -17,6 +17,11 @@
 // results are collected in a fixed order, so table and figure output is
 // byte-identical at any -j; only the stderr progress interleaving varies.
 //
+// Every job runs through bench.Runner, as memsim's one job does, and
+// bench.CLI registers, validates and opens the flags the two commands
+// share: -scale, -store, -store-max-bytes, -http, -http-linger and
+// -flightrec mean the same in both.
+//
 // A failing simulation does not kill the campaign: its cells render as
 // ERR, the figure gains a "N ok / M failed" summary line, and the
 // manifest records the typed failure with the engine's state dump.
@@ -77,7 +82,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/resultstore"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/txntrace"
@@ -223,38 +227,33 @@ func (s *txnSink) write(path string) error {
 		ks = append(ks, keyed{rec.Name + "\x00" + string(cj), rec})
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, k := range ks {
-		// A map marshals with sorted keys, keeping the header stable.
-		hdr := map[string]any{
-			"kind":     "run",
-			"workload": k.rec.Name,
-			"config":   k.rec.Cfg,
+	return bench.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, k := range ks {
+			// A map marshals with sorted keys, keeping the header stable.
+			hdr := map[string]any{
+				"kind":     "run",
+				"workload": k.rec.Name,
+				"config":   k.rec.Cfg,
+			}
+			if len(k.rec.TailExemplars) > 0 {
+				hdr["tail_exemplars"] = k.rec.TailExemplars
+			}
+			if err := enc.Encode(hdr); err != nil {
+				return err
+			}
+			if err := k.rec.Txn.WriteJSONL(w); err != nil {
+				return err
+			}
 		}
-		if len(k.rec.TailExemplars) > 0 {
-			hdr["tail_exemplars"] = k.rec.TailExemplars
-		}
-		if err := enc.Encode(hdr); err != nil {
-			f.Close()
-			return err
-		}
-		if err := k.rec.Txn.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // run is the testable entry point; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scaleFlag := fs.String("scale", "default", "dataset scale: small, default or paper")
 	onlyFlag := fs.String("only", "", "comma-separated subset: table2,table3,fig2,...,fig10,breakdown")
 	appsFlag := fs.String("apps", "", "restrict fig2 to these comma-separated apps")
 	quiet := fs.Bool("q", false, "suppress per-run progress lines")
@@ -263,60 +262,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (output is identical at any -j)")
 	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per simulation (0 = off); timed-out jobs fail with a progress dump")
 	resume := fs.Bool("resume", false, "keep the -artifacts DIR/store result store of an earlier campaign of this binary, so only missing and failed jobs simulate (requires -artifacts, excludes -store)")
-	storeDir := fs.String("store", "", "persistent cross-campaign result store directory: verified results are recalled instead of re-simulated (crash-safe; corrupt records are deleted and re-run)")
-	storeMax := fs.Int64("store-max-bytes", 0, "once the store's record files exceed this many bytes, delete the least recently used (0 = unlimited; requires -store)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole campaign to this file")
 	blockProfile := fs.String("blockprofile", "", "write a pprof blocking profile (rate 1) to this file; shows where goroutines wait")
-	httpAddr := fs.String("http", "", "serve live campaign telemetry on this address: GET /metrics, /progress, /debug/pprof (empty = off)")
-	httpLinger := fs.Duration("http-linger", 0, "keep -http serving this long after the campaign finishes (ends early on /quit)")
-	flightRec := fs.Int("flightrec", 256, "per-job flight-recorder depth: last K scheduler events in failure dumps (0 = off)")
 	txnTrace := fs.String("txn-trace", "", "arm per-run transaction tracing with worst-K tail exemplars, write every retained tree as JSONL to this file, and record tail_exemplars blocks in the manifest")
+	cli := bench.NewCLI(fs, "default", stderr)
+	cli.Note = "# paperbench:"
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	var scale workload.Scale
-	switch *scaleFlag {
-	case "small":
-		scale = workload.ScaleSmall
-	case "default":
-		scale = workload.ScaleDefault
-	case "paper":
-		scale = workload.ScalePaper
-	default:
-		fmt.Fprintf(stderr, "paperbench: unknown scale %q\n", *scaleFlag)
+	if err := cli.Validate(); err != nil {
+		fmt.Fprintln(stderr, "paperbench:", err)
 		return 2
 	}
 	if *jobTimeout < 0 {
 		fmt.Fprintln(stderr, "paperbench: -job-timeout must be non-negative")
 		return 2
 	}
-	if *flightRec < 0 {
-		fmt.Fprintln(stderr, "paperbench: -flightrec must be non-negative")
-		return 2
-	}
 	if *resume && *artifactsDir == "" {
 		fmt.Fprintln(stderr, "paperbench: -resume requires -artifacts (its DIR/store holds the results to reuse)")
 		return 2
 	}
-	if *resume && *storeDir != "" {
+	if *resume && cli.StoreDir != "" {
 		fmt.Fprintln(stderr, "paperbench: -resume reuses -artifacts DIR/store and cannot be combined with -store")
-		return 2
-	}
-	if *httpLinger < 0 {
-		fmt.Fprintln(stderr, "paperbench: -http-linger must be non-negative")
-		return 2
-	}
-	if *httpLinger > 0 && *httpAddr == "" {
-		fmt.Fprintln(stderr, "paperbench: -http-linger requires -http")
-		return 2
-	}
-	if *storeMax < 0 {
-		fmt.Fprintln(stderr, "paperbench: -store-max-bytes must be non-negative")
-		return 2
-	}
-	if *storeMax > 0 && *storeDir == "" {
-		fmt.Fprintln(stderr, "paperbench: -store-max-bytes requires -store")
 		return 2
 	}
 
@@ -343,15 +311,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runtime.SetBlockProfileRate(1)
 		defer func() {
 			runtime.SetBlockProfileRate(0)
-			f, err := os.Create(*blockProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "paperbench: -blockprofile: %v\n", err)
-				return
-			}
-			if err := pprof.Lookup("block").WriteTo(f, 0); err != nil {
+			if err := bench.WriteFile(*blockProfile, func(w io.Writer) error {
+				return pprof.Lookup("block").WriteTo(w, 0)
+			}); err != nil {
 				fmt.Fprintf(stderr, "paperbench: -blockprofile: %v\n", err)
 			}
-			f.Close()
 		}()
 	}
 
@@ -391,26 +355,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var ioFail error
 	writeCSV := func(name string, tb *stats.Table) {
-		if *csvDir == "" || ioFail != nil {
-			return
+		if *csvDir != "" && ioFail == nil {
+			ioFail = bench.WriteFile(filepath.Join(*csvDir, name+".csv"), tb.WriteCSV)
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		if err != nil {
-			ioFail = err
-			return
-		}
-		tb.WriteCSV(f)
-		f.Close()
-	}
-
-	r := bench.NewRunner(scale)
-	r.Workers = *jobs
-	r.JobTimeout = *jobTimeout
-	r.FlightRecorder = *flightRec
-	var txns *txnSink
-	if *txnTrace != "" {
-		r.TxnExemplars = txntrace.DefaultK
-		txns = &txnSink{}
 	}
 
 	// The persistent result store: verified results from any previous
@@ -418,51 +365,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Every record is renamed into place whole, so -store or -resume
 	// after a SIGKILL just works. -artifacts without -store stores into
 	// DIR/store, emptied first unless this campaign resumes.
-	var store *resultstore.Store
-	storePath := *storeDir
-	if storePath == "" && *artifactsDir != "" {
-		storePath = filepath.Join(*artifactsDir, "store")
+	if cli.StoreDir == "" && *artifactsDir != "" {
+		cli.StoreDir = filepath.Join(*artifactsDir, "store")
 		if !*resume {
-			if err := os.RemoveAll(storePath); err != nil {
+			if err := os.RemoveAll(cli.StoreDir); err != nil {
 				fmt.Fprintf(stderr, "paperbench: %v\n", err)
 				return 1
 			}
 		}
 	}
-	if storePath != "" {
-		var err error
-		store, err = resultstore.Open(resultstore.Options{Dir: storePath, MaxBytes: *storeMax, Log: stderr})
-		if err != nil {
-			fmt.Fprintf(stderr, "paperbench: -store: %v\n", err)
-			return 1
-		}
-		defer store.Close()
-		r.Store = store
-	}
-
-	// Campaign telemetry: allocated when anything will read it (-http, or
-	// the in-place status line on an interactive stderr). With neither,
+	// Campaign telemetry is allocated when anything will read it: -http,
+	// or the in-place status line on an interactive stderr. With neither,
 	// r.Telemetry stays nil and every span call is a no-op — figure
 	// output is byte-identical regardless.
 	useStatus := !*quiet && telemetry.IsTerminal(stderr)
-	var tele *telemetry.Campaign
-	if *httpAddr != "" || useStatus {
-		tele = telemetry.NewCampaign()
-		r.Telemetry = tele
-		if store != nil {
-			tele.SetStoreStats(store.Stats)
-		}
+	r, err := cli.Open(useStatus)
+	if err != nil {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return 1
 	}
-	var srv *telemetry.Server
-	if *httpAddr != "" {
-		var err error
-		if srv, err = telemetry.Serve(*httpAddr, tele); err != nil {
-			fmt.Fprintf(stderr, "paperbench: -http: %v\n", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "# paperbench: telemetry on http://%s (/metrics, /progress, /debug/pprof)\n", srv.Addr())
+	r.Workers = *jobs
+	r.JobTimeout = *jobTimeout
+	var txns *txnSink
+	if *txnTrace != "" {
+		r.TxnExemplars = txntrace.DefaultK
+		txns = &txnSink{}
 	}
+	tele := r.Telemetry
 	var sl *telemetry.StatusLine
 	if !*quiet {
 		if useStatus {
@@ -477,10 +406,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var manifest *manifestWriter
 	if *artifactsDir != "" {
-		var err error
-		if manifest, err = newManifestWriter(*artifactsDir, *scaleFlag, stderr); err != nil {
+		if manifest, err = newManifestWriter(*artifactsDir, r.Scale.String(), stderr); err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
-			return 1
+			return cli.Finish(1)
 		}
 		r.OnRecord = manifest.record
 	}
@@ -541,41 +469,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r.Close() // drain pending progress lines before the summary
 	sl.Stop() // clear the status line; summary lines below scroll normally
 
-	// finish seals the campaign for scrapers — the completion gauge flips
-	// so /progress reports "complete": true with the final counts — then
-	// lingers on -http-linger so an external collector (CI) can take its
-	// last scrape before the process exits.
-	finish := func(code int) int {
-		tele.SetComplete()
-		if srv != nil {
-			srv.WaitQuit(*httpLinger)
-			srv.Close()
-		}
-		return code
-	}
 	if manifest != nil {
 		if err := manifest.close(); err != nil {
 			fmt.Fprintf(stderr, "paperbench: manifest: %v\n", err)
-			return finish(1)
+			return cli.Finish(1)
 		}
 	}
 	if txns != nil {
 		if err := txns.write(*txnTrace); err != nil {
 			fmt.Fprintf(stderr, "paperbench: -txn-trace: %v\n", err)
-			return finish(1)
+			return cli.Finish(1)
 		}
 	}
 	if ioFail != nil {
 		fmt.Fprintf(stderr, "paperbench: csv: %v\n", ioFail)
-		return finish(1)
+		return cli.Finish(1)
 	}
-	if store != nil {
+	if store := r.Store; store != nil {
 		// Release the store before reporting. Each Put was durable when it
 		// returned, so everything this campaign simulated is on disk by
 		// the time the summary prints.
 		if err := store.Close(); err != nil {
 			fmt.Fprintf(stderr, "paperbench: -store: %v\n", err)
-			return finish(1)
+			return cli.Finish(1)
 		}
 		st := store.Stats()
 		fmt.Fprintf(stderr, "# paperbench: store: %d hits, %d misses, %d results persisted (%d records, %d bytes)\n",
@@ -585,9 +501,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if partial {
 		ok, failed := r.Outcome()
 		fmt.Fprintf(stderr, "# paperbench: partial results: %d ok / %d failed\n", ok, failed)
-		return finish(3)
+		return cli.Finish(3)
 	}
-	return finish(0)
+	return cli.Finish(0)
 }
 
 func main() {

@@ -137,17 +137,18 @@ type Runner struct {
 	// Runner needs no guards.
 	Telemetry *telemetry.Campaign
 	// Store, when non-nil, is the persistent cross-campaign result store
-	// (paperbench -store, or -resume's DIR/store): each admitted job
-	// probes it before simulating and a hit resolves the flight without
-	// running the engine — no Record, no ok/failed movement, a "(store)"
-	// progress marker — while a miss simulates normally and writes the
-	// verified report back. Store keys include the Runner's dataset
-	// Scale, so campaigns sharing one store directory at different
-	// -scale values never serve each other's reports. Corrupt or
-	// version-mismatched records are misses by construction (the store
-	// deletes corrupt ones), so an un-trustworthy
-	// store can only cost time, never correctness. Set it before the
-	// first Run or Prefetch.
+	// (memsim and paperbench -store, or -resume's DIR/store): each
+	// admitted job probes it before simulating and a hit resolves the
+	// flight without running the engine — no Record, no ok/failed
+	// movement, a "(store)" progress marker — while a miss simulates
+	// normally and writes the verified report back. A job whose Config
+	// carries a caller-attached observer always simulates and writes its
+	// report back. Store keys include the Runner's dataset Scale, so
+	// campaigns sharing one store directory at different -scale values
+	// never serve each other's reports. Corrupt or version-mismatched
+	// records are misses by construction (the store deletes corrupt
+	// ones), so an un-trustworthy store can only cost time, never
+	// correctness. Set it before the first Run or Prefetch.
 	Store *resultstore.Store
 	// FlightRecorder sizes the engine flight recorder armed for every
 	// fresh simulation whose Config sets none (the last K scheduler
@@ -266,8 +267,10 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 	// resolves the flight like a memo hit from a previous campaign: no
 	// Record (nothing ran here), no ok/fail movement, and the progress
 	// line carries a "(store)" marker so a resumed campaign's log shows
-	// what was recalled versus re-simulated.
-	if r.Store != nil {
+	// what was recalled versus re-simulated. A job whose Config carries a
+	// caller-attached observer (Trace, Probe or TxnTrace) skips the probe,
+	// since a stored report cannot feed it, but still persists its report.
+	if r.Store != nil && cfg.Trace == nil && cfg.Probe == nil && cfg.TxnTrace == nil {
 		if rep, ok := r.Store.Get(cfg, name, r.Scale.String()); ok {
 			fl.rep = rep
 			fl.span.StoreHit()

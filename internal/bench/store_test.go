@@ -9,8 +9,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/probe"
 	"repro/internal/resultstore"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/txntrace"
 	"repro/internal/workload"
 )
 
@@ -276,5 +280,70 @@ func TestStoreScaleMismatchMisses(t *testing.T) {
 		if _, ok := st.Get(cfg, "fir", other.String()); ok {
 			t.Fatalf("small-scale record served at %v scale", other)
 		}
+	}
+}
+
+// TestStoreObservedJobSimulatesAndPersists is memsim's one-job rule at
+// the Runner level: a job whose Config carries a caller-attached
+// observer (Trace, Probe or TxnTrace) simulates even when the store
+// holds its key, since a stored report cannot feed the observer, and
+// still writes its report back, so a following plain job is a hit.
+func TestStoreObservedJobSimulatesAndPersists(t *testing.T) {
+	plain := core.DefaultConfig(core.CC, 2)
+	for _, tc := range []struct {
+		name   string
+		attach func(*core.Config) (fed func() bool)
+	}{
+		{"trace", func(c *core.Config) func() bool {
+			tr := trace.New()
+			c.Trace = tr
+			return func() bool { return tr.Len() > 0 }
+		}},
+		{"probe", func(c *core.Config) func() bool {
+			pr := probe.NewRecorder(100 * sim.Nanosecond)
+			c.Probe = pr
+			return func() bool { return pr.Epochs() > 0 }
+		}},
+		{"txntrace", func(c *core.Config) func() bool {
+			tx := txntrace.New()
+			c.TxnTrace = tx
+			return func() bool { return tx.Trees() > 0 }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// runOne runs one job through a fresh Runner over dir's store.
+			runOne := func(dir string, cfg core.Config) *Runner {
+				r := NewRunner(workload.ScaleSmall)
+				r.Store = openStore(t, dir, "v1")
+				if _, err := r.Run(cfg, "fir"); err != nil {
+					t.Fatal(err)
+				}
+				r.Close()
+				if err := r.Store.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+
+			seeded := t.TempDir()
+			runOne(seeded, plain)
+			observed := plain
+			fed := tc.attach(&observed)
+			r := runOne(seeded, observed)
+			if ok, _ := r.Outcome(); ok != 1 || r.StoreHits() != 0 {
+				t.Fatalf("observed job over a stored key: ok=%d storeHits=%d, want 1/0", ok, r.StoreHits())
+			}
+			if !fed() {
+				t.Fatal("observed job did not feed its observer")
+			}
+
+			empty := t.TempDir()
+			observed = plain
+			tc.attach(&observed)
+			runOne(empty, observed)
+			if r := runOne(empty, plain); r.StoreHits() != 1 {
+				t.Fatalf("plain job after an observed one: storeHits=%d, want 1", r.StoreHits())
+			}
+		})
 	}
 }

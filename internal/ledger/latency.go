@@ -93,13 +93,14 @@ func (s *LatencySummary) Each(f func(name string, d *Dist)) {
 }
 
 // WriteBucketsCSV exports every distribution's non-empty buckets as CSV
-// (metric,lo_fs,hi_fs,count) — the memsim -latency-csv payload.
-func (s *LatencySummary) WriteBucketsCSV(w io.Writer) {
+// (metric,lo_fs,hi_fs,count) — the memsim -latency-csv payload — and
+// returns the write error, if any.
+func (s *LatencySummary) WriteBucketsCSV(w io.Writer) error {
 	t := stats.NewTable("", "metric", "lo_fs", "hi_fs", "count")
 	s.Each(func(name string, d *Dist) {
 		for _, b := range d.Buckets {
 			t.Row(name, uint64(b.LoFS), uint64(b.HiFS), b.Count)
 		}
 	})
-	t.WriteCSV(w)
+	return t.WriteCSV(w)
 }

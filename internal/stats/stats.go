@@ -121,26 +121,28 @@ func (t *Table) WriteText(w io.Writer) {
 	}
 }
 
-// WriteCSV renders the table as CSV (quotes only when needed).
-func (t *Table) WriteCSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+// WriteCSV renders the table as CSV (quotes only when needed) and
+// returns the write error, if any.
+func (t *Table) WriteCSV(w io.Writer) error {
+	var b strings.Builder
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if strings.ContainsAny(c, ",\"\n") {
+				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
+			}
+			b.WriteString(c)
 		}
-		return s
+		b.WriteByte('\n')
 	}
-	cells := make([]string, len(t.header))
-	for i, h := range t.header {
-		cells[i] = esc(h)
-	}
-	fmt.Fprintln(w, strings.Join(cells, ","))
+	line(t.header)
 	for _, r := range t.rows {
-		cells = cells[:0]
-		for _, c := range r {
-			cells = append(cells, esc(c))
-		}
-		fmt.Fprintln(w, strings.Join(cells, ","))
+		line(r)
 	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // StackedBar is one bar of a stacked chart: named segments in order.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,20 @@ func TestTableCSV(t *testing.T) {
 	want := "a,\"b,with comma\"\n\"quote\"\"y\",2\n"
 	if sb.String() != want {
 		t.Errorf("csv = %q, want %q", sb.String(), want)
+	}
+}
+
+// failingWriter rejects every write, as a full disk does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestTableCSVWriteError: a failed write is returned, not dropped, so a
+// CLI cannot report a CSV as written when the disk refused it.
+func TestTableCSVWriteError(t *testing.T) {
+	tb := NewTable("", "a", "b").Row("x", 1)
+	if err := tb.WriteCSV(failingWriter{}); err == nil {
+		t.Fatal("WriteCSV to a failing writer returned nil")
 	}
 }
 

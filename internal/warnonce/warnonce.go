@@ -1,10 +1,8 @@
-// Package warnonce is the one-line answer to a recurring CLI need: a
-// condition that can fire thousands of times per run (a store write
-// failing per job, a collector dropping spans, a tracer overflowing its
-// retention cap) should reach stderr exactly once, with later
-// occurrences counted elsewhere rather than repeated. The runner, the
-// CLIs and the tracer plumbing all shared hand-rolled sync.Once +
-// Fprintf copies of this; they now share one.
+// Package warnonce is the one-line answer to a recurring need: a
+// condition that can fire thousands of times per campaign (a store
+// write failing per job) should reach stderr exactly once, with later
+// occurrences counted elsewhere rather than repeated. bench.Runner
+// warns through it; a condition checked once per run needs no Warner.
 package warnonce
 
 import (

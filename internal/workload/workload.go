@@ -17,6 +17,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -45,6 +46,17 @@ func (s Scale) String() string {
 		return "paper"
 	}
 	return "unknown"
+}
+
+// ParseScale converts a scale name ("small", "default" or "paper", in
+// any case) to a Scale.
+func ParseScale(s string) (Scale, error) {
+	for sc := ScaleSmall; sc <= ScalePaper; sc++ {
+		if strings.EqualFold(s, sc.String()) {
+			return sc, nil
+		}
+	}
+	return ScaleSmall, fmt.Errorf("unknown scale %q (want small, default or paper)", s)
 }
 
 // Factory builds a fresh workload instance at the given scale.

@@ -145,17 +145,7 @@ func ParseModel(s string) (Model, error) {
 }
 
 // ParseScale converts a string ("small", "default", "paper") to a Scale.
-func ParseScale(s string) (Scale, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return ScaleSmall, nil
-	case "default":
-		return ScaleDefault, nil
-	case "paper":
-		return ScalePaper, nil
-	}
-	return ScaleSmall, fmt.Errorf("memsys: unknown scale %q (want small, default or paper)", s)
-}
+func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
 
 // DefaultConfig returns the paper's default machine for the given model
 // and core count: 800 MHz cores, 1.6 GB/s memory channel, no prefetch.
