@@ -66,7 +66,8 @@ func goldenReport(t *testing.T, g goldenRun, cfg memsys.Config) []byte {
 // hashes all of its outputs: the report JSON (with the cycle ledger and
 // latency histograms), the sampled tracer's JSONL, the explain-tail
 // text, and the Chrome trace with the transaction spans merged in. It
-// also returns the report JSON alone.
+// also checks the core timeline against the ledger and returns the
+// report JSON alone.
 func goldenDigest(t *testing.T, g goldenRun) (string, []byte) {
 	t.Helper()
 	cfg := g.cfg
@@ -78,6 +79,7 @@ func goldenDigest(t *testing.T, g goldenRun) (string, []byte) {
 	txn.Seed = 42
 	cfg.TxnTrace = txn
 	raw := goldenReport(t, g, cfg)
+	checkSpansMatchLedger(t, g.key, tr, raw)
 	h := sha256.New()
 	h.Write(raw)
 	if err := txn.WriteJSONL(h); err != nil {
@@ -89,6 +91,45 @@ func goldenDigest(t *testing.T, g goldenRun) (string, []byte) {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), raw
+}
+
+// checkSpansMatchLedger asserts that the core timeline is a view of the
+// cycle ledger: per core and per stall or wait class, the spans sum
+// exactly to the report's Cycles.PerCore entry, no span carries another
+// name, and the collector dropped none. It runs before MergeChrome adds
+// the transaction spans.
+func checkSpansMatchLedger(t *testing.T, key string, tr *memsys.Trace, raw []byte) {
+	t.Helper()
+	var rep struct{ Cycles *memsys.CycleSummary }
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	if n := tr.Dropped(); n != 0 {
+		t.Errorf("%s: timeline dropped %d spans", key, n)
+	}
+	col := map[string]int{}
+	for c, name := range rep.Cycles.Classes {
+		if name != "compute" && name != "idle" {
+			col[name] = c
+		}
+	}
+	got := make([]map[string]sim.Time, len(rep.Cycles.PerCore))
+	for i := range got {
+		got[i] = map[string]sim.Time{}
+	}
+	for _, s := range tr.Spans() {
+		if _, ok := col[s.Name]; !ok || s.Track < 0 || s.Track >= len(got) {
+			t.Fatalf("%s: span %+v is not a core's stall or wait class", key, s)
+		}
+		got[s.Track][s.Name] += s.Dur
+	}
+	for i, row := range rep.Cycles.PerCore {
+		for name, c := range col {
+			if got[i][name] != row[c] {
+				t.Errorf("%s: core %d %s spans sum to %d fs, ledger %d fs", key, i, name, got[i][name], row[c])
+			}
+		}
+	}
 }
 
 // TestModelOutputGoldens pins every observable output of the three
@@ -129,61 +170,61 @@ func TestModelOutputGoldens(t *testing.T) {
 }
 
 var modelGoldens = map[string]string{
-	"CC/art":            "48cd8aee70c3893e7137da3648e186f1e4e1b030d0d72bc1dbc5c6bb2d13f2d5",
-	"CC/art-orig":       "9944df577b83efb8c55e39a4ebccef1710dc6a8dee5cfe09dbb95102165dd2f3",
-	"CC/bitonicsort":    "bb50f650cce7439fa3ca72db84e8deb758854211281d6510b1adceec32635b8b",
-	"CC/depth":          "f6e20c500e58d52abcb168b22f8e76ea45024ced56ee1e39e4095027752e6b95",
-	"CC/fem":            "43a1d00874ce4070d97f304d07bf115599b433bc7ee4382541fa6ca878f1aece",
-	"CC/fir":            "a38e621655eea681a45264deb2be5f3a548a5b55e143d5c7ed35a28fde67e25b",
-	"CC/fir-pfs":        "e44e4afa3369997a225e6407b9411b3d0ca36c26e1d430156e05e13d3e1eea67",
-	"CC/h264":           "1cb46fb824df188570650af0ac4b143758584cd4960092838bc910243d9bfc59",
-	"CC/jpeg-decode":    "7dbd7d5d8a342dac13002593c03a2653838b342d143642f1d55d54f54d9b8a7d",
-	"CC/jpeg-encode":    "a2e5f70e7a506bd5bf85c858165c6253f581a9812e1d0785d07876da47dc2b45",
-	"CC/mergesort":      "a57483f65d707bdb8d2ac7eeb98cf8e9e34be1b167ce89d469f929a32c06a33b",
-	"CC/mergesort-pfs":  "a8206368f31835a6fb7e67469a3a799d9332a617837ed2cd1664fcd5a2b58eaf",
-	"CC/mpeg2":          "51e0374b74521f09448092a96b27465872dc313e5db92136afdb3e15e4015964",
-	"CC/mpeg2-orig":     "681d5ae8c7379392584615b4e88a7c51bbe0a74ec7dbd674e45ba0934c46f4fb",
-	"CC/mpeg2-pfs":      "087fadf582b1dcbec7f4eda3c7ac15eb92d6441d77cf6a18b3e6a4fd78212d10",
-	"CC/raytracer":      "9be8cbe7ea9d0a7b064e725d28e075db88a0f69ae4844ffe21d04f7711f0cb19",
-	"STR/art":           "f366738e356a7d20ae9a185f6f7ebda8b34fce1b68219f75642241f37f251afe",
-	"STR/art-orig":      "4b724861b7bc0df2c3f071edd6fd8a58205f1e65646bbce7d9b9a7f89358b49d",
-	"STR/bitonicsort":   "40cd57a22c8f68658c59edce133db662beca8d7b063dc78f2de5a48c71a23774",
-	"STR/depth":         "0578cec51b93baf5a9336d60bcb477c34fa34ac67472f3fc6b2e9966406f5dd4",
-	"STR/fem":           "1a94daec39f1f567134508689f99e4a4e34a42c53ad648e830bad761f4006a6d",
-	"STR/fir":           "ba1b606cf51812aaddebaa8a95cd0c36541dbbac61133c17e27f6ee561f6929f",
-	"STR/fir-pfs":       "ba1b606cf51812aaddebaa8a95cd0c36541dbbac61133c17e27f6ee561f6929f",
-	"STR/h264":          "92a862dd53e22174bdff5e496def1e95f0dc8f6c2b894f68b75ac32b19aaa9f1",
-	"STR/jpeg-decode":   "8ddd84ef1facc523824116107b32f03c46bb6ce604e1c1604de0cde8ff047ef3",
-	"STR/jpeg-encode":   "2a84f9d71e0ecbe89ecb76f1a61c109698cc91ee9a1f5c8cf5ead8135c48c398",
-	"STR/mergesort":     "442255b22ef3233d0624f59f7e017de102d7119eb47c43c123557dc6c67b867b",
-	"STR/mergesort-pfs": "442255b22ef3233d0624f59f7e017de102d7119eb47c43c123557dc6c67b867b",
-	"STR/mpeg2":         "8b5101b314cda3a3adb51fbcfbd24975671f912ca1b07f3efa9f56c3a4df9c08",
-	"STR/mpeg2-orig":    "2ca3ac13a3d25878fb0b7c36c4cda9b573b5bd4e454c18e89bf46453ba46f1bf",
-	"STR/mpeg2-pfs":     "8b5101b314cda3a3adb51fbcfbd24975671f912ca1b07f3efa9f56c3a4df9c08",
-	"STR/raytracer":     "b7c14db339331cb74f28bea6cdafd3c5f31c04eeb60cd9bdfb59ae221b4dbf94",
-	"INC/art":           "84ff89d60094fe8c34cef9b7e0c1eedcaabe163a80c548a30c0ad8896612f145",
-	"INC/art-orig":      "9e682739f48fbed8f337980b62d2431873448166d316dabca7bd4b0480eefb40",
-	"INC/bitonicsort":   "97f8de93299587e2d78195ffb32735d21c335001ded3d9eb304eb4542b025d88",
-	"INC/depth":         "a23ec200e5bbd148a7b5bf5c0c02ef71345bf5718d5fd89e5e5bf6e121bb7eeb",
-	"INC/fem":           "4ce06860e5c8949086d8d9b073a3dcf2fb99dade82344f16e9e10f382a5f0333",
-	"INC/fir":           "5e97e2d4365bf25034a1493f14027458232a7c349745d6b128e5bb0a2dfb72b0",
-	"INC/fir-pfs":       "c289ec9a2ffdd450c28de57d88ecd55dd3aee6b02be58854e030c12a4cb5c192",
-	"INC/h264":          "3009f04c24db29d5f4523cc439d1fe7c3eaaf4826602c4fad350f44eb47d0ad0",
-	"INC/jpeg-decode":   "68bcc7e7ad78ff4edad8b7ef87a587382ce2c998a5e888f93c7f088a60cecba7",
-	"INC/jpeg-encode":   "e229e627f63013a3686676d3294b67ff01a6cf545d3858927572d93edc792ef1",
-	"INC/mergesort":     "25ead82ab39cd8a4a445abb5ce23ab14b537bbe29f10186b55cd5a039aa15295",
-	"INC/mergesort-pfs": "143159e6bc5b0d923fc716aaad5a3d3eb47fb519333763373d10d145875923a5",
-	"INC/mpeg2":         "b172a63bd6347c011546808018c5d1e2d303d1198849a414c0fc948d69e69621",
-	"INC/mpeg2-orig":    "9c205441f31c4f235eeba09dba87c267adcf5d374613d663fbbfa1468d083848",
-	"INC/mpeg2-pfs":     "0d2e5b3bad34881abbfce3628127fb19588750e7b7cb75fe9ab39e25f3df11bf",
-	"INC/raytracer":     "e1dde881537b47c8fb3e52fd657be4918c6921d7f19f86b92cd739c171336530",
-	"CC-P4/fir":         "02e8e486a33793e18788658cb19d243257cea10ad1cec69ee3a367329e74cbaa",
-	"CC-NWA/fir":        "e12bd0792d8523c84e33e9cde733b0257cb48fa7d826b0c9d836c73217eccd80",
-	"CC-SF/fir":         "f92bd4fbed7e7ded9195b04e997d99a9340a79df3a1969b7a06ecbc151236ef4",
-	"CC-P4/mergesort":   "966163d701b31d26caa400e8838be4eda96cf4c29c2f73f943bb8cf4667f4050",
-	"CC-NWA/mergesort":  "817d1beaf43ee6d82ded7a9a9e09451a58db891c08a2128efee81adef0337812",
-	"CC-SF/mergesort":   "907c71af9098324a2e876828cf829e1dad20ca37f03e3d7d3299d37d6b2e61fa",
-	"CC-P4/mpeg2-pfs":   "4dd407202f2d371ebf04ef780a12a44556d70c9c1bc1fc180381f76dadc45f54",
-	"CC-NWA/mpeg2-pfs":  "24b00ccb7ac3ee26377f7d5e0873a228c525f64605a37ef7a4f77fda700abbe0",
-	"CC-SF/mpeg2-pfs":   "90f8d1424d4d5c0a734fe6e09c808d6866f01a7eadd6a469fcf1c379e15a1af0",
+	"CC/art":            "f9ab9c2b15d3e61d9b1338fc178665b9cf640d6d32c78f6821ff30cb3eb4543d",
+	"CC/art-orig":       "3d9e26ae765aa43426850493eb2ec9a5e4b49c668dccd752bf34814b05efb36f",
+	"CC/bitonicsort":    "5438d602b997f3d72fe28723ac041793cf24fad16a3d63f2cdfc8bca32e2bb47",
+	"CC/depth":          "2c618e8692bc5bdaac050d1e1689754316aa6a6a4d0a656eb47b5d4bab43efb3",
+	"CC/fem":            "acca6b6580f58c9731422384d10b6bfb0b1f1eeeb3b710b32e4f5f445f03ec16",
+	"CC/fir":            "fac898d7d099c4cf14bdbbff66da2a8351027ee13d76a118024d58d3dc6b7014",
+	"CC/fir-pfs":        "1d55bcfe02fa7af2c692e4f3e456fd5b32a41afe367d464c1db9649cfd2eb3c7",
+	"CC/h264":           "9658700c419cf5aa351752b8bb33a462c72e1fd6d084d6baeedf279ff6c36879",
+	"CC/jpeg-decode":    "526d2f8780bf8490eb0fe7091dad0d01589d3f86fa2b7cc40bdd906a507ccf6f",
+	"CC/jpeg-encode":    "fabb3040f5f8ab7f464de76a475cf44056af0102a4a9ee618caa6d03b551ffd4",
+	"CC/mergesort":      "f12b6012e3db026c6e471ada010763da8416ec9df69a5fc1a1c065c214ba50e3",
+	"CC/mergesort-pfs":  "5a17e45f7a99f7c8c35532d1a1dfcc8901c482a949193b12da1f9d27ea5a1700",
+	"CC/mpeg2":          "a6ca3c19f828d81afd126dedbed52a95c52ff6db3ac97c0d5629e500849969fb",
+	"CC/mpeg2-orig":     "695770be55216c27bf8709094817c4864721da13bbdffbd8f9c8c43c1f2ce678",
+	"CC/mpeg2-pfs":      "304ac68d49ca6a8d11c14a441b72ada70b70e75fddeb2bb21a00e98141c923c2",
+	"CC/raytracer":      "11f1bc47fd80636f6b15bb3a38e4402f43b8584710ff536cf9dd112c591402da",
+	"STR/art":           "b01be5faeadc14bf5877ae17f7edbfeeeadfcbc3351359c58ef367956186c060",
+	"STR/art-orig":      "3ed04f37752687edc8206065a2db883a98a1ffe48cf33b53598bf9a0bc432d84",
+	"STR/bitonicsort":   "afc1891d29e7c6c175787ae24a344afe9cb2762cda74d7db48a93827bb717e71",
+	"STR/depth":         "4c98ee4721911147e96e1225e02c0c50bf8eb4d8271468faccd7a3701e847504",
+	"STR/fem":           "5fecdd7bc2ff8d2697a843ce6a979a39fb0d3fe52d5f60a89855ad3a1aedf535",
+	"STR/fir":           "02408be13c3d7962f84168ac77cec60a6b572c0efc1134480062aba5989ff6ab",
+	"STR/fir-pfs":       "02408be13c3d7962f84168ac77cec60a6b572c0efc1134480062aba5989ff6ab",
+	"STR/h264":          "8d11c1bc130e40be138672c78140ddc630160f1cc18421ed27d71fa53974404d",
+	"STR/jpeg-decode":   "31b900c0850912bb25c2bdcdd05a89c0360f3240d8e2bc15f6647f19305b5c73",
+	"STR/jpeg-encode":   "17b31918633472a38df78a7341bbd955ea278dbd89a2b0d4cc18d84ff1622c69",
+	"STR/mergesort":     "934b6c1207f4fa75c05d58e22edb0a74ebefde8d1235c6eefa36abc605c12652",
+	"STR/mergesort-pfs": "934b6c1207f4fa75c05d58e22edb0a74ebefde8d1235c6eefa36abc605c12652",
+	"STR/mpeg2":         "c4ccce7ad6e225f592454c7b6b01b06e65101f48561cc570e716d8abae967700",
+	"STR/mpeg2-orig":    "ceaf25ec169c20ec0d400e139737e29c10a431853ae9702c1bb377d98b1d5b4b",
+	"STR/mpeg2-pfs":     "c4ccce7ad6e225f592454c7b6b01b06e65101f48561cc570e716d8abae967700",
+	"STR/raytracer":     "ae9ecb100fa6febb0f514ae651886d4df2608e780eb99d69c8f5a27ede99f93c",
+	"INC/art":           "00ad60111742003721c3a976b2c1e106f113be2068c4915caafc1bfdbe90e4ae",
+	"INC/art-orig":      "414cce409c7453012999e794c8041c5bb0d6eb88b8b63c6c75274589f1be3399",
+	"INC/bitonicsort":   "f54d790bfb7c54578f9fc9d3e42eca9e594a3606e68457f23cd39a5826ce0fb5",
+	"INC/depth":         "6d66cd756e47218265f38907f0ed570257c6259abdbe1cd64a5b2588b150d3be",
+	"INC/fem":           "c103dab2b44fce7e7ccdbf9fa5df941a843ac4c2dfa1b1ca97867fd0822971d1",
+	"INC/fir":           "cf88046a661bd76bb5e0ddd5067d1fa2ac21beee7ad3f6c29e4c7c77659e586a",
+	"INC/fir-pfs":       "f99815332ef294057f57f40cd2626d3c5a945329be929f7b36c670e34255d0be",
+	"INC/h264":          "26b7d1a3596b662c9cc4f94a93756e6ce94d7da016dcb42523a16f1bd1995891",
+	"INC/jpeg-decode":   "b709727dc8e783c22d5f945ae9be276bb6f0866ae35163b022092e548bfdf5eb",
+	"INC/jpeg-encode":   "881e60562a45838b3dbd8c1a1abe3f1f3c92cb87c3525a33de0baa4daadecf0d",
+	"INC/mergesort":     "127eb521aba9ad62e55a83a1e3b4f7bcae5b5ba4e15f1bcef47680b67b1df716",
+	"INC/mergesort-pfs": "c56432c306f330ed9bec91ed7ec0e1b171fee496f539f7d75362045db84e53d0",
+	"INC/mpeg2":         "20b32253c3b61478edc47ce537a78b28aec6736a61286a5988890bdb9fa6b0cc",
+	"INC/mpeg2-orig":    "fc32cf901de067b1e9c0e652ee100132d81a8a1016876b51ff33b1e0704b0271",
+	"INC/mpeg2-pfs":     "566fc2725dbf7756bf39d923b7e4415797689a1885362a5f567e47916af5fa4b",
+	"INC/raytracer":     "c986ecb045da2cce001a2a3f12d0eb62ceb366d2c8ff88f88255c2e0efa4a0e4",
+	"CC-P4/fir":         "0ab33e32475a712273a56b7ac1546a1439e8801a50f0d37944cd04ede6abcff2",
+	"CC-NWA/fir":        "fa2bdb0b122d436587a7ebaf2485aef3a4012d6fe5c41091277672758e8f80f6",
+	"CC-SF/fir":         "39a3a89a91b502a19497b6cc948589cc3f18cee75600eb58f8d506c976a7c678",
+	"CC-P4/mergesort":   "e99f9b393a743fdb7dfc09b665a7a1e1b93a330de2070a9ca42fd522530a00fb",
+	"CC-NWA/mergesort":  "c642140bb6c6aad8cb072043208bb07121b27cb039e9d4ee527179b342649713",
+	"CC-SF/mergesort":   "0eeedf10836b587b8941be619a731fb05a59243ddda1b6ad5e3c62fa8e2d7de0",
+	"CC-P4/mpeg2-pfs":   "7fb474c96ee88155b3575efb80b65e0ae401fa1509d6e9168a7029e4d565d1e2",
+	"CC-NWA/mpeg2-pfs":  "7746478de783357cddbce5248413f9e8de1a8e894600e9c7cfc72d030aa7769a",
+	"CC-SF/mpeg2-pfs":   "74cc828e583367fc2ba91240cea6048568e6026938c9ba903bcdcacb919a0a1c",
 }

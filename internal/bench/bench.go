@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/txntrace"
-	"repro/internal/warnonce"
 	"repro/internal/workload"
 )
 
@@ -175,8 +174,6 @@ type Runner struct {
 	progCh    chan string
 	progWG    sync.WaitGroup
 
-	storeWarn warnonce.Warner // store write failures surface once, not per-job
-
 	mu        sync.Mutex
 	cache     map[cfgKey]*flight
 	scheduled int // simulations admitted to the pool (the "/88")
@@ -295,12 +292,11 @@ func (r *Runner) simulate(fl *flight, cfg core.Config, name string) {
 		fl.span.Done()
 		r.Telemetry.RecordRun(rep.Latency, sim.MHz(cfg.CoreMHz).Period, tr)
 		// Persist the verified result. A failed write never fails the
-		// job — the report is already in hand — and the first failure is
-		// warned once; the store's PutErrors counter tracks the rest.
+		// job — the report is already in hand — so its error is dropped:
+		// the store logs its first failure and counts every one in
+		// PutErrors.
 		if r.Store != nil && rep != nil {
-			if perr := r.Store.Put(cfg, name, r.Scale.String(), rep); perr != nil {
-				r.storeWarn.Warnf("# result store: write failed (further errors counted, not repeated): %v", perr)
-			}
+			_ = r.Store.Put(cfg, name, r.Scale.String(), rep)
 		}
 	}
 	if r.OnRecord != nil {

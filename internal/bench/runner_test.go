@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -71,7 +70,7 @@ func TestCfgKeyNoCollisions(t *testing.T) {
 	// The tracer is a run-scoped observer, not machine identity: it must
 	// not defeat memoization.
 	c := base
-	c.Trace = cpu.Tracer(nil)
+	c.Trace = trace.New()
 	if keyOf(c, "fir") != keyOf(base, "fir") {
 		t.Error("Trace field leaked into the memo key")
 	}

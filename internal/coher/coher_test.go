@@ -37,7 +37,7 @@ func (h *harness) run(bodies ...func(p *cpu.Proc)) {
 		i, body := i, body
 		h.eng.Spawn("core", 0, func(task *sim.Task) {
 			p := h.procs[i]
-			p.Bind(task, h.dom.Mem(i))
+			p.Bind(task, h.dom.Mem(i), nil)
 			body(p)
 			p.Finish()
 		})

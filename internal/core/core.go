@@ -17,6 +17,7 @@ import (
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stream"
+	"repro/internal/trace"
 	"repro/internal/txntrace"
 	"repro/internal/uncore"
 )
@@ -95,9 +96,12 @@ type Config struct {
 	// clocks, it never moves them).
 	CycleLedger bool
 
-	// Trace, when non-nil, collects per-core stall/sync spans for
-	// timeline export (internal/trace).
-	Trace cpu.Tracer `json:"-"`
+	// Trace, when non-nil, receives every core's stall and wait time as
+	// timeline spans (internal/trace), one per ledger class charge, named
+	// by the class and merged when contiguous: per core and class the
+	// spans sum to the CycleLedger entry. Like Probe, a Collector belongs
+	// to exactly one run.
+	Trace *trace.Collector `json:"-"`
 
 	// Probe, when non-nil, samples the whole machine every
 	// Probe.Interval() of simulated time (internal/probe). Sampling reads
@@ -342,10 +346,9 @@ func (s *System) Run(w Workload) (rep *Report, err error) {
 	w.Setup(s)
 	for i := 0; i < s.cfg.Cores; i++ {
 		p := s.procs[i]
-		p.SetTracer(s.cfg.Trace)
 		m := s.mems[i]
 		s.eng.Spawn(fmt.Sprintf("core%d", i), 0, func(task *sim.Task) {
-			p.Bind(task, m)
+			p.Bind(task, m, s.cfg.Trace)
 			w.Run(p)
 			p.Finish()
 		})

@@ -29,7 +29,7 @@ func BenchmarkLedgerEnabled(b *testing.B) {
 	m := &benchMem{lat: 5 * sim.Nanosecond}
 	b.ResetTimer()
 	e.Spawn("core0", 0, func(task *sim.Task) {
-		p.Bind(task, m)
+		p.Bind(task, m, nil)
 		for i := 0; i < b.N; i++ {
 			p.Work(1)
 			p.Load(mem.Addr(uint64(i) * 64))

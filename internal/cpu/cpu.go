@@ -8,6 +8,11 @@
 // fetch and non-memory pipeline stalls, as in Figure 2), Sync, load
 // stalls and store-buffer stalls — are a view of that ledger.
 //
+// Every stall or wait, including those a synchronization primitive or a
+// DMA wait imposes, goes through one charge step (Proc.charge), so an
+// armed Chrome timeline is a view of the ledger: per core and class, its
+// spans sum to the class total.
+//
 // A Proc is driven by workload code running as a sim.Task coroutine; the
 // attached ProcMem (the coherent-cache model in internal/coher or the
 // streaming model in internal/stream) supplies data-access timing.
@@ -20,17 +25,12 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // StoreBufferEntries is the default depth of the store buffer that
 // allows loads to bypass outstanding store misses.
 const StoreBufferEntries = 8
-
-// Tracer receives timeline spans (see internal/trace); nil disables
-// collection.
-type Tracer interface {
-	Add(track int, name string, start, dur sim.Time)
-}
 
 // FlushClasser lets a memory model classify its Finish-time drain in
 // the cycle ledger: the streaming model's Flush waits on DMA completion
@@ -143,6 +143,11 @@ type Proc struct {
 	// makes the conservation invariant (ledger classes sum to finish
 	// time) hold by construction.
 	led ledger.Ledger
+	// tl, when non-nil, is the run's timeline. last is the core's latest
+	// span, held back until a charge that does not continue it, or
+	// Finish, hands it to tl; a zero Dur means none.
+	tl   *trace.Collector
+	last trace.Span
 	// pfShadow marks that the in-flight stall the memory model just
 	// reported is covered by an earlier prefetch (set via
 	// MarkPrefetchShadow, consumed by the next Load charge).
@@ -153,8 +158,6 @@ type Proc struct {
 	storeBuf []sim.Time
 	sbHead   int
 	sbLen    int
-
-	tracer Tracer
 
 	finished   bool
 	finishTime sim.Time
@@ -170,14 +173,13 @@ func New(id, cluster int, cfg Config) *Proc {
 	return &Proc{id: id, cluster: cluster, cfg: cfg, storeBuf: make([]sim.Time, depth)}
 }
 
-// Bind attaches the core to its simulation task and memory model.
-func (p *Proc) Bind(task *sim.Task, m ProcMem) {
+// Bind attaches the core to its simulation task, its memory model and
+// the run's timeline (nil = none).
+func (p *Proc) Bind(task *sim.Task, m ProcMem, tl *trace.Collector) {
 	p.task = task
 	p.memory = m
+	p.tl = tl
 }
-
-// SetTracer attaches a span collector (nil disables tracing).
-func (p *Proc) SetTracer(t Tracer) { p.tracer = t }
 
 // Ledger returns the core's cycle ledger.
 func (p *Proc) Ledger() *ledger.Ledger { return &p.led }
@@ -187,12 +189,6 @@ func (p *Proc) Ledger() *ledger.Ledger { return &p.led }
 // flight, so the next Load charge classifies it as ledger.PrefetchShadow
 // instead of LoadStall. The coherent model's hit path calls it.
 func (p *Proc) MarkPrefetchShadow() { p.pfShadow = true }
-
-func (p *Proc) span(name string, start, dur sim.Time) {
-	if p.tracer != nil && dur > 0 {
-		p.tracer.Add(p.id, name, start, dur)
-	}
-}
 
 // SetICache reconfigures the analytic I-cache model (workload Setup
 // hooks call this before execution starts).
@@ -284,16 +280,56 @@ func (p *Proc) chargeUseful(n uint64) {
 // load/store slot per 3-wide instruction, roughly every other probe
 // collides with an access-bound core.
 func (p *Proc) applySnoopDebt() {
-	if p.snoopDebt < 2 {
-		return
+	if p.snoopDebt >= 2 {
+		p.snoopStall()
 	}
+}
+
+// snoopStall is applySnoopDebt's stall, out of line so the check inlines.
+func (p *Proc) snoopStall() {
 	cycles := p.snoopDebt / 2
 	p.snoopDebt %= 2
-	d := p.cfg.Clock.Cycles(cycles)
-	p.task.Advance(d)
-	p.led.Charge(ledger.LoadStall, d)
+	now := p.task.Time()
+	p.charge(ledger.LoadStall, now, now+p.cfg.Clock.Cycles(cycles))
 	p.stats.SnoopStalls += cycles
 }
+
+// charge is the one step for every stall and wait of the core: it moves
+// the core's clock from start to end (a no-op when a waker already moved
+// it there) and charges that span to class c. With a timeline armed it
+// also records the span, named by the class, merged into the class's
+// previous span on this core when it starts where that one ended.
+// Compute never comes here (chargeUseful), so issue stays span-free.
+func (p *Proc) charge(c ledger.Class, start, end sim.Time) {
+	if end <= start {
+		return
+	}
+	p.led.Charge(c, end-start)
+	p.task.SetTime(end)
+	if p.tl == nil {
+		return
+	}
+	// A core's charges never overlap, so a charge continues its class's
+	// previous span exactly when it continues the core's latest one.
+	if l := &p.last; l.Name == c.String() && l.Start+l.Dur == start {
+		l.Dur += end - start
+		return
+	}
+	p.emit()
+	p.last = trace.Span{Track: p.id, Name: c.String(), Start: start, Dur: end - start}
+}
+
+// emit hands the latest span to the timeline.
+func (p *Proc) emit() {
+	if p.last.Dur > 0 {
+		p.tl.Add(p.last.Track, p.last.Name, p.last.Start, p.last.Dur)
+	}
+}
+
+// ChargeWait charges the core's time since start to wait class c
+// (ledger.SyncWait or ledger.DMAWait): the clock a synchronization
+// primitive advanced, or a waker moved while the core was blocked.
+func (p *Proc) ChargeWait(c ledger.Class, start sim.Time) { p.charge(c, start, p.task.Time()) }
 
 // AddSnoopProbe records that another agent probed this core's D-cache.
 // Called by the coherence layer.
@@ -318,22 +354,9 @@ func (p *Proc) WaitUntil(t sim.Time) { p.waitUntil(t, ledger.SyncWait) }
 func (p *Proc) WaitUntilDMA(t sim.Time) { p.waitUntil(t, ledger.DMAWait) }
 
 func (p *Proc) waitUntil(t sim.Time, c ledger.Class) {
-	if now := p.task.Time(); t > now {
-		p.led.Charge(c, t-now)
-		p.span("sync-wait", now, t-now)
-		p.task.SetTime(t)
-	}
+	p.charge(c, p.task.Time(), t)
 	p.task.Sync()
 }
-
-// AddSync charges d of synchronization time without advancing the clock
-// (used when a primitive has already moved the task's clock, e.g. after
-// an Unblock).
-func (p *Proc) AddSync(d sim.Time) { p.led.Charge(ledger.SyncWait, d) }
-
-// AddDMAWait is AddSync with the ledger class ledger.DMAWait (a DMA
-// completion wait whose clock movement already happened via Unblock).
-func (p *Proc) AddDMAWait(d sim.Time) { p.led.Charge(ledger.DMAWait, d) }
 
 // Load issues one load instruction to address a and blocks until the
 // data is available.
@@ -342,15 +365,11 @@ func (p *Proc) Load(a mem.Addr) {
 	p.applySnoopDebt()
 	p.stats.Loads++
 	done := p.memory.Load(p, a)
-	if now := p.task.Time(); done > now {
-		if p.pfShadow {
-			p.led.Charge(ledger.PrefetchShadow, done-now)
-		} else {
-			p.led.Charge(ledger.LoadStall, done-now)
-		}
-		p.span("load-stall", now, done-now)
-		p.task.SetTime(done)
+	c := ledger.LoadStall
+	if p.pfShadow {
+		c = ledger.PrefetchShadow
 	}
+	p.charge(c, p.task.Time(), done)
 	p.pfShadow = false
 }
 
@@ -376,10 +395,7 @@ func (p *Proc) store(a mem.Addr, nbytes uint64, pfs bool) {
 		p.sbLen--
 	}
 	if p.sbLen == depth {
-		oldest := p.storeBuf[p.sbHead]
-		p.led.Charge(ledger.StoreStall, oldest-now)
-		p.span("store-stall", now, oldest-now)
-		p.task.SetTime(oldest)
+		p.charge(ledger.StoreStall, now, p.storeBuf[p.sbHead])
 		p.sbHead = (p.sbHead + 1) % depth
 		p.sbLen--
 	}
@@ -492,25 +508,18 @@ func elemsIn(lo, hi, base mem.Addr, elemSize uint64) uint64 {
 // memory model's drain time is charged to the Sync bucket under the
 // model's FlushClasser class.
 func (p *Proc) Finish() {
-	now := p.task.Time()
-	for p.sbLen > 0 {
-		done := p.storeBuf[p.sbHead]
+	for ; p.sbLen > 0; p.sbLen-- {
+		p.charge(ledger.StoreStall, p.task.Time(), p.storeBuf[p.sbHead])
 		p.sbHead = (p.sbHead + 1) % len(p.storeBuf)
-		p.sbLen--
-		if done > now {
-			p.led.Charge(ledger.StoreStall, done-now)
-			p.task.SetTime(done)
-			now = done
-		}
 	}
-	if d := p.memory.Flush(p); d > p.task.Time() {
-		wait := d - p.task.Time()
-		c := ledger.SyncWait
-		if fc, ok := p.memory.(FlushClasser); ok {
-			c = fc.FlushClass()
-		}
-		p.led.Charge(c, wait)
-		p.task.SetTime(d)
+	d := p.memory.Flush(p)
+	c := ledger.SyncWait
+	if fc, ok := p.memory.(FlushClasser); ok {
+		c = fc.FlushClass()
+	}
+	p.charge(c, p.task.Time(), d)
+	if p.tl != nil {
+		p.emit()
 	}
 	p.finished = true
 	p.finishTime = p.task.Time()

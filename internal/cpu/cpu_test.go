@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeMem is a scriptable memory model: loads take loadLat, stores
@@ -43,7 +46,7 @@ func runCore(t *testing.T, cfg Config, m ProcMem, body func(*Proc)) *Proc {
 	e := sim.NewEngine()
 	p := New(0, 0, cfg)
 	e.Spawn("core0", 0, func(task *sim.Task) {
-		p.Bind(task, m)
+		p.Bind(task, m, nil)
 		body(p)
 		p.Finish()
 	})
@@ -181,6 +184,36 @@ func TestWaitUntilChargesSync(t *testing.T) {
 	})
 	if got := p.Breakdown().Sync; got != 1*sim.Microsecond {
 		t.Errorf("sync = %v, want 1us", got)
+	}
+}
+
+// TestTimelineMergesContiguousCharges: each stall or wait charge is a
+// span named by its ledger class; a charge that starts where the class's
+// previous span ended extends it, and one after intervening compute
+// starts a new span.
+func TestTimelineMergesContiguousCharges(t *testing.T) {
+	tl := trace.New()
+	e := sim.NewEngine()
+	p := New(3, 0, Config{Clock: sim.MHz(800)})
+	e.Spawn("core3", 0, func(task *sim.Task) {
+		p.Bind(task, &fakeMem{loadLat: 100 * sim.Nanosecond}, tl)
+		p.WaitUntil(1 * sim.Microsecond)
+		p.WaitUntil(2 * sim.Microsecond) // contiguous: merged
+		p.Load(0x100)                    // one issue cycle, then a stall
+		p.Load(0x200)                    // the issue cycle separates the stalls
+		p.Finish()
+	})
+	e.Run()
+	cycle := sim.MHz(800).Cycles(1)
+	want := []trace.Span{
+		{Track: 3, Name: "sync_wait", Start: 0, Dur: 2 * sim.Microsecond},
+		{Track: 3, Name: "load_stall", Start: 2*sim.Microsecond + cycle, Dur: 100 * sim.Nanosecond},
+		{Track: 3, Name: "load_stall", Start: 2*sim.Microsecond + 2*cycle + 100*sim.Nanosecond, Dur: 100 * sim.Nanosecond},
+	}
+	got := tl.Spans()
+	sort.Slice(got, func(i, j int) bool { return got[i].Start < got[j].Start })
+	if !slices.Equal(got, want) {
+		t.Errorf("spans = %+v, want %+v", got, want)
 	}
 }
 

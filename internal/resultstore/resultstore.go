@@ -79,8 +79,8 @@ type Options struct {
 	// MaxBytes caps the total size of the record files; a Put past it
 	// evicts the least recently used records. 0 = unbounded.
 	MaxBytes int64
-	// Log receives cleanup and corruption warnings, one line each.
-	// nil = discard.
+	// Log receives cleanup and corruption warnings and the first failed
+	// Put, one line each. nil = discard.
 	Log io.Writer
 }
 
@@ -277,7 +277,8 @@ func encodeRecord(body []byte) []byte {
 
 // Put stores one verified result for a workload run at the given
 // dataset scale, replacing any earlier record for the same key. A
-// failed Put returns the error and leaves the store as it was.
+// failed write returns the error and leaves the store as it was; the
+// first one is also logged, and every one is counted in PutErrors.
 func (s *Store) Put(cfg core.Config, workload, scale string, rep *core.Report) error {
 	key := cfg.Hash(workload, scale, s.version)
 	body, err := json.Marshal(payload{
@@ -297,7 +298,9 @@ func (s *Store) Put(cfg core.Config, workload, scale string, rep *core.Report) e
 	}
 	old, _ := os.Stat(path) // nil when there is no earlier record to replace
 	if err := s.writeFile(path, rec); err != nil {
-		s.stats.PutErrors++
+		if s.stats.PutErrors++; s.stats.PutErrors == 1 {
+			s.logf("put %s: %v (further failures are counted in put_errors, not logged)", filepath.Base(path), err)
+		}
 		return fmt.Errorf("resultstore: put %s: %w", filepath.Base(path), err)
 	}
 	if old != nil {

@@ -366,11 +366,12 @@ func TestLeftoverTempFileRemoved(t *testing.T) {
 
 // TestFailedPutLeavesNoTempFile: a Put whose rename fails (a directory
 // squats on the record's name, which fails as root too) returns an
-// error, counts PutErrors, leaves no temp file behind, and the store
-// keeps serving and accepting other records.
+// error, counts PutErrors, logs only the first failure, leaves no temp
+// file behind, and the store keeps serving and accepting other records.
 func TestFailedPutLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Version: "v1"})
+	var log bytes.Buffer
+	s := mustOpen(t, Options{Dir: dir, Version: "v1", Log: &log})
 	defer s.Close()
 	fill(t, s, 1)
 	if err := os.Mkdir(recPath(s, 1), 0o755); err != nil {
@@ -397,6 +398,16 @@ func TestFailedPutLeavesNoTempFile(t *testing.T) {
 	}
 	if _, ok := s.Get(testCfg(0), "fir", "small"); !ok {
 		t.Fatal("failed put broke reads")
+	}
+	// A second failure is counted but not logged again.
+	if err := s.Put(testCfg(1), "fir", "small", testReport(1)); err == nil {
+		t.Fatal("second put over a directory reported success")
+	}
+	if st := s.Stats(); st.PutErrors != 2 {
+		t.Fatalf("put_errors = %d after two failed puts, want 2", st.PutErrors)
+	}
+	if n := strings.Count(log.String(), "resultstore: put "); n != 1 {
+		t.Fatalf("two failed puts logged %d lines, want 1:\n%s", n, log.String())
 	}
 	if err := s.Put(testCfg(2), "fir", "small", testReport(2)); err != nil {
 		t.Fatalf("put after a failed put: %v", err)

@@ -106,9 +106,7 @@ func (m *Mem) Flush(p *cpu.Proc) sim.Time {
 			// here so no cycle escapes the accounting (conservation).
 			before := p.Now()
 			t = max(t, m.eng.Wait(p.Task(), last))
-			if wait := p.Now() - before; wait > 0 {
-				p.AddDMAWait(wait)
-			}
+			p.ChargeWait(ledger.DMAWait, before)
 		}
 	}
 	m.eng.Stop()
@@ -177,8 +175,6 @@ func (m *Mem) Wait(p *cpu.Proc, tag dma.Tag) {
 		return
 	}
 	before := p.Now()
-	done := m.eng.Wait(p.Task(), tag)
-	if done > before {
-		p.AddDMAWait(p.Now() - before)
-	}
+	m.eng.Wait(p.Task(), tag)
+	p.ChargeWait(ledger.DMAWait, before)
 }

@@ -4,13 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/uncore"
 )
 
-// runSTR executes a body on one streaming core.
+// runSTR executes a body on one streaming core with a timeline armed,
+// and checks that the timeline is a view of the core's ledger: per
+// stall or wait class, the spans sum to the class total.
 func runSTR(t *testing.T, body func(p *cpu.Proc, m *Mem)) (*cpu.Proc, *Mem, *uncore.Uncore) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -18,12 +22,24 @@ func runSTR(t *testing.T, body func(p *cpu.Proc, m *Mem)) (*cpu.Proc, *Mem, *unc
 	m := New(0, 0, DefaultConfig(), unc)
 	m.Spawn(eng)
 	p := cpu.New(0, 0, cpu.Config{Clock: sim.MHz(800)})
+	tl := trace.New()
 	eng.Spawn("core0", 0, func(task *sim.Task) {
-		p.Bind(task, m)
+		p.Bind(task, m, tl)
 		body(p, m)
 		p.Finish()
 	})
 	eng.Run()
+	for c := ledger.LoadStall; c < ledger.Idle; c++ {
+		var got sim.Time
+		for _, s := range tl.Spans() {
+			if s.Name == c.String() {
+				got += s.Dur
+			}
+		}
+		if want := p.Ledger().Get(c); got != want {
+			t.Errorf("%s spans sum to %v, ledger %v", c, got, want)
+		}
+	}
 	return p, m, unc
 }
 

@@ -10,14 +10,16 @@
 // imbalance and limited parallelism — emerge from the queueing
 // discipline, not the per-operation constant.
 //
-// Every clock movement here goes through cpu.AddSync (paired with the
-// matching Advance or BlockOn), which also feeds the cycle ledger's
-// SyncWait class — so lock and barrier time is fully attributed and the
-// ledger's conservation invariant holds across synchronization.
+// Every clock movement here (an atomic operation's Advance, a blocked
+// core's wake-up) is charged through cpu.Proc.ChargeWait to the cycle
+// ledger's SyncWait class, so lock and barrier time is fully attributed,
+// the ledger's conservation invariant holds across synchronization, and
+// the time shows as sync_wait spans on an armed timeline.
 package syncprim
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/ledger"
 	"repro/internal/sim"
 )
 
@@ -29,9 +31,26 @@ const OpCost = 25 * sim.Nanosecond
 // wake-up to a waiting core (a line transfer between caches).
 const HandoffCost = 15 * sim.Nanosecond
 
+// atomicOp syncs the core with the engine and charges one atomic
+// operation's round trip.
+func atomicOp(p *cpu.Proc) {
+	p.Task().Sync()
+	start := p.Now()
+	p.Task().Advance(OpCost)
+	p.ChargeWait(ledger.SyncWait, start)
+}
+
+// block parks the core until a waker moves its clock, and charges the
+// time it was parked.
+func block(p *cpu.Proc, label string) {
+	start := p.Now()
+	p.Task().BlockOn(label)
+	p.ChargeWait(ledger.SyncWait, start)
+}
+
 // Lock is a FIFO mutex in simulated time.
 type Lock struct {
-	name    string
+	label   string // "lock <name>": BlockOn label, built once
 	held    bool
 	waiters []*cpu.Proc
 	// Acquisitions counts successful acquires; Contended counts those
@@ -41,13 +60,11 @@ type Lock struct {
 }
 
 // NewLock returns an unlocked lock.
-func NewLock(name string) *Lock { return &Lock{name: name} }
+func NewLock(name string) *Lock { return &Lock{label: "lock " + name} }
 
 // Acquire takes the lock, blocking in simulated time until available.
 func (l *Lock) Acquire(p *cpu.Proc) {
-	p.Task().Sync()
-	p.AddSync(OpCost)
-	p.Task().Advance(OpCost)
+	atomicOp(p)
 	l.Acquisitions++
 	if !l.held {
 		l.held = true
@@ -55,15 +72,13 @@ func (l *Lock) Acquire(p *cpu.Proc) {
 	}
 	l.Contended++
 	l.waiters = append(l.waiters, p)
-	before := p.Now()
-	p.Task().BlockOn("lock " + l.name)
-	p.AddSync(p.Now() - before)
+	block(p, l.label)
 }
 
 // Release frees the lock, handing it to the longest-waiting core.
 func (l *Lock) Release(p *cpu.Proc) {
 	if !l.held {
-		panic("syncprim: release of unheld lock " + l.name)
+		panic("syncprim: release of unheld " + l.label)
 	}
 	p.Task().Sync()
 	if len(l.waiters) == 0 {
@@ -77,7 +92,7 @@ func (l *Lock) Release(p *cpu.Proc) {
 
 // Barrier synchronizes n cores; it is reusable (sense-reversing).
 type Barrier struct {
-	name    string
+	label   string // "barrier <name>": BlockOn label, built once
 	n       int
 	arrived []*cpu.Proc
 	// Waits counts completed barrier episodes.
@@ -89,20 +104,16 @@ func NewBarrier(name string, n int) *Barrier {
 	if n <= 0 {
 		panic("syncprim: barrier with no participants")
 	}
-	return &Barrier{name: name, n: n}
+	return &Barrier{label: "barrier " + name, n: n}
 }
 
 // Wait blocks until all n participants have arrived. The release time is
 // the last arrival plus the broadcast cost.
 func (b *Barrier) Wait(p *cpu.Proc) {
-	p.Task().Sync()
-	p.AddSync(OpCost)
-	p.Task().Advance(OpCost)
+	atomicOp(p)
 	if len(b.arrived)+1 < b.n {
 		b.arrived = append(b.arrived, p)
-		before := p.Now()
-		p.Task().BlockOn("barrier " + b.name)
-		p.AddSync(p.Now() - before)
+		block(p, b.label)
 		return
 	}
 	// Last arrival releases everyone.

@@ -24,7 +24,7 @@ func runProcs(t *testing.T, bodies ...func(p *cpu.Proc)) []*cpu.Proc {
 		i, body := i, body
 		procs[i] = cpu.New(i, i/4, cpu.Config{Clock: sim.MHz(800)})
 		eng.Spawn("core", 0, func(task *sim.Task) {
-			procs[i].Bind(task, nullMem{})
+			procs[i].Bind(task, nullMem{}, nil)
 			body(procs[i])
 			procs[i].Finish()
 		})

@@ -1,8 +1,16 @@
 // Package trace collects simulation activity spans and exports them in
 // the Chrome trace-event JSON format (chrome://tracing, Perfetto), so a
-// run's stalls, synchronization waits and DMA transfers can be inspected
-// on a timeline. Collection is opt-in per run and capped, because a
-// paper-scale simulation can produce millions of spans.
+// run's stalls, synchronization and DMA waits, and traced memory
+// transfers can be inspected on a timeline. Each core's track (tid =
+// core id) is a view of its cycle ledger: internal/cpu records one span
+// per stall or wait charge, named by the ledger class (load_stall,
+// store_stall, sync_wait, dma_wait, prefetch_shadow) and merged with the
+// class's previous span when contiguous, so per core and class the spans
+// sum to the ledger's total. The transaction tracer merges its hops
+// (DMA transfers included) onto component tracks from 1000 up, with flow
+// arrows; the probe layer adds counter tracks. Collection is opt-in per
+// run and capped, because a paper-scale simulation can produce millions
+// of spans.
 package trace
 
 import (
@@ -19,8 +27,8 @@ const DefaultCap = 1 << 20
 
 // Span is one timeline interval.
 type Span struct {
-	Track int    // timeline row (core id; DMA engines use an offset)
-	Name  string // e.g. "load-stall", "dma-get"
+	Track int    // timeline row: a core id, or a transaction component track
+	Name  string // a core's ledger class ("load_stall"), or a hop ("dma_get dma.queue")
 	Start sim.Time
 	Dur   sim.Time
 }

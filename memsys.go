@@ -177,8 +177,10 @@ func NewWorkload(name string, scale Scale) (Workload, error) {
 	return f(scale), nil
 }
 
-// Trace collects per-core stall/sync timeline spans; attach one via
-// Config.Trace and export it with WriteChrome for chrome://tracing.
+// Trace collects each core's stall and wait time as timeline spans
+// named by cycle-ledger class (load_stall, store_stall, sync_wait,
+// dma_wait, prefetch_shadow); attach one via Config.Trace and export it
+// with WriteChrome for chrome://tracing.
 type Trace = trace.Collector
 
 // NewTrace returns an empty span collector with the default cap.

@@ -82,25 +82,31 @@ func TestINCModelOnCommunicationFreeWorkloads(t *testing.T) {
 	}
 }
 
+// TestTraceCollectsSpans: on every model the timeline carries the
+// stall and wait classes the run spends time in, under the cycle
+// ledger's class names: synchronization everywhere, DMA waits on STR,
+// load and store stalls on the cached models.
 func TestTraceCollectsSpans(t *testing.T) {
-	tr := memsys.NewTrace()
-	cfg := memsys.DefaultConfig(memsys.CC, 2)
-	cfg.Trace = tr
-	if _, err := memsys.Run(cfg, "mergesort", memsys.ScaleSmall); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("no spans collected")
-	}
-	sum := tr.Summary()
-	found := false
-	for k := range sum {
-		if len(k) > 2 && (k[2:] == "load-stall" || k[2:] == "sync-wait" || k[2:] == "store-stall") {
-			found = true
+	for _, model := range []memsys.Model{memsys.CC, memsys.STR, memsys.INC} {
+		tr := memsys.NewTrace()
+		cfg := memsys.DefaultConfig(model, 2)
+		cfg.Trace = tr
+		if _, err := memsys.Run(cfg, "mergesort", memsys.ScaleSmall); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("no stall/sync spans in %v", sum)
+		got := map[string]int{}
+		for _, s := range tr.Spans() {
+			got[s.Name]++
+		}
+		want := []string{"sync_wait", "load_stall", "store_stall"}
+		if model == memsys.STR {
+			want = []string{"sync_wait", "dma_wait"}
+		}
+		for _, name := range want {
+			if got[name] == 0 {
+				t.Errorf("%v: no %s spans in %v", model, name, got)
+			}
+		}
 	}
 }
 
