@@ -518,9 +518,7 @@ func (p *Proc) Finish() {
 		c = fc.FlushClass()
 	}
 	p.charge(c, p.task.Time(), d)
-	if p.tl != nil {
-		p.emit()
-	}
+	p.emit() // the held-back span; none without a timeline
 	p.finished = true
 	p.finishTime = p.task.Time()
 }

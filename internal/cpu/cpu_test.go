@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/mem"
@@ -210,9 +209,7 @@ func TestTimelineMergesContiguousCharges(t *testing.T) {
 		{Track: 3, Name: "load_stall", Start: 2*sim.Microsecond + cycle, Dur: 100 * sim.Nanosecond},
 		{Track: 3, Name: "load_stall", Start: 2*sim.Microsecond + 2*cycle + 100*sim.Nanosecond, Dur: 100 * sim.Nanosecond},
 	}
-	got := tl.Spans()
-	sort.Slice(got, func(i, j int) bool { return got[i].Start < got[j].Start })
-	if !slices.Equal(got, want) {
+	if got := tl.Spans(); !slices.Equal(got, want) {
 		t.Errorf("spans = %+v, want %+v", got, want)
 	}
 }
